@@ -25,7 +25,6 @@ __all__ = [
     "marginalize_mac",
     "gamma_from",
     "stationary_u_pmf",
-    "sample_categorical",
     "sample_columns",
     "simulate_uplink",
     "simulate_downlink",
@@ -123,20 +122,32 @@ def stationary_u_pmf(mac: MacModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
     return mac.table @ pair
 
 
-def sample_categorical(pmf: np.ndarray, uniform_draw: float) -> int:
-    """Inverse-CDF sampling: smallest index whose cumulative sum exceeds the draw."""
-    cum = np.cumsum(np.asarray(pmf, dtype=float))
-    cum[-1] = 1.0  # guard against float undersum for draws near 1
-    return int(np.searchsorted(cum, uniform_draw, side="right"))
+def _inverse_cdf(
+    pmfs: np.ndarray, draws: np.ndarray, columns: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverse-CDF sampling: per draw, the first row whose cumulative sum exceeds it.
+
+    ``pmfs`` is one pmf, or a matrix of column pmfs indexed per draw by
+    ``columns``. The index is the number of rows of the running-maximum
+    cumulative sum that the draw is >= to. The running maximum keeps this the
+    first exceeding row where tolerated negative entries dip the sum; leaving
+    out the last row treats it as 1.0, so a float undersum cannot push a
+    draw past the alphabet.
+    """
+    draws = np.asarray(draws)
+    cum = np.cumsum(np.asarray(pmfs, dtype=float), axis=0)
+    cum = np.maximum.accumulate(cum, axis=0)
+    index = np.zeros(draws.size, dtype=np.intp)
+    for row in cum[:-1]:
+        index += draws >= (row if columns is None else row[columns])
+    return index
 
 
 def sample_columns(
     matrix: np.ndarray, columns: np.ndarray, draws: np.ndarray
 ) -> np.ndarray:
     """Vectorized inverse-CDF sampling from per-symbol columns of a matrix."""
-    cum = np.cumsum(np.asarray(matrix, dtype=float), axis=0)
-    cum[-1, :] = 1.0
-    return (cum[:, columns] > draws).argmax(axis=0)
+    return _inverse_cdf(matrix, draws, columns)
 
 
 def simulate_uplink(
@@ -151,12 +162,8 @@ def simulate_uplink(
         raise ValueError("need at least one sample")
     p1 = validate_pmf(p1)
     p2 = validate_pmf(p2)
-    cum1 = np.cumsum(p1)
-    cum1[-1] = 1.0
-    cum2 = np.cumsum(p2)
-    cum2[-1] = 1.0
-    x1 = np.searchsorted(cum1, rng.random(n), side="right")
-    x2 = np.searchsorted(cum2, rng.random(n), side="right")
+    x1 = _inverse_cdf(p1, rng.random(n))
+    x2 = _inverse_cdf(p2, rng.random(n))
     if mac.deterministic:
         u = mac.table.argmax(axis=0)[x1 * mac.x2_size + x2]
     else:

@@ -90,6 +90,8 @@ def conditional_histogram(
 
     Columns of x1 symbols that never occurred are filled uniformly (the
     maximum-entropy neutral choice); run_detection reports their indices.
+    Symbols outside {0, ..., size - 1} are rejected, never folded into
+    another cell.
     """
     x1_trace = np.asarray(x1_trace)
     y1_trace = np.asarray(y1_trace)
@@ -97,6 +99,13 @@ def conditional_histogram(
         raise ValueError("trace lengths differ")
     if x1_trace.size == 0:
         raise ValueError("empty traces")
+    for name, trace, size in (("x1", x1_trace, x1_size), ("y1", y1_trace, y1_size)):
+        low, high = trace.min(), trace.max()
+        if low < 0 or high >= size:
+            raise ValueError(
+                f"{name} symbol {low if low < 0 else high} is outside the"
+                f" alphabet of size {size}"
+            )
     counts = np.bincount(
         y1_trace * x1_size + x1_trace, minlength=y1_size * x1_size
     ).reshape(y1_size, x1_size).astype(float)
@@ -239,9 +248,7 @@ def run_detection(
     y1_size = config.b.shape[0]
     x1_trace = np.asarray(x1_trace)
     gamma_hat = conditional_histogram(x1_trace, y1_trace, x1_size, y1_size)
-    seen = np.zeros(x1_size, dtype=bool)
-    seen[np.unique(x1_trace)] = True
-    unseen = np.nonzero(~seen)[0].tolist()
+    unseen = np.flatnonzero(np.bincount(x1_trace, minlength=x1_size) == 0).tolist()
     phi_hat, gamma_tilde, feasible = _solve_estimator(
         gamma_hat, config.a, config.b, config.mu
     )

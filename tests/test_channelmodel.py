@@ -87,13 +87,103 @@ def test_stationary_u_pmf_point_masses():
     np.testing.assert_allclose(pmf, [0.0, 0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
-def test_sample_categorical_inverse_cdf():
-    pmf = np.array([0.25, 0.5, 0.25])
-    assert channelmodel.sample_categorical(pmf, 0.3) == 1
-    assert channelmodel.sample_categorical(pmf, 0.0) == 0
-    assert channelmodel.sample_categorical(pmf, 0.999) == 2
-    # boundary draw equal to a cumulative value moves to the next symbol
-    assert channelmodel.sample_categorical(pmf, 0.25) == 1
+def _argmax_oracle(matrix, columns, draws):
+    """The former sampling formula: first row of the cumulative sum above the draw."""
+    cum = np.cumsum(np.asarray(matrix, dtype=float), axis=0)
+    cum[-1, :] = 1.0
+    return (cum[:, columns] > draws).argmax(axis=0)
+
+
+class _ScriptedGenerator:
+    """Stands in for a Generator whose random(n) returns scripted blocks."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def random(self, n):
+        block = self.blocks.pop(0)
+        assert block.size == n
+        return block
+
+
+def _oracle_draws(matrix):
+    """0.0, every cumulative boundary and its neighbours, the largest draw < 1."""
+    bounds = np.cumsum(matrix, axis=0).ravel()
+    draws = np.concatenate(
+        [bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 2.0)]
+    )
+    draws = draws[(draws >= 0.0) & (draws < 1.0)]
+    return np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0.0)], draws]))
+
+
+def test_inverse_cdf_kernel_matches_argmax_oracle():
+    rng = np.random.default_rng(404)
+    dips = np.array(
+        [
+            [0.5, 0.3, -5e-10, 0.25],
+            [-5e-10, 0.2 + 5e-10, 0.6, 0.25 - 5e-10],
+            [0.5 + 5e-10, -5e-10, 0.4 + 5e-10, 5e-10],
+            [0.0, 0.5 + 5e-10, 0.0, 0.5 - 5e-10],
+        ]
+    )
+    # the last column sums to 1 - 5e-10: draws above that stay in its last row
+    assert stochcore.is_column_stochastic(dips)
+    matrices = {
+        "dirichlet": rng.dirichlet(np.ones(4), size=5).T,
+        "point masses": np.eye(4)[:, [2, 0, 3, 3, 1]],
+        "negative dips": dips,
+        "quarters": np.array([[0.25], [0.5], [0.25]]),
+    }
+    for label, matrix in matrices.items():
+        draws = np.concatenate([_oracle_draws(matrix), rng.random(200)])
+        for columns in [
+            np.full(draws.size, j) for j in range(matrix.shape[1])
+        ] + [rng.integers(0, matrix.shape[1], draws.size)]:
+            np.testing.assert_array_equal(
+                channelmodel.sample_columns(matrix, columns, draws),
+                _argmax_oracle(matrix, columns, draws),
+                err_msg=label,
+            )
+
+    # hand-checked boundaries: a draw equal to a cumulative value moves on
+    quarters = matrices["quarters"]
+    draws = np.array([0.0, 0.25, 0.3, 0.75, 0.999])
+    expected = [0, 1, 1, 2, 2]
+    columns = np.zeros(draws.size, dtype=int)
+    np.testing.assert_array_equal(
+        channelmodel.sample_columns(quarters, columns, draws), expected
+    )
+    mac = MacModel.adder(3, 1)
+    x1, x2, _ = channelmodel.simulate_uplink(
+        mac, quarters[:, 0], [1.0], draws.size, _ScriptedGenerator(draws, draws)
+    )
+    np.testing.assert_array_equal(x1, expected)
+    np.testing.assert_array_equal(x2, np.zeros(draws.size))
+
+    # simulate_uplink's sources and a non-deterministic MAC's u column
+    for p1, p2 in [
+        (dips[:, 1], dips[:3, 0]),
+        (matrices["dirichlet"][:, 0], matrices["dirichlet"][:, 1]),
+        (dips[:, 0], dips[:, 2]),
+        (np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.0, 0.5])),
+    ]:
+        p1_col, p2_col = p1[:, None], p2[:, None]
+        n = max(_oracle_draws(p1_col).size, _oracle_draws(p2_col).size)
+        first = np.resize(_oracle_draws(p1_col), n)
+        second = np.resize(_oracle_draws(p2_col), n)
+        table = rng.dirichlet(np.ones(3), size=p1.size * p2.size).T
+        table[:, 0] = dips[:3, 0]
+        mac = MacModel.from_table(table, p1.size, p2.size)
+        third = rng.random(n)
+        x1, x2, u = channelmodel.simulate_uplink(
+            mac, p1, p2, n, _ScriptedGenerator(first, second, third)
+        )
+        zeros = np.zeros(n, dtype=int)
+        np.testing.assert_array_equal(x1, _argmax_oracle(p1_col, zeros, first))
+        np.testing.assert_array_equal(x2, _argmax_oracle(p2_col, zeros, second))
+        np.testing.assert_array_equal(
+            u, _argmax_oracle(table, x1 * p2.size + x2, third)
+        )
 
 
 def test_simulate_uplink_adder_identity():

@@ -30,6 +30,37 @@ def test_conditional_histogram_length_mismatch():
         detector.conditional_histogram(np.array([0, 1]), np.array([0]), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "x1, y1, message",
+    [
+        (
+            [0, 1, 0, 1, 2],
+            [0, 1, 1, 2, 0],
+            "x1 symbol 2 is outside the alphabet of size 2",
+        ),
+        (
+            [0, 1, 0, 1, 0],
+            [0, 1, 1, 2, 3],
+            "y1 symbol 3 is outside the alphabet of size 3",
+        ),
+        (
+            [0, 1, -1, 1, 0],
+            [0, 1, 1, 2, 0],
+            "x1 symbol -1 is outside the alphabet of size 2",
+        ),
+    ],
+)
+def test_out_of_alphabet_symbols_rejected(motivating_a, x1, y1, message):
+    # before the check, x1 = 2 was counted in cell (y1 = 1, x1 = 0) and
+    # x1 = -1 beside y1 = 1 in cell (y1 = 0, x1 = 1)
+    x1, y1 = np.array(x1), np.array(y1)
+    with pytest.raises(ValueError, match=message):
+        detector.conditional_histogram(x1, y1, 2, 3)
+    config = DetectorConfig(a=motivating_a, b=np.eye(3), mu=0.1, delta=0.065)
+    with pytest.raises(ValueError, match=message):
+        detector.run_detection(config, x1, y1)
+
+
 def test_conditional_histogram_converges_clean(motivating_a):
     mac = MacModel.adder(2, 2)
     half = np.array([0.5, 0.5])

@@ -7,6 +7,8 @@ the changed-symbol fraction near 0.01; CDF/error-rate/KS helpers are
 checked against tiny hand-computed samples.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,50 @@ def test_gated_preset_produces_both_modes():
     assert any(c == 0.0 for c in changed)
     assert any(c > 0.0 for c in changed)
     assert all(c == 0.0 or c < 0.02 for c in changed)
+
+
+# sha256 of trial_traces(curve, k) for k in (0, 1), each trace as int64
+# bytes in (x1, y1, u, v) order. Recorded before the comparison-count
+# sampler replaced the searchsorted/argmax formulas; any change to how the
+# random stream is consumed shows up here. Traces, not statistics, are
+# pinned: D goes through LAPACK and may differ in the last bit by machine.
+_STREAM_DIGESTS = {
+    ("fig3a", "phi1"): "461acc602176ddd7225eadd95010e1c88350dfba38c02e34ca0efc48e525d0b1",
+    ("fig3a", "phi2"): "dc0843b9483527a2aeae62ffee218ed3f8df4bd32414672b266fd34a4cdeddfb",
+    ("fig3a", "phi3"): "6ca998a0f4c3f65f5588ce0324d5ac213612705f7a48fee628bb8878c0402b48",
+    ("fig3a", "phi4"): "b05f864d5d400358f03c30b38d26cd104019194fa4a25bb3e339a897b9010667",
+    ("fig3b", "phi1"): "5398931e612f07648c9625b062a19fa71504092c709e277f6c039248910a5c2a",
+    ("fig3b", "phi2"): "bb781d309951bd8f283786d022bceab7d311942e2398ceac3d8e8dded27fd006",
+    ("fig3b", "phi3"): "ccb634e5ad6d7900fc4bb2af86125a8e0c892335ed8d90418062cf31d4eceb18",
+    ("fig3b", "phi4"): "2c0bc43173c03a9538d24611cfb71e1a1aa9906d2212e347f5fffaa11aa8e625",
+    ("fig3c", "phi1"): "511df9dd9a75b5b4855fbbba1e91fc611a101578ad24d37fa8e7982c77f1f5d7",
+    ("fig3c", "phi2"): "c0e80632ffc0c46c579f19c11969cb05b63f8e2fc3dbfd22bfa238a5eca775b1",
+    ("fig3c", "phi3"): "b49c8074bcdba38749343c2eda53e5455d5fa3147b0ab971a89daea0f67529e6",
+    ("fig3c", "phi4"): "12bbb3fcfc32cdc36c0b26303171f06098b7bacfc4ca1f4116fce5b42cd55ba2",
+    ("fig3d", "phi1"): "511df9dd9a75b5b4855fbbba1e91fc611a101578ad24d37fa8e7982c77f1f5d7",
+    ("fig3d", "phi2"): "8a6ceaf552a5313c9a79b9910fbcca5e6c65fe96ab9158df90cdd509b1d916a2",
+    ("fig3d", "phi3"): "2166a6b3a6ba27ace0d461a13267645c1873431806c429024d0eef40012a51dd",
+    ("fig3d", "phi4"): "4ac260ad7b8d348523fd547b3af8fc41d9340e56f022392b602dc22f9a5f4f51",
+    ("fig5a", "phi1"): "fede219fe1ad8e384276ff35d86d7698c975d73a33db1a77b4933b5a13609f08",
+    ("fig5a", "phi2"): "215f892925b74b38477e8329ea02da6661f7a3cb0bbbbc84771fc3d211caf3b5",
+    ("fig5a", "phi3"): "7509b396955fcb235a1d01c764abc944764cd24dc254e10a4058b26c34fb0c04",
+    ("fig5a", "phi4"): "ad1322a28878056509914d2fb3c64fd7438b386541817449e7ae3c402640e92a",
+    ("fig5b", "clean"): "6f5f7c661015e6366bb6a26157ccdeb30b1eb2f2934ecc8097a62c95be18edd7",
+    ("fig5b", "phi2"): "2292aff28388381a2fbffac2e753664e8e2b274bcee1402456c20a2269617193",
+}
+
+
+def test_sampler_stream_digest():
+    names = sorted({name for name, _ in _STREAM_DIGESTS})
+    assert names == ["fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b"]
+    for name in names:
+        curves = preset_curves(name)
+        assert sorted(curves) == sorted(
+            label for preset_name, label in _STREAM_DIGESTS if preset_name == name
+        )
+        for label, curve in curves.items():
+            digest = hashlib.sha256()
+            for trial_index in (0, 1):
+                for trace in trial_traces(curve, trial_index):
+                    digest.update(np.asarray(trace, dtype=np.int64).tobytes())
+            assert digest.hexdigest() == _STREAM_DIGESTS[name, label], (name, label)
