@@ -47,6 +47,7 @@ from .harness import (
     trial_traces,
 )
 from .manipulability import CertificationFailure, ConsistencyFailure, certify
+from .stochcore import DEFAULT_TOL
 
 __all__ = [
     "main",
@@ -58,8 +59,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FLAGGED = 2
-
-_TOL = 1e-9
 
 
 class ScenarioFileError(ValueError):
@@ -83,7 +82,7 @@ def _pmf(value, path):
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ScenarioFileError(f"{path}: expected a non-empty list of probabilities")
-    if (arr < -_TOL).any() or abs(arr.sum() - 1.0) > 1e-6:
+    if (arr < -DEFAULT_TOL).any() or abs(arr.sum() - 1.0) > DEFAULT_TOL:
         raise ScenarioFileError(f"{path}: entries must be non-negative and sum to 1")
     return arr
 
@@ -99,12 +98,12 @@ def _matrix(value, path):
 
 
 def _check_column_stochastic(mat, path):
-    negatives = np.argwhere(mat < -_TOL)
+    negatives = np.argwhere(mat < -DEFAULT_TOL)
     if negatives.size:
         i, j = negatives[0]
         raise ScenarioFileError(f"{path}[{i}][{j}]: negative entry {mat[i, j]}")
     sums = mat.sum(axis=0)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > DEFAULT_TOL)
     if bad.size:
         j = bad[0]
         raise ScenarioFileError(
@@ -461,6 +460,9 @@ def _cmd_detect(args):
                 "statistic": report.statistic,
                 "verdict": report.verdict,
                 "feasible": report.feasible,
+                "residual": report.residual,
+                "unseen_x1_columns": report.unseen_x1_columns,
+                "noiseless_floor": report.noiseless_floor,
                 "gamma_hat": report.gamma_hat.tolist(),
                 "phi_hat": report.phi_hat.tolist(),
             },

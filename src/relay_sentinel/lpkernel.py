@@ -10,6 +10,14 @@ variables are split into positive/negative parts at the solver boundary.
 Results are deterministic: identical inputs produce bitwise-identical
 outcomes.
 
+An optimal outcome carries its basis. Passed to the solve of a sibling
+program that differs only in its right-hand sides, that basis restarts the
+solve by dual simplex: reduced costs do not depend on the right-hand side,
+so the basis stays dual feasible and is typically a few pivots from the new
+optimum (Chvatal, Linear Programming, 1983, ch. 10). Whenever the restart
+cannot finish, the cold two-phase solve runs instead, so that solve remains
+the only judge of infeasibility.
+
 This is deliberately a small, dependency-free kernel: every program in this
 package has at most a few hundred variables, so a dense tableau is adequate.
 """
@@ -27,6 +35,8 @@ __all__ = ["LpProblem", "LpOutcome", "LpStatus", "LpFailure", "solve_lp"]
 _PIVOT_TOL = 1e-9
 # feasibility decision for phase 1 and optimality margin for reduced costs
 _FEAS_TOL = 1e-8
+# largest bound violation of a basic value a dual-simplex restart accepts
+_PRIMAL_TOL = 1e-12
 
 
 class LpStatus(Enum):
@@ -92,9 +102,17 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """Status, and for an optimum the solution, its value and its basis.
+
+    ``basis`` (read-only) lists the standard-form columns basic at the
+    optimum; it is meaningful only to solve_lp on a program of the same
+    shape.
+    """
+
     status: LpStatus
     solution: np.ndarray | None = None
     value: float | None = None
+    basis: np.ndarray | None = None
 
 
 # ---------- standard-form conversion ----------
@@ -287,14 +305,82 @@ def _simplex(ext, rhs, c_vec, basis, max_iter, n_enter, pin_start):
     raise LpFailure("simplex pivot budget exhausted (numerical breakdown)")
 
 
-def solve_lp(p: LpProblem) -> LpOutcome:
-    """Deterministic two-phase dense simplex with periodic refactorization."""
+def _dual_simplex(ext, rhs, c_vec, basis, n_real):
+    """Restart from a dual-feasible `basis`; returns the tableau or None.
+
+    Basic real variables are bounded below by zero and lingering artificials
+    are fixed at zero. Each pivot takes the basic value farthest outside its
+    bound as the leaving row and enters by the dual ratio test over columns
+    below n_real, largest pivot element among ties, so an artificial pushed
+    off zero is driven out of the basis like any other infeasible variable.
+    'optimal' is declared only on a freshly refactorized tableau that is
+    primal and dual feasible. None means the restart gave up: singular
+    basis, not dual feasible, no eligible entry in the leaving row, or the
+    pivot budget spent. The caller then solves cold, so this path never
+    reports infeasibility.
+    """
+    since_refresh = 0
+    for _ in range(n_real + ext.shape[0]):
+        if since_refresh == 0:
+            try:
+                tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
+            except LpFailure:
+                return None
+            if (obj[:n_real] < -_FEAS_TOL).any():
+                return None
+        values = tab[:, -1]
+        excess = np.where(basis >= n_real, np.abs(values), -values)
+        if excess.size == 0 or excess.max() <= _PRIMAL_TOL:
+            if since_refresh == 0:
+                return tab
+            since_refresh = 0
+            continue
+        row = int(np.argmax(excess))
+        # entries whose column, entering, moves the leaving value toward zero
+        entries = tab[row, :n_real] * np.sign(values[row])
+        cand = np.flatnonzero(entries > _PIVOT_TOL)
+        if cand.size == 0:
+            return None
+        ratios = obj[cand] / entries[cand]
+        rmin = ratios.min()
+        ties = cand[ratios <= rmin + 1e-10 * (1.0 + abs(rmin))]
+        _pivot(tab, obj, basis, row, int(ties[np.argmax(entries[ties])]))
+        since_refresh = (since_refresh + 1) % _REFRESH_PERIOD
+    return None
+
+
+def _optimal(p, tab, basis, s, t, n_real):
+    x_std = np.zeros(n_real)
+    real_rows = basis < n_real
+    x_std[basis[real_rows]] = np.maximum(tab[real_rows, -1], 0.0)
+    x = s @ x_std[: s.shape[1]] + t
+    basis.setflags(write=False)
+    return LpOutcome(
+        status=LpStatus.OPTIMAL, solution=x, value=float(p.objective @ x), basis=basis
+    )
+
+
+def solve_lp(p: LpProblem, basis: np.ndarray | None = None) -> LpOutcome:
+    """Deterministic two-phase dense simplex with periodic refactorization.
+
+    ``basis``, the ``LpOutcome.basis`` of a program of the same shape,
+    warm-starts the solve by dual simplex; if that restart cannot finish,
+    the cold two-phase solve runs as if no basis had been given.
+    """
     full, rhs, c_std, s, t, _ = _standardize(p)
     m, n_real = full.shape
+    ext = np.hstack([full, np.eye(m)])
+    c2 = np.concatenate([c_std, np.zeros(m)])
+    if basis is not None:
+        start = np.array(basis, dtype=np.intp)
+        if start.shape != (m,) or ((start < 0) | (start >= n_real + m)).any():
+            raise ValueError(f"basis must hold {m} column indices below {n_real + m}")
+        tab = _dual_simplex(ext, rhs, c2, start, n_real)
+        if tab is not None:
+            return _optimal(p, tab, start, s, t, n_real)
     max_iter = 500 + 50 * (m + n_real)
 
     # phase 1: artificial identity basis, minimize the artificial sum
-    ext = np.hstack([full, np.eye(m)])
     c1 = np.zeros(n_real + m)
     c1[n_real:] = 1.0
     basis = np.arange(n_real, n_real + m)
@@ -310,15 +396,9 @@ def solve_lp(p: LpProblem) -> LpOutcome:
     # phase 2: original objective; lingering artificial columns stay in the
     # working basis (pinned at zero) so it remains well-conditioned even
     # when the caller supplied redundant equality rows
-    c2 = np.concatenate([c_std, np.zeros(m)])
     status, tab, basis = _simplex(
         ext, rhs, c2, basis, max_iter, n_enter=n_real, pin_start=n_real
     )
     if status == "unbounded":
         return LpOutcome(status=LpStatus.UNBOUNDED)
-
-    x_std = np.zeros(n_real)
-    real_rows = basis < n_real
-    x_std[basis[real_rows]] = np.maximum(tab[real_rows, -1], 0.0)
-    x = s @ x_std[: s.shape[1]] + t
-    return LpOutcome(status=LpStatus.OPTIMAL, solution=x, value=float(p.objective @ x))
+    return _optimal(p, tab, basis, s, t, n_real)

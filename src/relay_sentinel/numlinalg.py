@@ -2,12 +2,15 @@
 
 All tolerances are explicit. Null-space bases are L1-normalized (with a
 positive leading entry) so the extremal-element bounds used elsewhere in the
-package apply to them directly.
+package apply to them directly. Projectors are memoized by the content of
+their matrix and returned read-only, so repeated calls on one channel cost
+a lookup instead of an SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +25,8 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-10
+# distinct (matrix, tolerance) pairs whose projectors are kept
+_PROJECTOR_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,7 @@ def rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+    return _svd_rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def rref(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RrefResult:
@@ -97,35 +101,48 @@ def left_nullspace_basis(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.nda
     """Rows spanning {v : v @ a = 0}; row count = rows(a) - rank(a)."""
     a = np.asarray(a, dtype=float)
     u, s, _ = np.linalg.svd(a)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
-    return _normalize_sign_rows(u[:, r:].T)
+    return _normalize_sign_rows(u[:, _svd_rank(s, tol):].T)
 
 
 def right_nullspace_basis(b: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Columns spanning {w : b @ w = 0}; column count = cols(b) - rank(b)."""
     b = np.asarray(b, dtype=float)
     _, s, vt = np.linalg.svd(b)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
-    return _normalize_sign_rows(vt[r:, :]).T
+    return _normalize_sign_rows(vt[_svd_rank(s, tol):, :]).T
 
 
 def row_space_projector(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the row space of a (square, cols(a)-sized)."""
+    """Orthogonal projector onto the row space of a (square, cols(a)-sized).
+
+    The result is memoized by content and read-only.
+    """
     a = np.asarray(a, dtype=float)
-    _, s, vt = np.linalg.svd(a)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
-    p = vt[:r].T @ vt[:r]
-    return (p + p.T) / 2.0
+    return _projector("row", a.shape, a.tobytes(), tol)
 
 
 def column_space_projector(b: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of b (square, rows(b)-sized)."""
+    """Orthogonal projector onto the column space of b (square, rows(b)-sized).
+
+    The result is memoized by content and read-only.
+    """
     b = np.asarray(b, dtype=float)
-    u, s, _ = np.linalg.svd(b)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
-    p = u[:, :r] @ u[:, :r].T
-    return (p + p.T) / 2.0
+    return _projector("column", b.shape, b.tobytes(), tol)
+
+
+def _svd_rank(s: np.ndarray, tol: float) -> int:
+    """Singular values (descending) above tol * max(1, largest): the rank cutoff."""
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+
+
+@lru_cache(maxsize=_PROJECTOR_MEMO)
+def _projector(space: str, shape: tuple, data: bytes, tol: float) -> np.ndarray:
+    m = np.frombuffer(data).reshape(shape)
+    u, s, vt = np.linalg.svd(m)
+    r = _svd_rank(s, tol)
+    basis = vt[:r].T if space == "row" else u[:, :r]
+    p = basis @ basis.T
+    p = (p + p.T) / 2.0
+    p.setflags(write=False)
+    return p

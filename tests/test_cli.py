@@ -95,6 +95,21 @@ def test_certify_names_bad_column(tmp_path, capsys):
     assert "bc_marginal[.][2]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, key_path",
+    [(("bc_marginal", 0, 0), "bc_marginal[.][0]"), (("sources", "p1", 0), "sources.p1")],
+)
+def test_simulate_names_sum_off_by_more_than_the_core_tolerance(tmp_path, capsys, where, key_path):
+    # 1 + 5e-7 is outside the core's 1e-9 tolerance: the CLI must reject it
+    # with the key path, not hand it on to fail inside Scenario
+    doc = scenario_document(preset("fig3a"))
+    outer, inner, index = where
+    doc[outer][inner][index] += 5e-7
+    code = main(["simulate", write_doc(tmp_path, doc), "-o", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert key_path in capsys.readouterr().err
+
+
 def test_certify_names_missing_key(tmp_path, capsys):
     doc = binary_adder_doc()
     del doc["mac"]
@@ -253,6 +268,10 @@ def test_simulate_emit_trace_then_detect_clean(tmp_path, capsys):
     assert 0.0 <= report["statistic"] <= 0.8
     assert np.array(report["phi_hat"]).shape == (3, 3)
     assert np.array(report["gamma_hat"]).shape == (3, 2)
+    assert 0.0 <= report["residual"] <= doc["sim"]["mu"] + 1e-9
+    assert report["unseen_x1_columns"] == []
+    # the binary adder's floor kappa * mu with kappa = 6
+    assert report["noiseless_floor"] == pytest.approx(6 * doc["sim"]["mu"], abs=1e-9)
 
 
 def test_detect_flags_swapped_symbols(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Oracle tests for the histogram/estimator/decision detection pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from relay_sentinel import channelmodel, detector, stochcore
+from relay_sentinel import channelmodel, detector, lpkernel, numlinalg, stochcore
 from relay_sentinel.channelmodel import MacModel
 from relay_sentinel.detector import DetectorConfig
+from relay_sentinel.harness import preset, preset_curves, run_experiment, run_trial, trial_traces
 
 
 def test_conditional_histogram_hand_counted():
@@ -252,3 +255,93 @@ def test_clean_data_floor_binary_adder(motivating_a, binary_floor_upsilon):
             assert report.statistic >= 6.0 * (mu - r) - 1e-9
             binding += r < mu
     assert binding > 0
+
+
+# ---------- the compiled, warm-started estimator against the cold solve ----------
+
+
+def _cold_detection(config, x1, y1):
+    """(statistic, feasible) by a cold solve of the uncached estimator LP."""
+    gamma_hat = detector.conditional_histogram(x1, y1, config.a.shape[1], config.b.shape[0])
+    problem = detector._estimator_problem(gamma_hat, config.a, config.b, config.mu)
+    outcome = lpkernel.solve_lp(problem)
+    if outcome.status is not lpkernel.LpStatus.OPTIMAL:
+        return 0.0, False
+    u = config.a.shape[0]
+    return detector.decision_statistic(outcome.solution[: u * u].reshape(u, u)), True
+
+
+def _warm_agrees_with_cold(monkeypatch, scenarios, trials):
+    """Checks every trial; returns (trials, infeasible, restarts, restarts that gave up)."""
+    gave_up = []
+    restart = lpkernel._dual_simplex
+
+    def counted(*args):
+        tab = restart(*args)
+        gave_up.append(tab is None)
+        return tab
+
+    monkeypatch.setattr(lpkernel, "_dual_simplex", counted)
+    seen = infeasible = 0
+    for scenario in scenarios:
+        config = DetectorConfig(
+            a=scenario.uplink_matrix(), b=scenario.b, mu=scenario.mu, delta=scenario.delta
+        )
+        for trial in trials:
+            x1, y1, _, _ = trial_traces(scenario, trial)
+            report = detector.run_detection(config, x1, y1)
+            statistic, feasible = _cold_detection(config, x1, y1)
+            assert report.feasible == feasible, trial
+            assert abs(report.statistic - statistic) <= 1e-12, trial
+            if feasible:
+                assert report.residual <= config.mu + 1e-9
+            seen += 1
+            infeasible += not feasible
+    return seen, infeasible, len(gave_up), sum(gave_up)
+
+
+def test_warm_estimator_matches_cold_on_every_preset_curve(monkeypatch):
+    scenarios = [
+        scenario
+        for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b")
+        for scenario in preset_curves(name).values()
+    ]
+    counts = _warm_agrees_with_cold(monkeypatch, scenarios, range(10))
+    assert counts == (220, 0, 220, 0)
+
+
+def test_warm_estimator_matches_cold_with_infeasible_trials(monkeypatch):
+    # fig5b at N = 1e4 leaves G_mu empty on about 6 % of its trials; the
+    # restart gives up on exactly those and the cold solve judges them
+    scenarios = [
+        dataclasses.replace(scenario, n=10_000) for scenario in preset_curves("fig5b").values()
+    ]
+    seen, infeasible, restarts, gave_up = _warm_agrees_with_cold(monkeypatch, scenarios, range(50))
+    assert seen == restarts == 100 and infeasible >= 3
+    assert gave_up == infeasible
+
+
+@pytest.mark.parametrize("name, floor", [("fig3b", 0.6), ("fig5a", 1114 / 49 * 0.05)])
+def test_noiseless_floor_is_the_statistic_on_ba(name, floor):
+    scenario = preset(name)
+    a, b = scenario.uplink_matrix(), scenario.b
+    config = DetectorConfig(a=a, b=b, mu=scenario.mu, delta=scenario.delta)
+    x1, y1, _, _ = trial_traces(scenario, 0)
+    report = detector.run_detection(config, x1, y1)
+    phi_hat, feasible = detector.estimate_attack(b @ a, a, b, scenario.mu)
+    assert feasible
+    assert abs(report.noiseless_floor - detector.decision_statistic(phi_hat)) <= 1e-12
+    assert report.noiseless_floor == pytest.approx(floor, abs=1e-9)
+
+
+def test_results_do_not_depend_on_what_the_caches_hold():
+    scenario = dataclasses.replace(preset("fig5b"), n=10_000, trials=5)
+    detector._compile.cache_clear()
+    numlinalg._projector.cache_clear()
+    alone = run_trial(scenario, 3)
+    detector._compile.cache_clear()
+    numlinalg._projector.cache_clear()
+    for other in ("fig3a", "fig5a"):
+        run_trial(dataclasses.replace(preset(other), n=1_000), 0)
+    assert run_experiment(scenario)[3] == alone
+    assert run_trial(scenario, 3) == alone

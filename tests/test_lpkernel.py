@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from relay_sentinel import lpkernel
 from relay_sentinel.lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
 
 
@@ -257,3 +258,84 @@ def test_row_scales_do_not_change_the_answer():
     out = solve_lp(p)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------- warm start from a sibling's basis ----------
+
+
+def _count_restarts(monkeypatch):
+    """Record whether each dual-simplex restart answered (True) or gave up."""
+    answered = []
+    restart = lpkernel._dual_simplex
+
+    def counted(*args):
+        tab = restart(*args)
+        answered.append(tab is not None)
+        return tab
+
+    monkeypatch.setattr(lpkernel, "_dual_simplex", counted)
+    return answered
+
+
+def test_warm_start_from_sibling_basis_matches_cold(monkeypatch):
+    # families of programs that differ only in their right-hand sides; some
+    # siblings are infeasible, some carry a duplicated equality row (a
+    # lingering artificial), and the box bounds add rows of their own
+    answered = _count_restarts(monkeypatch)
+    rng = np.random.default_rng(20261018)
+    outcomes = {status: 0 for status in LpStatus}
+    for family in range(60):
+        n = int(rng.integers(2, 7))
+        m_ub = int(rng.integers(1, 5))
+        ubs = rng.uniform(0.5, 2.0, size=n)
+        bounds = [(0.0, float(u)) for u in ubs]
+        c = rng.normal(size=n)
+        a_ub = rng.normal(size=(m_ub, n))
+        a_eq = rng.normal(size=(1, n))
+        if family % 3 == 0:
+            a_eq = np.vstack([a_eq, a_eq])
+
+        def sibling(x, slack):
+            return LpProblem(
+                objective=c, a_eq=a_eq, b_eq=a_eq @ x, a_ub=a_ub,
+                b_ub=a_ub @ x + slack, bounds=bounds,
+            )
+
+        base = solve_lp(sibling(rng.uniform(0.0, ubs), rng.uniform(0.05, 1.0, m_ub)))
+        assert base.status is LpStatus.OPTIMAL
+        assert base.basis.shape == (m_ub + n + a_eq.shape[0],)
+        for k in range(6):
+            slack = rng.uniform(0.0, 1.0, m_ub)
+            if k == 5:  # row 0 below its minimum over the box
+                slack[0] = -1.0 - np.abs(a_ub[0]) @ ubs
+            p = sibling(rng.uniform(0.0, ubs), slack)
+            cold = solve_lp(p)
+            warm = solve_lp(p, basis=base.basis)
+            outcomes[cold.status] += 1
+            assert warm.status is cold.status, (family, k)
+            if cold.status is LpStatus.OPTIMAL:
+                assert abs(warm.value - cold.value) <= 1e-9, (family, k)
+                assert (a_ub @ warm.solution <= p.b_ub + 1e-8).all()
+                assert np.abs(a_eq @ warm.solution - p.b_eq).max() < 1e-8
+    assert outcomes[LpStatus.OPTIMAL] >= 250 and outcomes[LpStatus.INFEASIBLE] >= 60
+    # the restart answers every feasible sibling and never an infeasible one
+    assert sum(answered) == outcomes[LpStatus.OPTIMAL]
+
+
+def test_warm_start_basis_contract():
+    p = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    out = solve_lp(p)
+    assert out.basis.tolist() == [0]
+    with pytest.raises(ValueError):
+        out.basis[0] = 1
+    with pytest.raises(ValueError, match="basis"):
+        solve_lp(p, basis=[0, 1])
+    with pytest.raises(ValueError, match="basis"):
+        solve_lp(p, basis=[5])
+    # an artificial start is pivoted out; a dual-infeasible start (x1 basic
+    # costs more than x0) and a singular one fall back to the cold solve
+    assert solve_lp(p, basis=[2]).value == out.value
+    assert solve_lp(p, basis=[1]).value == out.value
+    twice = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0])
+    assert solve_lp(twice, basis=[0, 0]).value == solve_lp(twice).value
+    assert solve_lp(LpProblem(objective=[1.0], a_ub=[[1.0]], b_ub=[-1.0])).basis is None

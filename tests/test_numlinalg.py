@@ -1,6 +1,7 @@
 """Oracle tests for rank/RREF/null-space/projector helpers."""
 
 import numpy as np
+import pytest
 
 from relay_sentinel.numlinalg import (
     column_space_projector,
@@ -167,3 +168,17 @@ def test_right_null_columns_of_stochastic_b_are_balanced():
         assert basis.shape[1] == u - rank(b)
         for k in range(basis.shape[1]):
             assert abs(basis[:, k].sum()) < 1e-8
+
+
+def test_projectors_are_memoized_read_only_and_match_a_fresh_svd():
+    m = np.random.default_rng(11).normal(size=(3, 4))
+    pa, pb = row_space_projector(m), column_space_projector(m)
+    for p in (pa, pb):
+        with pytest.raises(ValueError):
+            p[0, 0] = 1.0
+    assert row_space_projector(m.copy()) is pa
+    assert column_space_projector(np.asfortranarray(m)) is pb
+    _, _, vt = np.linalg.svd(m)
+    fresh = vt[:3].T @ vt[:3]
+    assert np.array_equal(pa, (fresh + fresh.T) / 2.0)
+    assert row_space_projector(m, tol=0.5) is not pa
