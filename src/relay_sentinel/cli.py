@@ -412,6 +412,8 @@ def _cmd_detect(args):
                 "residual": report.residual,
                 "unseen_x1_columns": report.unseen_x1_columns,
                 "noiseless_floor": report.noiseless_floor,
+                "lp_path": report.lp_path,
+                "lp_pivots": report.lp_pivots,
                 "gamma_hat": report.gamma_hat.tolist(),
                 "phi_hat": report.phi_hat.tolist(),
             },

@@ -14,8 +14,9 @@ histogram in projected l1 distance.
 
 Only the target rows' right-hand side depends on the histogram. So the
 estimator is compiled once per (A, B, mu) content: the constant blocks,
-and the optimal basis of the noiseless problem gamma_hat = B A, from which
-every solve is warm-started. That basis depends on (A, B, mu) alone, so a
+validated once, and an lpkernel.Restart factored at the optimal basis of
+the noiseless problem gamma_hat = B A, from which every solve restarts.
+That restart depends on (A, B, mu) alone and no solve modifies it, so a
 result still depends only on its traces. The noiseless optimum's statistic
 is the clean-data floor D0 every report carries.
 
@@ -25,6 +26,7 @@ vec(B X A) = kron(B, A.T) @ vec(X).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -63,10 +65,10 @@ class DetectorConfig:
         object.__setattr__(self, "b", b)
         if b.shape[1] != a.shape[0]:
             raise ValueError("A and B disagree on the relay alphabet size")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class DetectionReport:
     G_mu, always <= mu when ``feasible`` (0.0 otherwise).
     ``noiseless_floor`` is D0, the statistic on the exact channel B A: the
     smallest threshold delta at which clean traces can pass.
+    ``lp_path`` and ``lp_pivots`` are the estimator LP's ``LpOutcome.path``
+    and ``LpOutcome.pivots``: what answered it and how many pivots it took.
     """
 
     gamma_hat: np.ndarray
@@ -88,6 +92,8 @@ class DetectionReport:
     unseen_x1_columns: list = field(default_factory=list)
     residual: float = 0.0
     noiseless_floor: float = 0.0
+    lp_path: str = "cold"
+    lp_pivots: int = 0
 
 
 def conditional_histogram(
@@ -131,32 +137,22 @@ _COMPILED_MEMO = 16
 class _Estimator:
     """The estimator LP of one (A, B, mu), with the target rows left open.
 
-    ``b_ub`` holds zeros in the 2 |Y1||X1| target rows; ``basis`` is the
-    optimal basis of the noiseless problem and ``noiseless_floor`` its
-    statistic D0. Arrays are read-only.
+    ``program`` holds zeros in the 2 |Y1||X1| target rows of its b_ub;
+    ``restart`` is factored at the optimal basis of the noiseless problem
+    and ``noiseless_floor`` is that optimum's statistic D0.
     """
 
-    objective: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    basis: np.ndarray | None
+    program: LpProblem
+    restart: lpkernel.Restart | None
     noiseless_floor: float
 
     def problem(self, target: np.ndarray) -> LpProblem:
         """The LP for one projected histogram Pi_B gamma_hat Pi_A (row-major)."""
         n_g = target.size
-        b_ub = self.b_ub.copy()
+        b_ub = self.program.b_ub.copy()
         b_ub[:n_g] = target
         b_ub[n_g : 2 * n_g] = -target
-        return LpProblem(
-            objective=self.objective,
-            a_eq=self.a_eq,
-            b_eq=self.b_eq,
-            a_ub=self.a_ub,
-            b_ub=b_ub,
-        )
+        return self.program.with_rhs(b_ub=b_ub)
 
 
 def _compiled(a: np.ndarray, b: np.ndarray, mu: float) -> _Estimator:
@@ -204,16 +200,18 @@ def _compile(a_shape, a_data, b_shape, b_data, mu) -> _Estimator:
     a_ub[n_g : 2 * n_g, n_phi + n_g :] = -np.eye(n_g)
     a_ub[-1, n_phi + n_g :] = 1.0
     b_ub[-1] = mu
-    for block in (objective, a_eq, b_eq, a_ub, b_ub):
+    program = LpProblem(objective=objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+    for block in (program.objective, program.a_eq, program.b_eq, program.a_ub, program.b_ub):
         block.setflags(write=False)
 
-    open_rows = _Estimator(objective, a_eq, b_eq, a_ub, b_ub, None, 0.0)
-    noiseless = (pi_b @ (b @ a) @ pi_a).ravel()
-    outcome = lpkernel.solve_lp(open_rows.problem(noiseless))
+    open_rows = _Estimator(program, None, 0.0)
+    noiseless = open_rows.problem((pi_b @ (b @ a) @ pi_a).ravel())
+    outcome = lpkernel.solve_lp(noiseless)
     if outcome.status is not LpStatus.OPTIMAL:  # Phi = I is always feasible
         raise LpFailure(f"noiseless estimator LP ended with status {outcome.status}")
     floor = decision_statistic(outcome.solution[:n_phi].reshape(u, u))
-    return replace(open_rows, basis=outcome.basis, noiseless_floor=floor)
+    restart = lpkernel.Restart(noiseless, outcome.basis)
+    return replace(open_rows, restart=restart, noiseless_floor=floor)
 
 
 def _estimator_problem(
@@ -226,23 +224,21 @@ def _estimator_problem(
 
 
 def _solve_estimator(gamma_hat, a, b, mu):
-    """Returns (phi_hat, gamma_tilde, feasible)."""
+    """Returns (phi_hat, gamma_tilde, feasible, outcome)."""
     gamma_hat = np.asarray(gamma_hat, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     u = a.shape[0]
-    outcome = solve_lp(
-        _estimator_problem(gamma_hat, a, b, mu), basis=_compiled(a, b, mu).basis
-    )
+    outcome = solve_lp(_estimator_problem(gamma_hat, a, b, mu), _compiled(a, b, mu).restart)
     if outcome.status is LpStatus.INFEASIBLE:
-        return np.eye(u), None, False
+        return np.eye(u), None, False, outcome
     if outcome.status is not LpStatus.OPTIMAL:
         raise LpFailure(f"estimator LP ended with status {outcome.status}")
     n_phi = u * u
     n_g = b.shape[0] * a.shape[1]
     phi_hat = outcome.solution[:n_phi].reshape(u, u)
     gamma_tilde = outcome.solution[n_phi : n_phi + n_g].reshape(b.shape[0], -1)
-    return phi_hat, gamma_tilde, True
+    return phi_hat, gamma_tilde, True, outcome
 
 
 def estimate_attack(
@@ -252,7 +248,7 @@ def estimate_attack(
 
     Returns (identity, False) when the feasibility set is empty.
     """
-    phi_hat, _, feasible = _solve_estimator(gamma_hat, a, b, mu)
+    phi_hat, _, feasible, _ = _solve_estimator(gamma_hat, a, b, mu)
     return phi_hat, feasible
 
 
@@ -318,7 +314,7 @@ def run_detection(
     x1_trace = np.asarray(x1_trace)
     gamma_hat = conditional_histogram(x1_trace, y1_trace, x1_size, y1_size)
     unseen = np.flatnonzero(np.bincount(x1_trace, minlength=x1_size) == 0).tolist()
-    phi_hat, gamma_tilde, feasible = _solve_estimator(
+    phi_hat, gamma_tilde, feasible, outcome = _solve_estimator(
         gamma_hat, config.a, config.b, config.mu
     )
     if feasible:
@@ -338,4 +334,6 @@ def run_detection(
         unseen_x1_columns=unseen,
         residual=residual,
         noiseless_floor=_compiled(config.a, config.b, config.mu).noiseless_floor,
+        lp_path=outcome.path,
+        lp_pivots=outcome.pivots,
     )

@@ -10,13 +10,19 @@ variables are split into positive/negative parts at the solver boundary.
 Results are deterministic: identical inputs produce bitwise-identical
 outcomes.
 
-An optimal outcome carries its basis. Passed to the solve of a sibling
-program that differs only in its right-hand sides, that basis restarts the
-solve by dual simplex: reduced costs do not depend on the right-hand side,
-so the basis stays dual feasible and is typically a few pivots from the new
-optimum (Chvatal, Linear Programming, 1983, ch. 10). Whenever the restart
-cannot finish, the cold two-phase solve runs instead, so that solve remains
-the only judge of infeasibility.
+An optimal outcome carries its basis. A Restart factors a program once at
+such a basis; solve_lp then answers every sibling that differs only in its
+right-hand sides by dual simplex from there: reduced costs do not depend on
+the right-hand side, so the basis stays dual feasible and is typically a
+few pivots from the new optimum (Chvatal, Linear Programming, 1983,
+ch. 10). A sibling already primal feasible at that basis costs one matvec.
+An optimum is declared only after the basic values and reduced costs are
+recomputed at the final basis from pristine data. When the dual ratio test
+finds no eligible entry, the leaving row is a Farkas ray; it is recomputed
+from pristine data and declares the sibling infeasible only if it verifies
+(y @ A >= 0 and y @ b < 0, with a margin). Whenever the restart cannot
+finish (a ray that does not verify, a singular or dual-infeasible basis, a
+spent pivot budget), the cold two-phase solve runs instead.
 
 This is deliberately a small, dependency-free kernel: every program in this
 package has at most a few hundred variables, so a dense tableau is adequate.
@@ -29,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["LpProblem", "LpOutcome", "LpStatus", "LpFailure", "solve_lp"]
+__all__ = ["LpProblem", "LpOutcome", "LpStatus", "LpFailure", "Restart", "solve_lp"]
 
 # pivot/zero thresholds inside the tableau
 _PIVOT_TOL = 1e-9
@@ -99,95 +105,123 @@ class LpProblem:
                     raise ValueError(f"bound lower {lo} exceeds upper {hi}")
         object.__setattr__(self, "bounds", bounds)
 
+    def with_rhs(self, b_eq=None, b_ub=None) -> LpProblem:
+        """This program with new right-hand sides.
+
+        The sibling shares this program's matrices, objective and bounds,
+        which are not validated again; only the new vectors are checked.
+        """
+        sibling = object.__new__(LpProblem)
+        sibling.__dict__.update(self.__dict__)
+        for name, vec in (("b_eq", b_eq), ("b_ub", b_ub)):
+            if vec is None:
+                continue
+            rows = getattr(self, "a" + name[1:])
+            vec = np.asarray(vec, dtype=float).ravel()
+            if rows is None or vec.size != rows.shape[0]:
+                raise ValueError(f"{name} does not match the program's rows")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(sibling, name, vec)
+        return sibling
+
 
 @dataclass(frozen=True)
 class LpOutcome:
     """Status, and for an optimum the solution, its value and its basis.
 
     ``basis`` (read-only) lists the standard-form columns basic at the
-    optimum; it is meaningful only to solve_lp on a program of the same
-    shape.
+    optimum; it is what a Restart of a program of the same shape factors.
+    ``path`` says what answered: ``"start"`` (optimal at a restart's basis),
+    ``"dual"`` (dual-simplex pivots from it), ``"farkas"`` (a verified ray
+    from it) or ``"cold"`` (the two-phase solve); ``pivots`` counts every
+    pivot made, a restart's abandoned ones included.
     """
 
     status: LpStatus
     solution: np.ndarray | None = None
     value: float | None = None
     basis: np.ndarray | None = None
+    path: str = "cold"
+    pivots: int = 0
 
 
 # ---------- standard-form conversion ----------
 
 
-def _standardize(p: LpProblem):
-    """Rewrite the program over nonnegative variables x_std with x = S x_std + t."""
-    n = p.objective.size
-    col = 0
-    records = []  # per original var: ('id'|'neg'|'split', indices, shift)
-    extra_rows = []  # box constraints: (std index, cap)
-    for lo, hi in p.bounds:
-        if lo is None and hi is None:
-            records.append(("split", (col, col + 1), 0.0))
-            col += 2
-        elif lo is not None and hi is None:
-            records.append(("id", (col,), float(lo)))
-            col += 1
-        elif lo is None:
-            records.append(("neg", (col,), float(hi)))
-            col += 1
-        else:
-            records.append(("id", (col,), float(lo)))
-            extra_rows.append((col, float(hi) - float(lo)))
-            col += 1
-    n_std = col
-    s = np.zeros((n, n_std))
-    t = np.zeros(n)
-    for i, (kind, idx, shift) in enumerate(records):
-        t[i] = shift
-        if kind == "split":
-            s[i, idx[0]] = 1.0
-            s[i, idx[1]] = -1.0
-        elif kind == "id":
-            s[i, idx[0]] = 1.0
-        else:  # neg: x = hi - x_std
-            s[i, idx[0]] = -1.0
+class _StandardForm:
+    """The program over nonnegative variables x_std with x = s x_std + t.
 
-    eq_mat = p.a_eq @ s if p.a_eq is not None else np.zeros((0, n_std))
-    eq_rhs = p.b_eq - p.a_eq @ t if p.a_eq is not None else np.zeros(0)
-    ub_mat = p.a_ub @ s if p.a_ub is not None else np.zeros((0, n_std))
-    ub_rhs = p.b_ub - p.a_ub @ t if p.a_ub is not None else np.zeros(0)
-    if extra_rows:
+    Rows are the equality rows, the inequality rows and one box row per
+    two-sided bound, each scaled to unit max-abs; columns are the
+    structural variables and then one slack per inequality or box row.
+    ``full`` does not depend on the right-hand side, which ``rhs`` maps
+    into the same rows, so no row is sign-flipped here.
+    """
+
+    def __init__(self, p: LpProblem):
+        n = p.objective.size
+        col = 0
+        records = []  # per original var: ('id'|'neg'|'split', indices, shift)
+        extra_rows = []  # box constraints: (std index, cap)
+        for lo, hi in p.bounds:
+            if lo is None and hi is None:
+                records.append(("split", (col, col + 1), 0.0))
+                col += 2
+            elif lo is not None and hi is None:
+                records.append(("id", (col,), float(lo)))
+                col += 1
+            elif lo is None:
+                records.append(("neg", (col,), float(hi)))
+                col += 1
+            else:
+                records.append(("id", (col,), float(lo)))
+                extra_rows.append((col, float(hi) - float(lo)))
+                col += 1
+        n_std = col
+        s = np.zeros((n, n_std))
+        t = np.zeros(n)
+        for i, (kind, idx, shift) in enumerate(records):
+            t[i] = shift
+            if kind == "split":
+                s[i, idx[0]] = 1.0
+                s[i, idx[1]] = -1.0
+            elif kind == "id":
+                s[i, idx[0]] = 1.0
+            else:  # neg: x = hi - x_std
+                s[i, idx[0]] = -1.0
+
+        blocks = [(m, m @ s, m @ t) for m in (p.a_eq, p.a_ub) if m is not None]
         box = np.zeros((len(extra_rows), n_std))
-        cap = np.zeros(len(extra_rows))
+        self.caps = np.zeros(len(extra_rows))
         for r, (j, c) in enumerate(extra_rows):
             box[r, j] = 1.0
-            cap[r] = c
-        ub_mat = np.vstack([ub_mat, box])
-        ub_rhs = np.concatenate([ub_rhs, cap])
+            self.caps[r] = c
+        mat = np.vstack([std for _, std, _ in blocks] + [box])
+        self.shift = np.concatenate([shift for _, _, shift in blocks] + [np.zeros(box.shape[0])])
 
-    # equilibrate structural rows to unit max-abs (before slacks join, so a
-    # unit slack cannot mask a badly scaled row): pivot tolerances then act
-    # uniformly regardless of the magnitudes the caller happened to use
-    mat = np.vstack([eq_mat, ub_mat])
-    rhs = np.concatenate([eq_rhs, ub_rhs])
-    scale = np.abs(mat).max(axis=1, initial=0.0) if mat.size else np.zeros(0)
-    live = scale > 0.0
-    mat[live] /= scale[live, None]
-    rhs[live] /= scale[live]
+        # equilibrate structural rows to unit max-abs (before slacks join, so a
+        # unit slack cannot mask a badly scaled row): pivot tolerances then act
+        # uniformly regardless of the magnitudes the caller happened to use
+        scale = np.abs(mat).max(axis=1, initial=0.0)
+        live = scale > 0.0
+        mat[live] /= scale[live, None]
+        self.divisor = np.where(live, scale, 1.0)
 
-    # append one slack per inequality row
-    m_ub = ub_mat.shape[0]
-    m = mat.shape[0]
-    full = np.zeros((m, n_std + m_ub))
-    full[:, :n_std] = mat
-    if m_ub:
-        full[eq_mat.shape[0]:, n_std:] = np.eye(m_ub)
-    # make rhs nonnegative
-    neg = rhs < 0
-    full[neg] *= -1.0
-    rhs = np.abs(rhs)
-    c_std = np.zeros(n_std + m_ub)
-    c_std[:n_std] = p.objective @ s
-    return full, rhs, c_std, s, t, n_std
+        # append one slack per inequality row
+        m = mat.shape[0]
+        m_ub = m - (p.a_eq.shape[0] if p.a_eq is not None else 0)
+        self.full = np.zeros((m, n_std + m_ub))
+        self.full[:, :n_std] = mat
+        self.full[m - m_ub :, n_std:] = np.eye(m_ub)
+        self.cost = np.zeros(n_std + m_ub)
+        self.cost[:n_std] = p.objective @ s
+        self.s, self.t = s, t
+
+    def rhs(self, p: LpProblem) -> np.ndarray:
+        """The scaled standard-form right-hand side of p (or of a sibling)."""
+        given = [vec for vec in (p.b_eq, p.b_ub) if vec is not None]
+        return (np.concatenate(given + [self.caps]) - self.shift) / self.divisor
 
 
 # ---------- simplex core ----------
@@ -235,7 +269,7 @@ _STALL_LIMIT = 40
 
 
 def _simplex(ext, rhs, c_vec, basis, max_iter, n_enter, pin_start):
-    """Iterate to optimality from `basis`; returns (status, tab, basis).
+    """Iterate to optimality from `basis`; returns (status, tab, basis, pivots).
 
     Pivot choice is Dantzig's rule (most negative reduced cost) with the
     largest pivot element among ratio-test ties — fast and numerically
@@ -256,12 +290,13 @@ def _simplex(ext, rhs, c_vec, basis, max_iter, n_enter, pin_start):
     since_refresh = 0
     stall = 0
     bland = False
+    pivots = 0
     for _ in range(max_iter):
         reduced = obj[:n_enter]
         entering = np.nonzero(reduced < -_FEAS_TOL)[0]
         if entering.size == 0:
             if since_refresh == 0:
-                return "optimal", tab, basis
+                return "optimal", tab, basis, pivots
             tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
             since_refresh = 0
             continue
@@ -274,7 +309,7 @@ def _simplex(ext, rhs, c_vec, basis, max_iter, n_enter, pin_start):
         pinned = (basis >= pin_start) & (np.abs(col) > _PIVOT_TOL)
         if not pos.any() and not pinned.any():
             if since_refresh == 0:
-                return "unbounded", tab, basis
+                return "unbounded", tab, basis, pivots
             tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
             since_refresh = 0
             continue
@@ -291,6 +326,7 @@ def _simplex(ext, rhs, c_vec, basis, max_iter, n_enter, pin_start):
             row = int(ties[np.argmax(np.abs(col[ties]))])
         before = obj[-1]
         _pivot(tab, obj, basis, row, j)
+        pivots += 1
         since_refresh += 1
         if since_refresh >= _REFRESH_PERIOD:
             tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
@@ -305,100 +341,228 @@ def _simplex(ext, rhs, c_vec, basis, max_iter, n_enter, pin_start):
     raise LpFailure("simplex pivot budget exhausted (numerical breakdown)")
 
 
-def _dual_simplex(ext, rhs, c_vec, basis, n_real):
-    """Restart from a dual-feasible `basis`; returns the tableau or None.
+def _primal_feasible(values, basis, n_real):
+    """Basic real values nonnegative and lingering artificials at zero."""
+    excess = np.where(basis >= n_real, np.abs(values), -values)
+    return excess.max(initial=0.0) <= _PRIMAL_TOL
+
+
+def _verified_optimum(ext, rhs, c_vec, basis, n_real):
+    """The basic values at `basis` from pristine data, if it is optimal there.
+
+    Two m x m solves give the basic values and the duals; None unless the
+    values are primal feasible and the reduced costs dual feasible.
+    """
+    bmat = ext[:, basis]
+    try:
+        values = np.linalg.solve(bmat, rhs)
+        duals = np.linalg.solve(bmat.T, c_vec[basis])
+    except np.linalg.LinAlgError:
+        return None
+    reduced = c_vec[:n_real] - duals @ ext[:, :n_real]
+    if _primal_feasible(values, basis, n_real) and (reduced >= -_FEAS_TOL).all():
+        return values
+    return None
+
+
+def _farkas_ray(ext, rhs, basis, row):
+    """Row `row` of the basis inverse from pristine data, oriented so y @ rhs <= 0."""
+    unit = np.zeros(basis.size)
+    unit[row] = 1.0
+    y = np.linalg.solve(ext[:, basis].T, unit)
+    return -y if y @ rhs > 0.0 else y
+
+
+def _is_farkas(y, full, rhs):
+    """True iff y proves {x >= 0 : full x = rhs} empty, with a margin.
+
+    y @ full >= 0 makes y @ full x >= 0 for every x >= 0, which y @ rhs < 0
+    then contradicts; both hold relative to the size of y and of rhs.
+    """
+    size = np.abs(y).max(initial=0.0)
+    return bool(
+        (y @ full >= -_FEAS_TOL * size).all()
+        and y @ rhs < -_FEAS_TOL * size * max(1.0, np.abs(rhs).max(initial=0.0))
+    )
+
+
+def _dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
+    """Dual-simplex pivots from a dual-feasible `basis` whose tableau is `tab`.
+
+    Returns (path, values, pivots): ("dual", basic values, k) at a verified
+    optimum, ("farkas", None, k) on a verified ray, or (None, None, k) when
+    the restart gives up, and the caller then solves cold.
 
     Basic real variables are bounded below by zero and lingering artificials
     are fixed at zero. Each pivot takes the basic value farthest outside its
     bound as the leaving row and enters by the dual ratio test over columns
     below n_real, largest pivot element among ties, so an artificial pushed
     off zero is driven out of the basis like any other infeasible variable.
-    'optimal' is declared only on a freshly refactorized tableau that is
-    primal and dual feasible. None means the restart gave up: singular
-    basis, not dual feasible, no eligible entry in the leaving row, or the
-    pivot budget spent. The caller then solves cold, so this path never
-    reports infeasibility.
+    `tab`, `obj` and `basis` are pivoted in place.
     """
-    since_refresh = 0
+    pivots = 0
     for _ in range(n_real + ext.shape[0]):
-        if since_refresh == 0:
-            try:
-                tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
-            except LpFailure:
-                return None
-            if (obj[:n_real] < -_FEAS_TOL).any():
-                return None
         values = tab[:, -1]
+        if _primal_feasible(values, basis, n_real):
+            values = _verified_optimum(ext, rhs, c_vec, basis, n_real)
+            return ("dual" if values is not None else None), values, pivots
         excess = np.where(basis >= n_real, np.abs(values), -values)
-        if excess.size == 0 or excess.max() <= _PRIMAL_TOL:
-            if since_refresh == 0:
-                return tab
-            since_refresh = 0
-            continue
         row = int(np.argmax(excess))
         # entries whose column, entering, moves the leaving value toward zero
         entries = tab[row, :n_real] * np.sign(values[row])
         cand = np.flatnonzero(entries > _PIVOT_TOL)
         if cand.size == 0:
-            return None
+            try:
+                y = _farkas_ray(ext, rhs, basis, row)
+            except np.linalg.LinAlgError:
+                return None, None, pivots
+            verified = _is_farkas(y, ext[:, :n_real], rhs)
+            return ("farkas" if verified else None), None, pivots
         ratios = obj[cand] / entries[cand]
         rmin = ratios.min()
         ties = cand[ratios <= rmin + 1e-10 * (1.0 + abs(rmin))]
         _pivot(tab, obj, basis, row, int(ties[np.argmax(entries[ties])]))
-        since_refresh = (since_refresh + 1) % _REFRESH_PERIOD
-    return None
+        pivots += 1
+        if pivots % _REFRESH_PERIOD == 0:
+            try:
+                tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
+            except LpFailure:
+                return None, None, pivots
+            if (obj[:n_real] < -_FEAS_TOL).any():
+                return None, None, pivots
+    return None, None, pivots
 
 
-def _optimal(p, tab, basis, s, t, n_real):
+def _optimal(p, form, basis, values, path, pivots):
+    n_real = form.full.shape[1]
     x_std = np.zeros(n_real)
     real_rows = basis < n_real
-    x_std[basis[real_rows]] = np.maximum(tab[real_rows, -1], 0.0)
-    x = s @ x_std[: s.shape[1]] + t
+    x_std[basis[real_rows]] = np.maximum(values[real_rows], 0.0)
+    x = form.s @ x_std[: form.s.shape[1]] + form.t
     basis.setflags(write=False)
     return LpOutcome(
-        status=LpStatus.OPTIMAL, solution=x, value=float(p.objective @ x), basis=basis
+        status=LpStatus.OPTIMAL,
+        solution=x,
+        value=float(p.objective @ x),
+        basis=basis,
+        path=path,
+        pivots=pivots,
     )
 
 
-def solve_lp(p: LpProblem, basis: np.ndarray | None = None) -> LpOutcome:
-    """Deterministic two-phase dense simplex with periodic refactorization.
+def _same_program(p: LpProblem, q: LpProblem) -> bool:
+    """True iff p and q differ at most in their right-hand sides."""
+    blocks = ((p.objective, q.objective), (p.a_eq, q.a_eq), (p.a_ub, q.a_ub))
+    return (p.bounds is q.bounds or p.bounds == q.bounds) and all(
+        x is y or np.array_equal(x, y) for x, y in blocks
+    )
 
-    ``basis``, the ``LpOutcome.basis`` of a program of the same shape,
-    warm-starts the solve by dual simplex; if that restart cannot finish,
-    the cold two-phase solve runs as if no basis had been given.
+
+class Restart:
+    """One program factored at one of its bases, to answer its siblings.
+
+    Built once from a program and a basis (an ``LpOutcome.basis`` of a
+    program of the same shape, typically its own optimum). It holds the
+    program's standard form, the basis inverse, the tableau B^-1 [A | I]
+    and the reduced costs. Dual feasibility does not depend on the
+    right-hand side, so it is checked here once: a singular or
+    dual-infeasible basis leaves the restart unusable, and every solve
+    through it runs cold. The restart is never modified by a solve.
     """
-    full, rhs, c_std, s, t, _ = _standardize(p)
-    m, n_real = full.shape
-    ext = np.hstack([full, np.eye(m)])
-    c2 = np.concatenate([c_std, np.zeros(m)])
-    if basis is not None:
+
+    def __init__(self, p: LpProblem, basis):
+        form = _StandardForm(p)
+        m, n_real = form.full.shape
         start = np.array(basis, dtype=np.intp)
         if start.shape != (m,) or ((start < 0) | (start >= n_real + m)).any():
             raise ValueError(f"basis must hold {m} column indices below {n_real + m}")
-        tab = _dual_simplex(ext, rhs, c2, start, n_real)
-        if tab is not None:
-            return _optimal(p, tab, start, s, t, n_real)
+        start.setflags(write=False)
+        self.problem, self.form, self.basis = p, form, start
+        self.ext = np.hstack([form.full, np.eye(m)])
+        self.cost = np.concatenate([form.cost, np.zeros(m)])
+        self.inverse = self.tableau = self.reduced = None
+        try:
+            inverse = np.linalg.inv(self.ext[:, start])
+        except np.linalg.LinAlgError:
+            return
+        tableau = inverse @ self.ext
+        reduced = self.cost - self.cost[start] @ tableau
+        if (reduced[:n_real] < -_FEAS_TOL).any():
+            return
+        self.inverse, self.tableau, self.reduced = inverse, tableau, reduced
+
+    def answer(self, p: LpProblem):
+        """(outcome, pivots) for sibling p; outcome None means solve cold."""
+        if not _same_program(p, self.problem):
+            raise ValueError("the restart was factored for a different program")
+        if self.inverse is None:
+            return None, 0
+        rhs = self.form.rhs(p)
+        n_real = self.form.full.shape[1]
+        values = self.inverse @ rhs
+        if _primal_feasible(values, self.basis, n_real):
+            return _optimal(p, self.form, self.basis, values, "start", 0), 0
+        tab = np.empty((self.tableau.shape[0], self.tableau.shape[1] + 1))
+        tab[:, :-1] = self.tableau
+        tab[:, -1] = values
+        obj = np.append(self.reduced, -(self.cost[self.basis] @ values))
+        basis = self.basis.copy()
+        path, values, pivots = _dual_simplex(
+            self.ext, rhs, self.cost, basis, tab, obj, n_real
+        )
+        if path == "dual":
+            return _optimal(p, self.form, basis, values, path, pivots), pivots
+        if path == "farkas":
+            return LpOutcome(status=LpStatus.INFEASIBLE, path=path, pivots=pivots), pivots
+        return None, pivots
+
+
+def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
+    """Deterministic two-phase dense simplex with periodic refactorization.
+
+    ``restart``, a Restart of a program that differs from ``p`` at most in
+    its right-hand sides, answers the solve by dual simplex from its basis;
+    if it cannot finish, the cold two-phase solve runs as if no restart had
+    been given.
+    """
+    spent = 0
+    if restart is None:
+        form = _StandardForm(p)
+    else:
+        outcome, spent = restart.answer(p)
+        if outcome is not None:
+            return outcome
+        form = restart.form
+    rhs = form.rhs(p)
+    # the primal phases start from the artificial basis, so make rhs >= 0
+    full = form.full.copy()
+    full[rhs < 0] *= -1.0
+    rhs = np.abs(rhs)
+    m, n_real = full.shape
+    ext = np.hstack([full, np.eye(m)])
+    c2 = np.concatenate([form.cost, np.zeros(m)])
     max_iter = 500 + 50 * (m + n_real)
 
     # phase 1: artificial identity basis, minimize the artificial sum
     c1 = np.zeros(n_real + m)
     c1[n_real:] = 1.0
     basis = np.arange(n_real, n_real + m)
-    status, tab, basis = _simplex(
+    status, tab, basis, pivots1 = _simplex(
         ext, rhs, c1, basis, max_iter, n_enter=n_real, pin_start=n_real + m
     )
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
         raise LpFailure("phase 1 reported unbounded")
     phase1 = float(c1[basis] @ np.maximum(tab[:, -1], 0.0))
     if phase1 > _FEAS_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0))):
-        return LpOutcome(status=LpStatus.INFEASIBLE)
+        return LpOutcome(status=LpStatus.INFEASIBLE, pivots=spent + pivots1)
 
     # phase 2: original objective; lingering artificial columns stay in the
     # working basis (pinned at zero) so it remains well-conditioned even
     # when the caller supplied redundant equality rows
-    status, tab, basis = _simplex(
+    status, tab, basis, pivots2 = _simplex(
         ext, rhs, c2, basis, max_iter, n_enter=n_real, pin_start=n_real
     )
+    pivots = spent + pivots1 + pivots2
     if status == "unbounded":
-        return LpOutcome(status=LpStatus.UNBOUNDED)
-    return _optimal(p, tab, basis, s, t, n_real)
+        return LpOutcome(status=LpStatus.UNBOUNDED, pivots=pivots)
+    return _optimal(p, form, basis, tab[:, -1], "cold", pivots)

@@ -298,6 +298,9 @@ def test_simulate_emit_trace_then_detect_clean(tmp_path, capsys):
     assert report["unseen_x1_columns"] == []
     # the binary adder's floor kappa * mu with kappa = 6
     assert report["noiseless_floor"] == pytest.approx(6 * doc["sim"]["mu"], abs=1e-9)
+    # the estimator LP is answered from the restart compiled for this channel
+    assert report["lp_path"] in ("start", "dual")
+    assert isinstance(report["lp_pivots"], int) and report["lp_pivots"] >= 0
 
 
 def test_detect_flags_swapped_symbols(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Oracle tests for the histogram/estimator/decision detection pipeline."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -176,6 +177,15 @@ def test_detector_config_validation(motivating_a):
         DetectorConfig(a=motivating_a, b=np.eye(4), mu=0.1, delta=0.065)
 
 
+@pytest.mark.parametrize("field", ["mu", "delta"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_detector_config_rejects_non_finite_parameters(motivating_a, field, value):
+    # +inf used to pass and then fail inside the LP as "a_ub must be finite"
+    params = {"mu": 0.1, "delta": 0.065, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        DetectorConfig(a=motivating_a, b=np.eye(3), **params)
+
+
 def test_estimator_monotone_in_mu():
     rng = np.random.default_rng(808)
     for _ in range(50):
@@ -271,18 +281,10 @@ def _cold_detection(config, x1, y1):
     return detector.decision_statistic(outcome.solution[: u * u].reshape(u, u)), True
 
 
-def _warm_agrees_with_cold(monkeypatch, scenarios, trials):
-    """Checks every trial; returns (trials, infeasible, restarts, restarts that gave up)."""
-    gave_up = []
-    restart = lpkernel._dual_simplex
-
-    def counted(*args):
-        tab = restart(*args)
-        gave_up.append(tab is None)
-        return tab
-
-    monkeypatch.setattr(lpkernel, "_dual_simplex", counted)
+def _warm_agrees_with_cold(scenarios, trials):
+    """Checks every trial; returns (trials, infeasible, LpOutcome.path counts)."""
     seen = infeasible = 0
+    paths = collections.Counter()
     for scenario in scenarios:
         config = DetectorConfig(
             a=scenario.uplink_matrix(), b=scenario.b, mu=scenario.mu, delta=scenario.delta
@@ -295,30 +297,35 @@ def _warm_agrees_with_cold(monkeypatch, scenarios, trials):
             assert abs(report.statistic - statistic) <= 1e-12, trial
             if feasible:
                 assert report.residual <= config.mu + 1e-9
+            if report.lp_path in ("start", "dual"):
+                assert (report.lp_pivots > 0) == (report.lp_path == "dual")
             seen += 1
             infeasible += not feasible
-    return seen, infeasible, len(gave_up), sum(gave_up)
+            paths[report.lp_path] += 1
+    return seen, infeasible, paths
 
 
-def test_warm_estimator_matches_cold_on_every_preset_curve(monkeypatch):
+def test_warm_estimator_matches_cold_on_every_preset_curve():
     scenarios = [
         scenario
         for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b")
         for scenario in preset_curves(name).values()
     ]
-    counts = _warm_agrees_with_cold(monkeypatch, scenarios, range(10))
-    assert counts == (220, 0, 220, 0)
+    seen, infeasible, paths = _warm_agrees_with_cold(scenarios, range(10))
+    assert (seen, infeasible) == (220, 0)
+    # every trial is answered from the compiled restart, none cold
+    assert paths["start"] + paths["dual"] == 220, paths
 
 
-def test_warm_estimator_matches_cold_with_infeasible_trials(monkeypatch):
-    # fig5b at N = 1e4 leaves G_mu empty on about 6 % of its trials; the
-    # restart gives up on exactly those and the cold solve judges them
+def test_warm_estimator_matches_cold_with_infeasible_trials():
+    # fig5b at N = 1e4 leaves G_mu empty on about 6 % of its trials; a
+    # verified Farkas ray answers every one of them, with no cold fallback
     scenarios = [
         dataclasses.replace(scenario, n=10_000) for scenario in preset_curves("fig5b").values()
     ]
-    seen, infeasible, restarts, gave_up = _warm_agrees_with_cold(monkeypatch, scenarios, range(50))
-    assert seen == restarts == 100 and infeasible >= 3
-    assert gave_up == infeasible
+    seen, infeasible, paths = _warm_agrees_with_cold(scenarios, range(50))
+    assert seen == 100 and infeasible >= 3
+    assert paths["farkas"] == infeasible and paths["cold"] == 0, paths
 
 
 @pytest.mark.parametrize("name, floor", [("fig3b", 0.6), ("fig5a", 1114 / 49 * 0.05)])

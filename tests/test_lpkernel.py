@@ -4,6 +4,7 @@ Expected values come from hand-solvable programs and from a brute-force
 vertex-enumeration oracle that is independent of the simplex path.
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -260,31 +261,19 @@ def test_row_scales_do_not_change_the_answer():
     assert out.value == pytest.approx(1.0, abs=1e-9)
 
 
-# ---------- warm start from a sibling's basis ----------
+# ---------- restart from a sibling's basis ----------
 
 
-def _count_restarts(monkeypatch):
-    """Record whether each dual-simplex restart answered (True) or gave up."""
-    answered = []
-    restart = lpkernel._dual_simplex
+def _families(count=60):
+    """Random program families that differ only in their right-hand sides.
 
-    def counted(*args):
-        tab = restart(*args)
-        answered.append(tab is not None)
-        return tab
-
-    monkeypatch.setattr(lpkernel, "_dual_simplex", counted)
-    return answered
-
-
-def test_warm_start_from_sibling_basis_matches_cold(monkeypatch):
-    # families of programs that differ only in their right-hand sides; some
-    # siblings are infeasible, some carry a duplicated equality row (a
-    # lingering artificial), and the box bounds add rows of their own
-    answered = _count_restarts(monkeypatch)
+    Yields (base program, its cold optimum, six siblings). The last sibling
+    of each family is infeasible, every third family duplicates its
+    equality row (a lingering artificial), and the box bounds add rows of
+    their own.
+    """
     rng = np.random.default_rng(20261018)
-    outcomes = {status: 0 for status in LpStatus}
-    for family in range(60):
+    for family in range(count):
         n = int(rng.integers(2, 7))
         m_ub = int(rng.integers(1, 5))
         ubs = rng.uniform(0.5, 2.0, size=n)
@@ -294,32 +283,58 @@ def test_warm_start_from_sibling_basis_matches_cold(monkeypatch):
         a_eq = rng.normal(size=(1, n))
         if family % 3 == 0:
             a_eq = np.vstack([a_eq, a_eq])
-
-        def sibling(x, slack):
-            return LpProblem(
-                objective=c, a_eq=a_eq, b_eq=a_eq @ x, a_ub=a_ub,
-                b_ub=a_ub @ x + slack, bounds=bounds,
-            )
-
-        base = solve_lp(sibling(rng.uniform(0.0, ubs), rng.uniform(0.05, 1.0, m_ub)))
-        assert base.status is LpStatus.OPTIMAL
-        assert base.basis.shape == (m_ub + n + a_eq.shape[0],)
+        x, slack = rng.uniform(0.0, ubs), rng.uniform(0.05, 1.0, m_ub)
+        base = LpProblem(
+            objective=c, a_eq=a_eq, b_eq=a_eq @ x, a_ub=a_ub, b_ub=a_ub @ x + slack,
+            bounds=bounds,
+        )
+        siblings = []
         for k in range(6):
             slack = rng.uniform(0.0, 1.0, m_ub)
             if k == 5:  # row 0 below its minimum over the box
                 slack[0] = -1.0 - np.abs(a_ub[0]) @ ubs
-            p = sibling(rng.uniform(0.0, ubs), slack)
+            x = rng.uniform(0.0, ubs)
+            siblings.append(base.with_rhs(b_eq=a_eq @ x, b_ub=a_ub @ x + slack))
+        yield base, solve_lp(base), siblings
+
+
+def _outcome_key(out):
+    solution = None if out.solution is None else out.solution.tobytes()
+    return out.status, out.path, out.pivots, solution
+
+
+def test_warm_start_from_sibling_basis_matches_cold():
+    outcomes = collections.Counter()
+    paths = collections.Counter()
+    for base, optimum, siblings in _families():
+        assert optimum.status is LpStatus.OPTIMAL and optimum.path == "cold"
+        assert optimum.basis.shape == (base.a_ub.shape[0] + base.objective.size + base.a_eq.shape[0],)
+        restart = lpkernel.Restart(base, optimum.basis)
+        answers = []
+        for k, p in enumerate(siblings):
             cold = solve_lp(p)
-            warm = solve_lp(p, basis=base.basis)
+            warm = solve_lp(p, restart)
             outcomes[cold.status] += 1
-            assert warm.status is cold.status, (family, k)
+            paths[cold.status, warm.path] += 1
+            assert cold.path == "cold"
+            assert warm.status is cold.status, k
             if cold.status is LpStatus.OPTIMAL:
-                assert abs(warm.value - cold.value) <= 1e-9, (family, k)
-                assert (a_ub @ warm.solution <= p.b_ub + 1e-8).all()
-                assert np.abs(a_eq @ warm.solution - p.b_eq).max() < 1e-8
+                assert abs(warm.value - cold.value) <= 1e-9, k
+                assert (base.a_ub @ warm.solution <= p.b_ub + 1e-8).all()
+                assert np.abs(base.a_eq @ warm.solution - p.b_eq).max() < 1e-8
+            answers.append(_outcome_key(warm))
+        # no solve leaves anything behind in the restart: in reverse order,
+        # every sibling gets the same answer bit for bit
+        for p, answer in reversed(list(zip(siblings, answers))):
+            assert _outcome_key(solve_lp(p, restart)) == answer
     assert outcomes[LpStatus.OPTIMAL] >= 250 and outcomes[LpStatus.INFEASIBLE] >= 60
-    # the restart answers every feasible sibling and never an infeasible one
-    assert sum(answered) == outcomes[LpStatus.OPTIMAL]
+    # the restart answers every feasible sibling; an infeasible one is
+    # answered by a verified ray or by the cold solve
+    feasible = paths[LpStatus.OPTIMAL, "start"] + paths[LpStatus.OPTIMAL, "dual"]
+    assert feasible == outcomes[LpStatus.OPTIMAL]
+    rays = paths[LpStatus.INFEASIBLE, "farkas"]
+    assert rays + paths[LpStatus.INFEASIBLE, "cold"] == outcomes[LpStatus.INFEASIBLE]
+    assert rays >= outcomes[LpStatus.INFEASIBLE] // 2
 
 
 def test_warm_start_basis_contract():
@@ -329,13 +344,111 @@ def test_warm_start_basis_contract():
     with pytest.raises(ValueError):
         out.basis[0] = 1
     with pytest.raises(ValueError, match="basis"):
-        solve_lp(p, basis=[0, 1])
+        lpkernel.Restart(p, [0, 1])
     with pytest.raises(ValueError, match="basis"):
-        solve_lp(p, basis=[5])
+        lpkernel.Restart(p, [5])
+    other = LpProblem(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    with pytest.raises(ValueError, match="different program"):
+        solve_lp(other, lpkernel.Restart(p, out.basis))
+    assert solve_lp(p.with_rhs(b_eq=[2.0]), lpkernel.Restart(p, out.basis)).path == "start"
     # an artificial start is pivoted out; a dual-infeasible start (x1 basic
     # costs more than x0) and a singular one fall back to the cold solve
-    assert solve_lp(p, basis=[2]).value == out.value
-    assert solve_lp(p, basis=[1]).value == out.value
+    artificial = solve_lp(p, lpkernel.Restart(p, [2]))
+    assert (artificial.value, artificial.path, artificial.pivots) == (out.value, "dual", 1)
+    dual_infeasible = solve_lp(p, lpkernel.Restart(p, [1]))
+    assert (dual_infeasible.value, dual_infeasible.path) == (out.value, "cold")
     twice = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0])
-    assert solve_lp(twice, basis=[0, 0]).value == solve_lp(twice).value
+    singular = solve_lp(twice, lpkernel.Restart(twice, [0, 0]))
+    assert (singular.value, singular.path) == (solve_lp(twice).value, "cold")
     assert solve_lp(LpProblem(objective=[1.0], a_ub=[[1.0]], b_ub=[-1.0])).basis is None
+    # a sibling checks only its new right-hand side
+    with pytest.raises(ValueError, match="b_eq"):
+        p.with_rhs(b_eq=[1.0, 2.0])
+    with pytest.raises(ValueError, match="b_eq must be finite"):
+        p.with_rhs(b_eq=[np.inf])
+    with pytest.raises(ValueError, match="b_ub"):
+        p.with_rhs(b_ub=[1.0])
+
+
+@pytest.mark.parametrize("corruption", ["flipped sign", "negative slack entry"])
+def test_corrupted_farkas_ray_falls_back_to_the_cold_solve(monkeypatch, corruption):
+    honest = lpkernel._farkas_ray
+    rays = []
+
+    def corrupted(ext, rhs, basis, row):
+        y = honest(ext, rhs, basis, row)
+        rays.append(row)
+        if corruption == "flipped sign":
+            return -y
+        # the last row is a box row, so y[-1] is y @ A on its slack column
+        y = y.copy()
+        y[-1] = -1.0 - np.abs(y).max()
+        return y
+
+    monkeypatch.setattr(lpkernel, "_farkas_ray", corrupted)
+    infeasible = 0
+    for base, optimum, siblings in _families(30):
+        restart = lpkernel.Restart(base, optimum.basis)
+        for p in siblings:
+            cold = solve_lp(p)
+            warm = solve_lp(p, restart)
+            assert warm.status is cold.status
+            if cold.status is LpStatus.INFEASIBLE:
+                infeasible += 1
+                assert warm.path == "cold"
+    assert infeasible >= 30 and len(rays) >= infeasible // 2
+
+
+def test_ray_verification_never_declares_a_feasible_sibling_infeasible():
+    # a feasible program admits no Farkas ray, so no candidate may verify:
+    # try every row of the factored basis and of the final one as the ray
+    checked = 0
+    for base, optimum, siblings in _families():
+        restart = lpkernel.Restart(base, optimum.basis)
+        full = restart.ext[:, : restart.form.full.shape[1]]
+        for p in siblings:
+            warm = solve_lp(p, restart)
+            if warm.status is not LpStatus.OPTIMAL:
+                continue
+            rhs = restart.form.rhs(p)
+            for basis in (restart.basis, warm.basis):
+                for row in range(basis.size):
+                    y = lpkernel._farkas_ray(restart.ext, rhs, basis, row)
+                    assert not lpkernel._is_farkas(y, full, rhs)
+                    checked += 1
+    assert checked >= 3000
+
+
+def test_restart_answers_from_pristine_data_despite_tableau_drift(monkeypatch):
+    # roundoff drift of the pivoted tableau's basic values must never reach
+    # an answer: the values at the final basis are recomputed from pristine
+    # data before "optimal" is declared, and the cold solve runs otherwise
+    honest_pivot, honest_dual = lpkernel._pivot, lpkernel._dual_simplex
+    restarting = []
+
+    def drifting_pivot(tab, obj, basis, row, col):
+        honest_pivot(tab, obj, basis, row, col)
+        if restarting:
+            tab[:, -1] += 1e-7
+
+    def dual_simplex(*args):
+        restarting.append(True)
+        try:
+            return honest_dual(*args)
+        finally:
+            restarting.pop()
+
+    monkeypatch.setattr(lpkernel, "_pivot", drifting_pivot)
+    monkeypatch.setattr(lpkernel, "_dual_simplex", dual_simplex)
+    answered = 0
+    for base, optimum, siblings in _families():
+        restart = lpkernel.Restart(base, optimum.basis)
+        for p in siblings:
+            cold = solve_lp(p)
+            warm = solve_lp(p, restart)
+            assert warm.status is cold.status
+            if cold.status is LpStatus.OPTIMAL:
+                answered += warm.path == "dual"
+                assert abs(warm.value - cold.value) <= 1e-9
+                assert np.abs(base.a_eq @ warm.solution - p.b_eq).max() < 1e-8
+    assert answered >= 50
