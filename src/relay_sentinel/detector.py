@@ -7,10 +7,12 @@ D = l1(phi_hat - I) thresholded at delta.
 The estimator solves a single LP. For a column-stochastic candidate phi the
 distance to identity is l1(phi - I) = 2(|U| - trace(phi)) exactly (diagonal
 deficits are 1 - phi_jj and off-diagonal entries are nonnegative), so
-minimizing the trace maximizes the distance. Membership in G_mu means some
-column-stochastic gamma_tilde reproduces the candidate after projection
-(B phi A = Pi_B gamma_tilde Pi_A) while staying within mu of the observed
-histogram in projected l1 distance.
+minimizing the trace maximizes the distance. G_mu is the set of
+column-stochastic phi with l1(B phi A - Pi_B gamma_hat Pi_A) <= mu, so the
+LP runs over (vec phi, t): phi's column sums, +-(B phi A - target) <= t
+entrywise and sum(t) <= mu. The paper's column-stochastic gamma_tilde with
+Pi_B gamma_tilde Pi_A = B phi A needs no variables of its own:
+gamma_tilde = B phi A always qualifies, because Pi_B B = B and A Pi_A = A.
 
 Only the target rows' right-hand side depends on the histogram. So the
 estimator is compiled once per (A, B, mu) content: the constant blocks,
@@ -59,25 +61,36 @@ class DetectorConfig:
     delta: float
 
     def __post_init__(self):
-        a = validate_column_stochastic(self.a, "A")
-        b = validate_column_stochastic(self.b, "B")
+        a, b = _validated_channel(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if b.shape[1] != a.shape[0]:
-            raise ValueError("A and B disagree on the relay alphabet size")
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        _check_parameter("mu", self.mu)
+        _check_parameter("delta", self.delta)
+
+
+def _validated_channel(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as column-stochastic float arrays that agree on the relay alphabet."""
+    a = validate_column_stochastic(a, "A")
+    b = validate_column_stochastic(b, "B")
+    if b.shape[1] != a.shape[0]:
+        raise ValueError("A and B disagree on the relay alphabet size")
+    return a, b
+
+
+def _check_parameter(name: str, value: float, zero_allowed: bool = False) -> None:
+    if not (0 <= value if zero_allowed else 0 < value) or not value < math.inf:
+        sign = "nonnegative" if zero_allowed else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {value}")
 
 
 @dataclass(frozen=True)
 class DetectionReport:
     """Everything one detection run produced.
 
-    ``residual`` is the projected l1 distance between the estimator's own
-    reconstruction and the observed histogram — a membership witness for
-    G_mu, always <= mu when ``feasible`` (0.0 otherwise).
+    ``residual`` is l1(Pi_B (B phi_hat A - gamma_hat) Pi_A), the projected
+    distance between the histogram phi_hat would produce and the observed
+    one: the slack that admits phi_hat into G_mu (``g_mu_residual``), always
+    <= mu when ``feasible`` (0.0 otherwise).
     ``noiseless_floor`` is D0, the statistic on the exact channel B A: the
     smallest threshold delta at which clean traces can pass.
     ``lp_path`` and ``lp_pivots`` are the estimator LP's ``LpOutcome.path``
@@ -169,42 +182,28 @@ def _compile(a_shape, a_data, b_shape, b_data, mu) -> _Estimator:
     a = np.frombuffer(a_data).reshape(a_shape)
     b = np.frombuffer(b_data).reshape(b_shape)
     u = a.shape[0]
-    y1, x1 = b.shape[0], a.shape[1]
-    pi_b = numlinalg.column_space_projector(b)
-    pi_a = numlinalg.row_space_projector(a)
-    n_phi, n_g = u * u, y1 * x1
-    n = n_phi + 2 * n_g  # phi, gamma_tilde, slack t
+    n_phi, n_g = u * u, b.shape[0] * a.shape[1]
 
-    objective = np.zeros(n)
+    objective = np.zeros(n_phi + n_g)  # phi, slack t
     objective[np.arange(u) * u + np.arange(u)] = 1.0  # minimize trace(phi)
+    a_eq = np.zeros((u, n_phi + n_g))
+    a_eq[:, :n_phi] = np.kron(np.ones((1, u)), np.eye(u))  # phi column sums
 
     reach = np.kron(b, a.T)  # vec(B phi A)
-    project = np.kron(pi_b, pi_a.T)  # vec(Pi_B gamma Pi_A)
-
-    a_eq = np.zeros((u + x1 + n_g, n))
-    b_eq = np.zeros(u + x1 + n_g)
-    a_eq[:u, :n_phi] = np.kron(np.ones((1, u)), np.eye(u))  # phi column sums
-    b_eq[:u] = 1.0
-    a_eq[u : u + x1, n_phi : n_phi + n_g] = np.kron(
-        np.ones((1, y1)), np.eye(x1)
-    )  # gamma_tilde column sums
-    b_eq[u : u + x1] = 1.0
-    a_eq[u + x1 :, :n_phi] = reach
-    a_eq[u + x1 :, n_phi : n_phi + n_g] = -project
-
-    a_ub = np.zeros((2 * n_g + 1, n))
+    a_ub = np.zeros((2 * n_g + 1, n_phi + n_g))
+    a_ub[:n_g, :n_phi] = reach
+    a_ub[n_g : 2 * n_g, :n_phi] = -reach
+    a_ub[: 2 * n_g, n_phi:] = -np.vstack([np.eye(n_g), np.eye(n_g)])
+    a_ub[-1, n_phi:] = 1.0
     b_ub = np.zeros(2 * n_g + 1)
-    a_ub[:n_g, n_phi : n_phi + n_g] = project
-    a_ub[:n_g, n_phi + n_g :] = -np.eye(n_g)
-    a_ub[n_g : 2 * n_g, n_phi : n_phi + n_g] = -project
-    a_ub[n_g : 2 * n_g, n_phi + n_g :] = -np.eye(n_g)
-    a_ub[-1, n_phi + n_g :] = 1.0
     b_ub[-1] = mu
-    program = LpProblem(objective=objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+    program = LpProblem(objective=objective, a_eq=a_eq, b_eq=np.ones(u), a_ub=a_ub, b_ub=b_ub)
     for block in (program.objective, program.a_eq, program.b_eq, program.a_ub, program.b_ub):
         block.setflags(write=False)
 
     open_rows = _Estimator(program, None, 0.0)
+    pi_b = numlinalg.column_space_projector(b)
+    pi_a = numlinalg.row_space_projector(a)
     noiseless = open_rows.problem((pi_b @ (b @ a) @ pi_a).ravel())
     outcome = lpkernel.solve_lp(noiseless)
     if outcome.status is not LpStatus.OPTIMAL:  # Phi = I is always feasible
@@ -214,31 +213,17 @@ def _compile(a_shape, a_data, b_shape, b_data, mu) -> _Estimator:
     return replace(open_rows, restart=restart, noiseless_floor=floor)
 
 
-def _estimator_problem(
-    gamma_hat: np.ndarray, a: np.ndarray, b: np.ndarray, mu: float
-) -> LpProblem:
+def _estimate(estimator: _Estimator, gamma_hat, a, b):
+    """(phi_hat, feasible, outcome) of one histogram; the identity if G_mu is empty."""
     pi_b = column_space_projector(b)
     pi_a = row_space_projector(a)
-    target = (pi_b @ gamma_hat @ pi_a).ravel()
-    return _compiled(a, b, mu).problem(target)
-
-
-def _solve_estimator(gamma_hat, a, b, mu):
-    """Returns (phi_hat, gamma_tilde, feasible, outcome)."""
-    gamma_hat = np.asarray(gamma_hat, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    outcome = solve_lp(estimator.problem((pi_b @ gamma_hat @ pi_a).ravel()), estimator.restart)
     u = a.shape[0]
-    outcome = solve_lp(_estimator_problem(gamma_hat, a, b, mu), _compiled(a, b, mu).restart)
     if outcome.status is LpStatus.INFEASIBLE:
-        return np.eye(u), None, False, outcome
+        return np.eye(u), False, outcome
     if outcome.status is not LpStatus.OPTIMAL:
         raise LpFailure(f"estimator LP ended with status {outcome.status}")
-    n_phi = u * u
-    n_g = b.shape[0] * a.shape[1]
-    phi_hat = outcome.solution[:n_phi].reshape(u, u)
-    gamma_tilde = outcome.solution[n_phi : n_phi + n_g].reshape(b.shape[0], -1)
-    return phi_hat, gamma_tilde, True, outcome
+    return outcome.solution[: u * u].reshape(u, u), True, outcome
 
 
 def estimate_attack(
@@ -246,9 +231,19 @@ def estimate_attack(
 ) -> tuple[np.ndarray, bool]:
     """Worst-case (farthest-from-identity) attack channel consistent with G_mu.
 
-    Returns (identity, False) when the feasibility set is empty.
+    Returns (identity, False) when the feasibility set is empty. mu may be
+    0 here (exact membership); A, B and mu are checked as DetectorConfig
+    checks them, and gamma_hat must be a |Y1| x |X1| column-stochastic
+    histogram.
     """
-    phi_hat, _, feasible, _ = _solve_estimator(gamma_hat, a, b, mu)
+    a, b = _validated_channel(a, b)
+    _check_parameter("mu", mu, zero_allowed=True)
+    gamma_hat = validate_column_stochastic(gamma_hat, "gamma_hat")
+    if gamma_hat.shape != (b.shape[0], a.shape[1]):
+        raise ValueError(
+            f"gamma_hat has shape {gamma_hat.shape}, expected {(b.shape[0], a.shape[1])}"
+        )
+    phi_hat, feasible, _ = _estimate(_compiled(a, b, mu), gamma_hat, a, b)
     return phi_hat, feasible
 
 
@@ -314,13 +309,13 @@ def run_detection(
     x1_trace = np.asarray(x1_trace)
     gamma_hat = conditional_histogram(x1_trace, y1_trace, x1_size, y1_size)
     unseen = np.flatnonzero(np.bincount(x1_trace, minlength=x1_size) == 0).tolist()
-    phi_hat, gamma_tilde, feasible, outcome = _solve_estimator(
-        gamma_hat, config.a, config.b, config.mu
-    )
+    a, b = config.a, config.b
+    estimator = _compiled(a, b, config.mu)
+    phi_hat, feasible, outcome = _estimate(estimator, gamma_hat, a, b)
     if feasible:
-        pi_b = column_space_projector(config.b)
-        pi_a = row_space_projector(config.a)
-        residual = l1_norm(pi_b @ (gamma_tilde - gamma_hat) @ pi_a)
+        pi_b = column_space_projector(b)
+        pi_a = row_space_projector(a)
+        residual = l1_norm(pi_b @ (b @ phi_hat @ a - gamma_hat) @ pi_a)
         statistic = decision_statistic(phi_hat)
     else:
         residual = 0.0
@@ -333,7 +328,7 @@ def run_detection(
         verdict=detect(statistic, config.delta),
         unseen_x1_columns=unseen,
         residual=residual,
-        noiseless_floor=_compiled(config.a, config.b, config.mu).noiseless_floor,
+        noiseless_floor=estimator.noiseless_floor,
         lp_path=outcome.path,
         lp_pivots=outcome.pivots,
     )

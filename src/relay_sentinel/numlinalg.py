@@ -1,6 +1,6 @@
 """Numerical rank, RREF, null-space bases, and orthogonal projectors.
 
-All tolerances are explicit. Null-space bases are L1-normalized (with a
+One rank cutoff, DEFAULT_RANK_TOL, serves every function here. Null-space bases are L1-normalized (with a
 positive leading entry) so the extremal-element bounds used elsewhere in the
 package apply to them directly. Projectors are memoized by the content of
 their matrix and returned read-only, so repeated calls on one channel cost
@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-10
-# distinct (matrix, tolerance) pairs whose projectors are kept
+# distinct matrices whose projectors are kept
 _PROJECTOR_MEMO = 64
 
 
@@ -41,30 +41,30 @@ class RrefResult:
     rank: int
 
 
-def rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above tol * max(1, largest singular value)."""
+def rank(m: np.ndarray) -> int:
+    """Number of singular values above DEFAULT_RANK_TOL * max(1, largest one)."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0
-    return _svd_rank(np.linalg.svd(m, compute_uv=False), tol)
+    return _svd_rank(np.linalg.svd(m, compute_uv=False))
 
 
-def rref(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RrefResult:
+def rref(m: np.ndarray) -> RrefResult:
     """Gauss-Jordan with partial row pivoting and column swaps.
 
     Columns are permuted (only when necessary) so that pivots occupy the
-    leading columns; entries below the tolerance are zeroed in the result.
+    leading columns; entries below the rank cutoff are zeroed in the result.
     """
     a = np.array(m, dtype=float)
     rows, cols = a.shape
     perm = np.arange(cols)
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    cutoff = DEFAULT_RANK_TOL * max(1.0, float(np.abs(a).max(initial=0.0)))
     r = 0
     while r < rows and r < cols:
         pivot = None
         for c in range(r, cols):
             i = int(np.argmax(np.abs(a[r:, c]))) + r
-            if abs(a[i, c]) > tol * scale:
+            if abs(a[i, c]) > cutoff:
                 pivot = (i, c)
                 break
         if pivot is None:
@@ -79,7 +79,7 @@ def rref(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RrefResult:
         others = np.arange(rows) != r
         a[others] -= np.outer(a[others, r], a[r])
         r += 1
-    a[np.abs(a) < tol * scale] = 0.0
+    a[np.abs(a) < cutoff] = 0.0
     return RrefResult(reduced=a, column_permutation=perm, rank=r)
 
 
@@ -96,43 +96,43 @@ def _normalize_sign_rows(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def left_nullspace_basis(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def left_nullspace_basis(a: np.ndarray) -> np.ndarray:
     """Rows spanning {v : v @ a = 0}; row count = rows(a) - rank(a)."""
     a = np.asarray(a, dtype=float)
     u, s, _ = np.linalg.svd(a)
-    return _normalize_sign_rows(u[:, _svd_rank(s, tol):].T)
+    return _normalize_sign_rows(u[:, _svd_rank(s):].T)
 
 
-def row_space_projector(a: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def row_space_projector(a: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the row space of a (square, cols(a)-sized).
 
     The result is memoized by content and read-only.
     """
     a = np.asarray(a, dtype=float)
-    return _projector("row", a.shape, a.tobytes(), tol)
+    return _projector("row", a.shape, a.tobytes())
 
 
-def column_space_projector(b: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def column_space_projector(b: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the column space of b (square, rows(b)-sized).
 
     The result is memoized by content and read-only.
     """
     b = np.asarray(b, dtype=float)
-    return _projector("column", b.shape, b.tobytes(), tol)
+    return _projector("column", b.shape, b.tobytes())
 
 
-def _svd_rank(s: np.ndarray, tol: float) -> int:
-    """Singular values (descending) above tol * max(1, largest): the rank cutoff."""
+def _svd_rank(s: np.ndarray) -> int:
+    """Singular values (descending) above DEFAULT_RANK_TOL * max(1, largest)."""
     if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * max(1.0, float(s[0]))))
 
 
 @lru_cache(maxsize=_PROJECTOR_MEMO)
-def _projector(space: str, shape: tuple, data: bytes, tol: float) -> np.ndarray:
+def _projector(space: str, shape: tuple, data: bytes) -> np.ndarray:
     m = np.frombuffer(data).reshape(shape)
     u, s, vt = np.linalg.svd(m)
-    r = _svd_rank(s, tol)
+    r = _svd_rank(s)
     basis = vt[:r].T if space == "row" else u[:, :r]
     p = basis @ basis.T
     p = (p + p.T) / 2.0

@@ -177,6 +177,27 @@ def test_detector_config_validation(motivating_a):
         DetectorConfig(a=motivating_a, b=np.eye(4), mu=0.1, delta=0.065)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"mu": -0.1}, "^mu must be nonnegative and finite, got -0.1"),
+        ({"mu": np.inf}, "^mu must be nonnegative and finite"),
+        ({"mu": np.nan}, "^mu must be nonnegative and finite"),
+        ({"a": 2 * np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])}, r"^A\[\.\]\[0\]: column sums to 2"),
+        ({"b": np.full((3, 3), 0.5)}, r"^B\[\.\]\[0\]: column sums to 1.5"),
+        ({"b": np.eye(4)}, "^A and B disagree on the relay alphabet size"),
+        ({"gamma_hat": np.full((3, 2), 0.5)}, r"^gamma_hat\[\.\]\[0\]: column sums to 1.5"),
+        ({"gamma_hat": np.full((2, 2), 0.5)}, r"^gamma_hat has shape \(2, 2\), expected \(3, 2\)"),
+    ],
+)
+def test_estimate_attack_rejects_bad_input_by_name(motivating_a, change, message):
+    # mu = -0.1 and a column of A summing to 2 used to reach the LP and fail
+    # as "LpFailure: noiseless estimator LP ended with status INFEASIBLE"
+    args = {"gamma_hat": motivating_a, "a": motivating_a, "b": np.eye(3), "mu": 0.1, **change}
+    with pytest.raises(ValueError, match=message):
+        detector.estimate_attack(**args)
+
+
 @pytest.mark.parametrize("field", ["mu", "delta"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_detector_config_rejects_non_finite_parameters(motivating_a, field, value):
@@ -270,15 +291,57 @@ def test_clean_data_floor_binary_adder(motivating_a, binary_floor_upsilon):
 # ---------- the compiled, warm-started estimator against the cold solve ----------
 
 
-def _cold_detection(config, x1, y1):
-    """(statistic, feasible) by a cold solve of the uncached estimator LP."""
-    gamma_hat = detector.conditional_histogram(x1, y1, config.a.shape[1], config.b.shape[0])
-    problem = detector._estimator_problem(gamma_hat, config.a, config.b, config.mu)
-    outcome = lpkernel.solve_lp(problem)
+def _original_program(gamma_hat, a, b, mu):
+    """The estimator LP as first written, over (vec phi, vec gamma_tilde, t).
+
+    gamma_tilde is column-stochastic with Pi_B gamma_tilde Pi_A = B phi A,
+    and l1(Pi_B gamma_tilde Pi_A - Pi_B gamma_hat Pi_A) <= mu through t. The
+    package drops the gamma_tilde block (gamma_tilde = B phi A always
+    completes it), so this assembly is an oracle that shares none of it.
+    """
+    u, (y1, x1) = a.shape[0], gamma_hat.shape
+    pi_b = numlinalg.column_space_projector(b)
+    pi_a = numlinalg.row_space_projector(a)
+    n_phi, n_g = u * u, y1 * x1
+    project = np.kron(pi_b, pi_a.T)
+    target = (pi_b @ gamma_hat @ pi_a).ravel()
+    objective = np.zeros(n_phi + 2 * n_g)
+    objective[: n_phi : u + 1] = 1.0
+    a_eq = np.zeros((u + x1 + n_g, n_phi + 2 * n_g))
+    a_eq[:u, :n_phi] = np.kron(np.ones((1, u)), np.eye(u))
+    a_eq[u : u + x1, n_phi : n_phi + n_g] = np.kron(np.ones((1, y1)), np.eye(x1))
+    a_eq[u + x1 :, :n_phi] = np.kron(b, a.T)
+    a_eq[u + x1 :, n_phi : n_phi + n_g] = -project
+    b_eq = np.concatenate([np.ones(u + x1), np.zeros(n_g)])
+    a_ub = np.zeros((2 * n_g + 1, n_phi + 2 * n_g))
+    a_ub[:n_g, n_phi : n_phi + n_g] = project
+    a_ub[n_g : 2 * n_g, n_phi : n_phi + n_g] = -project
+    a_ub[: 2 * n_g, n_phi + n_g :] = -np.vstack([np.eye(n_g), np.eye(n_g)])
+    a_ub[-1, n_phi + n_g :] = 1.0
+    b_ub = np.concatenate([target, -target, [mu]])
+    return lpkernel.LpProblem(objective=objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+
+
+def _cold_detection(config, gamma_hat):
+    """(statistic, feasible) by a cold solve of the original (phi, gamma_tilde, t) LP."""
+    outcome = lpkernel.solve_lp(_original_program(gamma_hat, config.a, config.b, config.mu))
     if outcome.status is not lpkernel.LpStatus.OPTIMAL:
         return 0.0, False
     u = config.a.shape[0]
     return detector.decision_statistic(outcome.solution[: u * u].reshape(u, u)), True
+
+
+def _check_against_oracle(config, report):
+    """Feasibility and D equal to the original LP; the residual is phi_hat's G_mu slack."""
+    statistic, feasible = _cold_detection(config, report.gamma_hat)
+    assert report.feasible == feasible
+    # a degenerate optimum (D = 2|U|) may sit at another vertex, so phi_hat's
+    # bits are not compared, only D and membership
+    assert abs(report.statistic - statistic) <= 1e-9
+    if feasible:
+        slack = detector.g_mu_residual(report.phi_hat, report.gamma_hat, config.a, config.b)
+        assert abs(report.residual - slack) <= 1e-9
+        assert report.residual <= config.mu + 1e-9
 
 
 def _warm_agrees_with_cold(scenarios, trials):
@@ -292,15 +355,11 @@ def _warm_agrees_with_cold(scenarios, trials):
         for trial in trials:
             x1, y1, _, _ = trial_traces(scenario, trial)
             report = detector.run_detection(config, x1, y1)
-            statistic, feasible = _cold_detection(config, x1, y1)
-            assert report.feasible == feasible, trial
-            assert abs(report.statistic - statistic) <= 1e-12, trial
-            if feasible:
-                assert report.residual <= config.mu + 1e-9
+            _check_against_oracle(config, report)
             if report.lp_path in ("start", "dual"):
                 assert (report.lp_pivots > 0) == (report.lp_path == "dual")
             seen += 1
-            infeasible += not feasible
+            infeasible += not report.feasible
             paths[report.lp_path] += 1
     return seen, infeasible, paths
 
@@ -328,6 +387,23 @@ def test_warm_estimator_matches_cold_with_infeasible_trials():
     assert paths["farkas"] == infeasible and paths["cold"] == 0, paths
 
 
+@pytest.mark.parametrize("name", ["fig3a", "fig5a", "fig5b"])
+def test_one_trial_looks_the_estimator_up_once_and_solves_over_phi_and_t(monkeypatch, name):
+    scenario = preset(name)
+    a, b = scenario.uplink_matrix(), scenario.b
+    (u, x1_size), y1_size = a.shape, b.shape[0]
+    lookups, problems = [], []
+    compiled, solve = detector._compiled, detector.solve_lp
+    monkeypatch.setattr(detector, "_compiled", lambda *args: lookups.append(args) or compiled(*args))
+    monkeypatch.setattr(detector, "solve_lp", lambda p, r: problems.append(p) or solve(p, r))
+    run_trial(scenario, 0)
+    assert len(lookups) == 1 and len(problems) == 1
+    (problem,) = problems
+    assert problem.objective.size == u * u + y1_size * x1_size
+    assert problem.a_eq.shape[0] == u
+    assert problem.a_ub.shape[0] == 2 * y1_size * x1_size + 1
+
+
 @pytest.mark.parametrize("name, floor", [("fig3b", 0.6), ("fig5a", 1114 / 49 * 0.05)])
 def test_noiseless_floor_is_the_statistic_on_ba(name, floor):
     scenario = preset(name)
@@ -352,3 +428,31 @@ def test_results_do_not_depend_on_what_the_caches_hold():
         run_trial(dataclasses.replace(preset(other), n=1_000), 0)
     assert run_experiment(scenario)[3] == alone
     assert run_trial(scenario, 3) == alone
+
+
+def test_estimator_matches_the_original_lp_on_random_channels():
+    # Every preset's A has full column rank (Pi_A = I); these channels also
+    # exercise Pi_A != I and Pi_B != I, where gamma_tilde's block differed
+    # most from B phi A
+    rng = np.random.default_rng(7)
+    projected = feasible = 0
+    for case in range(200):
+        u, x1_size, y1_size = (int(k) for k in rng.integers(2, [5, 5, 6]))
+        a = rng.dirichlet(np.ones(u), size=x1_size).T
+        b = rng.dirichlet(np.ones(y1_size), size=u).T
+        if case % 4 == 0:
+            b[:, 1] = b[:, 0]  # two relay symbols the destination cannot tell apart
+        mu = float(rng.choice([0.01, 0.05, 0.1, 0.2]))
+        config = DetectorConfig(a=a, b=b, mu=mu, delta=0.1)
+        x1 = rng.integers(0, x1_size, size=400)
+        columns = np.cumsum(b @ a, axis=0)[:, x1]
+        y1 = np.minimum((rng.random(x1.size) > columns).sum(axis=0), y1_size - 1)
+        report = detector.run_detection(config, x1, y1)
+        _check_against_oracle(config, report)
+        projected += not (
+            np.allclose(numlinalg.row_space_projector(a), np.eye(x1_size))
+            and np.allclose(numlinalg.column_space_projector(b), np.eye(y1_size))
+        )
+        feasible += report.feasible
+    assert projected >= 200 / 3
+    assert 0 < feasible < 200

@@ -148,4 +148,7 @@ def test_projectors_are_memoized_read_only_and_match_a_fresh_svd():
     _, _, vt = np.linalg.svd(m)
     fresh = vt[:3].T @ vt[:3]
     assert np.array_equal(pa, (fresh + fresh.T) / 2.0)
-    assert row_space_projector(m, tol=0.5) is not pa
+    # the memo key tells the row space of a square matrix from its column space
+    square = np.array([[1.0, 1.0], [0.0, 0.0]])
+    assert np.allclose(row_space_projector(square), 0.5)
+    assert np.allclose(column_space_projector(square), [[1.0, 0.0], [0.0, 0.0]])
