@@ -21,7 +21,7 @@ Scenario documents are JSON with keys ``sources`` (``p1``, ``p2``),
 relay symbol), ``attack`` (``identity`` | ``iid`` | ``gated``), and
 ``sim`` (``N``, ``trials``, ``mu``, ``delta``, ``seed``).  Trace files
 are CSV with header ``n,x1,y1`` (source side) or ``n,u,v`` (relay side),
-zero-based symbol indices, and ``#``-prefixed metadata lines.
+zero-based base-10 int64 symbol indices, and ``#``-prefixed metadata lines.
 """
 
 import argparse
@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,37 +217,70 @@ def _read_json(path):
 # ---------- trace files ----------
 
 
-def read_trace(path):
-    """(metadata, header tuple, (first column, second column)) of a trace CSV."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ScenarioFileError(f"{path}: {exc.strerror or exc}") from None
-    metadata = {}
-    header = None
-    rows = []
+def _content_lines(lines, metadata):
+    """The stripped non-blank lines that are not ``#`` lines.
+
+    ``#`` lines are read into ``metadata`` as ``key = value`` pairs.
+    """
     for line in lines:
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
                 key, value = body.split("=", 1)
                 metadata[key.strip()] = value.strip()
-            continue
-        if header is None:
-            header = tuple(part.strip() for part in line.split(","))
-            continue
-        rows.append(line.split(","))
+        elif line:
+            yield line
+
+
+def _integer_rows(lines):
+    """The lines parsed as comma-separated int64 fields, or None if one is not.
+
+    NumPy before 2.0 truncates a float field to an integer and only warns
+    (DeprecationWarning); that warning is a failure here too.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(
+                lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2
+            )
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def read_trace(path):
+    """(metadata, header tuple, (first column, second column)) of a trace CSV."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ScenarioFileError(f"{path}: {exc.strerror or exc}") from None
+    metadata = {}
+    rest = iter(text.splitlines())
+    # the generator stops at the header, so ``rest`` then holds the body
+    header = next(_content_lines(rest, metadata), None)
+    if header is not None:
+        header = tuple(part.strip() for part in header.split(","))
     if header not in (("n", "x1", "y1"), ("n", "u", "v")):
         raise ScenarioFileError("trace: header must be 'n,x1,y1' or 'n,u,v'")
-    if not rows:
-        raise ScenarioFileError("trace: no data rows")
-    try:
-        data = np.array(rows, dtype=int)
-    except ValueError:
-        raise ScenarioFileError("trace: rows must be comma-separated integers") from None
+    body = list(rest)
+    # Plain rows parse in one loadtxt pass.  A ``#`` or whitespace-only line
+    # fails that pass, and the body is then filtered line by line first.
+    # The pass needs a first line that is not empty, as loadtxt warns on a
+    # body with no data.  loadtxt strips U+001F from around a field, which
+    # int() never did, so such a body is filtered, and any U+001F left
+    # inside a row rejects it.
+    data = None
+    if body and body[0] and "\x1f" not in text:
+        data = _integer_rows(body)
+    if data is None:
+        body = list(_content_lines(body, metadata))
+        if not body:
+            raise ScenarioFileError("trace: no data rows")
+        if not any("\x1f" in line for line in body):
+            data = _integer_rows(body)
+    if data is None:
+        raise ScenarioFileError("trace: rows must be comma-separated integers")
     if data.shape[1] != 3:
         raise ScenarioFileError("trace: every row needs exactly three fields")
     if not np.array_equal(data[:, 0], np.arange(data.shape[0])):
@@ -267,6 +301,17 @@ def _tool_metadata():
     return [("tool", f"relay-sentinel {__version__}"), ("rng", "PCG64")]
 
 
+def _trace_rows(first, second, first_size, second_size):
+    """``n,first,second`` rows of two symbol columns.
+
+    Each row is its index followed by one of the ``,a,b`` labels of the
+    alphabet pairs, formatted once per scenario and looked up per row.
+    """
+    labels = [f",{a},{b}" for a in range(first_size) for b in range(second_size)]
+    keys = (first * second_size + second).tolist()
+    return [f"{i}{labels[k]}" for i, k in enumerate(keys)]
+
+
 def _write_trial_traces(directory, scenario, results):
     os.makedirs(directory, exist_ok=True)
     digest = scenario_hash(scenario)
@@ -285,13 +330,13 @@ def _write_trial_traces(directory, scenario, results):
             Path(directory) / f"{stem}_source.csv",
             shared + [("x1_size", x1_size), ("y1_size", y1_size)],
             "n,x1,y1",
-            (f"{i},{a},{b}" for i, (a, b) in enumerate(zip(x1.tolist(), y1.tolist()))),
+            _trace_rows(x1, y1, x1_size, y1_size),
         )
         _write_csv(
             Path(directory) / f"{stem}_relay.csv",
             shared + [("u_size", u_size)],
             "n,u,v",
-            (f"{i},{a},{b}" for i, (a, b) in enumerate(zip(u.tolist(), v.tolist()))),
+            _trace_rows(u, v, u_size, u_size),
         )
 
 

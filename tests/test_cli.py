@@ -5,13 +5,24 @@ Exit-code contract: 0 = clean/non-manipulable, 2 = malicious/manipulable,
 meaning exactly one thing).
 """
 
+import hashlib
 import json
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relay_sentinel.cli import main, scenario_document, scenario_from_document
-from relay_sentinel.harness import preset
+from relay_sentinel.cli import (
+    ScenarioFileError,
+    _trace_rows,
+    main,
+    read_trace,
+    scenario_document,
+    scenario_from_document,
+)
+from relay_sentinel.harness import preset, preset_curves
 
 THIRD = 1 / 3
 
@@ -361,6 +372,288 @@ def test_detect_rejects_gapped_index(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("n,x1,y1\n0,1,1\n2,0,2\n")
     assert main(["detect", path, str(trace)]) == 1
+
+
+# ---------- trace files ----------
+
+
+def _old_read_trace(path):
+    """(metadata, header tuple, (first column, second column)) of a trace CSV."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ScenarioFileError(f"{path}: {exc.strerror or exc}") from None
+    metadata = {}
+    header = None
+    rows = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, value = body.split("=", 1)
+                metadata[key.strip()] = value.strip()
+            continue
+        if header is None:
+            header = tuple(part.strip() for part in line.split(","))
+            continue
+        rows.append(line.split(","))
+    if header not in (("n", "x1", "y1"), ("n", "u", "v")):
+        raise ScenarioFileError("trace: header must be 'n,x1,y1' or 'n,u,v'")
+    if not rows:
+        raise ScenarioFileError("trace: no data rows")
+    try:
+        data = np.array(rows, dtype=int)
+    except ValueError:
+        raise ScenarioFileError("trace: rows must be comma-separated integers") from None
+    if data.shape[1] != 3:
+        raise ScenarioFileError("trace: every row needs exactly three fields")
+    if not np.array_equal(data[:, 0], np.arange(data.shape[0])):
+        raise ScenarioFileError("trace: n must be contiguous from 0")
+    if (data[:, 1:] < 0).any():
+        raise ScenarioFileError("trace: symbol indices must be non-negative")
+    return metadata, header, (data[:, 1], data[:, 2])
+
+
+def _old_trace_rows(first, second):
+    return (f"{i},{a},{b}" for i, (a, b) in enumerate(zip(first.tolist(), second.tolist())))
+
+
+# _old_read_trace and _old_trace_rows are the line-by-line reader and the
+# per-row formatter that read_trace and _trace_rows replaced, kept verbatim
+# as their oracles.  The readers differ on purpose in one way: int() took
+# "1_0" as 10 and non-ASCII digits, and crashed with an OverflowError on a
+# field beyond int64, and read_trace rejects all three.
+NOT_INTEGERS = "trace: rows must be comma-separated integers"
+
+
+def _tightened(text):
+    return re.search(r"\d_\d", text) or any(ch.isdigit() and not ch.isascii() for ch in text)
+
+
+def _reading(reader, path):
+    try:
+        return reader(path)
+    except (ScenarioFileError, OverflowError) as exc:
+        return exc
+
+
+def _compare_readers(path, text):
+    """How the two readers agree on ``text``: 'read', 'rejected' or 'tightened'."""
+    path.write_text(text, encoding="utf-8", newline="")
+    old = _reading(_old_read_trace, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on an empty body
+        new = _reading(read_trace, path)
+    if isinstance(old, OverflowError):
+        assert isinstance(new, ScenarioFileError), (text, new)
+        assert str(new) == NOT_INTEGERS, text
+        return "tightened"
+    if isinstance(new, ScenarioFileError):
+        if isinstance(old, ScenarioFileError) and str(old) == str(new):
+            return "rejected"
+        assert str(new) == NOT_INTEGERS and _tightened(text), (text, old, new)
+        return "tightened"
+    assert not isinstance(old, Exception), (text, old)
+    (old_meta, old_header, old_cols), (meta, header, cols) = old, new
+    assert meta == old_meta and header == old_header, text
+    for old_col, col in zip(old_cols, cols):
+        assert col.dtype == old_col.dtype and np.array_equal(col, old_col), text
+    return "read"
+
+
+# name: (how the two readers agree, trace text)
+NAMED_TRACES = {
+    "plain": ("read", "# x1_size = 2\nn,x1,y1\n0,1,2\n1,0,0\n"),
+    "crlf": ("read", "# x1_size = 2\r\nn,x1,y1\r\n0,1,2\r\n1,0,0\r\n"),
+    "form_feed": ("read", "n,x1,y1\x0c0,1,2\x0c1,0,0"),
+    "next_line": ("read", "n,x1,y1\x850,1,2\x851,0,0\x85"),
+    "line_separator": ("read", "n,x1,y1\u20280,1,2\u20281,0,0"),
+    "nbsp_before_hash": ("read", "n,x1,y1\n0,1,2\n\xa0# late = 1\n1,0,0\n"),
+    "whitespace_lines": ("read", "n,x1,y1\n \t\n0,1,2\n\xa0\u3000\n1,0,0\n  \n"),
+    "leading_blank_lines": ("read", "\n\n  \nn,x1,y1\n0,1,2\n"),
+    "interior_blank_lines": ("read", "n,x1,y1\n0,1,2\n\n\n1,0,0\n"),
+    "late_comment": ("read", "n,x1,y1\n0,1,2\n# x1_size = 4\n1,0,0\n"),
+    "inline_hash": ("rejected", "n,x1,y1\n0,1,2 # note\n1,0,0\n"),
+    "two_fields": ("rejected", "n,x1,y1\n0,1\n1,0\n"),
+    "four_fields": ("rejected", "n,x1,y1\n0,1,2,3\n1,0,0,0\n"),
+    "ragged": ("rejected", "n,x1,y1\n0,1,2\n1,0\n"),
+    "empty_field": ("rejected", "n,x1,y1\n0,,2\n"),
+    "signs": ("read", "n,x1,y1\n+0,+1,-0\n1,+0,2\n"),
+    "negative": ("rejected", "n,x1,y1\n0,-1,2\n"),
+    "float": ("rejected", "n,x1,y1\n0,1.5,2\n"),
+    "integral_float": ("rejected", "n,x1,y1\n0,1.0,2\n"),
+    "huge": ("tightened", "n,x1,y1\n0,99999999999999999999,1\n"),
+    "int64_max": ("read", "n,x1,y1\n0,9223372036854775807,1\n"),
+    "underscore": ("tightened", "n,x1,y1\n0,1_0,1\n"),
+    "arabic_indic_digit": ("tightened", "n,x1,y1\n0,\u0661,1\n"),
+    "padded_fields": ("read", "n,x1,y1\n 0 ,\xa01\u2007,\t2\u3000\n"),
+    "unit_separator_inside": ("rejected", "n,x1,y1\n0,1\x1f,2\n"),
+    "unit_separator_around": ("read", "\x1fn,x1,y1\x1f\n\x1f0,1,2\x1f\n"),
+    "header_only": ("rejected", "# x1_size = 2\nn,x1,y1\n"),
+    "header_and_comments_only": ("rejected", "n,x1,y1\n# a = 1\n\n"),
+    "header_and_blank_lines": ("rejected", "n,x1,y1\n\n\n"),
+    "relay_header": ("read", "n,u,v\n0,1,2\n"),
+    "padded_header": ("read", " n , x1 ,y1\t\n0,1,2\n"),
+    "bad_header": ("rejected", "n,x1\n0,1,2\n"),
+    "no_header": ("rejected", "# x1_size = 2\n\n"),
+    "gapped": ("rejected", "n,x1,y1\n0,1,2\n2,0,0\n"),
+    "duplicate_key": ("read", "# a = 1\n# a = 2 = 3\n#novalue\nn,x1,y1\n0,1,2\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_TRACES))
+def test_read_trace_matches_the_line_by_line_reader(tmp_path, name):
+    expected, text = NAMED_TRACES[name]
+    assert _compare_readers(tmp_path / "trace.csv", text) == expected
+
+
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = [" ", "\t", "\xa0", "\u1680", "\u2007", "\u202f", "\u3000", "\x1f"]
+_FIELDS = [
+    "+1", "-1", "-0", "+0", "1.0", "1.5", "1e3", "", "0x1", "a", "1 # c",
+    "99999999999999999999", "9223372036854775807", "-9223372036854775809",
+    "1_0", "\u0661", "\uff11",
+]
+_COMMENTS = ["# x1_size = 4", "#", "  # a = b = c", "\xa0# late = 1", "#=", "# key only"]
+_HEADERS = ["n,u,v", " n , x1 , y1 ", "n,x1", "x1,y1,n", "\ufeffn,x1,y1", "n;x1;y1"]
+
+
+def _fuzzed_trace(rng):
+    """(text, mutation names) of a random small trace with random mutations."""
+    n = int(rng.integers(1, 7))
+    rows = [[str(i), str(rng.integers(0, 12)), str(rng.integers(0, 12))] for i in range(n)]
+    lines = [f"# k{i} = {rng.integers(0, 9)}" for i in range(int(rng.integers(0, 3)))]
+    header = "n,x1,y1"
+    done = set()
+    for mutation in rng.choice(
+        ["field", "pad", "arity", "gap", "header", "no_rows", "comment", "blank", "inline"],
+        size=int(rng.integers(0, 4)),
+    ):
+        done.add(str(mutation))
+        row = rows[int(rng.integers(0, len(rows)))] if rows else None
+        if mutation == "field" and row:
+            row[int(rng.integers(0, len(row)))] = str(rng.choice(_FIELDS))
+        elif mutation == "pad" and row:
+            k = int(rng.integers(0, len(row)))
+            row[k] = str(rng.choice(_SPACES)) + row[k] + str(rng.choice(_SPACES))
+        elif mutation == "arity" and row:
+            if rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append(str(rng.integers(0, 3)))
+        elif mutation == "gap" and row:
+            row[0] = str(int(rng.integers(0, n + 2)))
+        elif mutation == "header":
+            header = str(rng.choice(_HEADERS))
+        elif mutation == "no_rows":
+            rows = []
+    lines += [header] + [",".join(row) for row in rows]
+    if "inline" in done and rows:
+        lines[-1] += " # note"
+    for kind, pool in (("comment", _COMMENTS), ("blank", ["", "  ", "\t", "\xa0", "\u3000 "])):
+        if kind in done:
+            for _ in range(int(rng.integers(1, 3))):
+                lines.insert(int(rng.integers(0, len(lines) + 1)), str(rng.choice(pool)))
+    separator = str(rng.choice(_SEPARATORS))
+    done.add(repr(separator))
+    return separator.join(lines) + (separator if rng.random() < 0.7 else ""), done
+
+
+def test_read_trace_matches_the_line_by_line_reader_on_fuzzed_traces(tmp_path):
+    rng = np.random.default_rng(20240811)
+    path = tmp_path / "trace.csv"
+    outcomes, mutations = {}, {}
+    for _ in range(2_000):
+        text, done = _fuzzed_trace(rng)
+        outcome = _compare_readers(path, text)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        for name in done:
+            mutations[name] = mutations.get(name, 0) + 1
+    # every kind of mutation and separator was drawn, and the readers both
+    # accepted, both rejected and (on a tightening) parted ways
+    assert len(mutations) == 9 + len(_SEPARATORS)
+    assert min(mutations.values()) >= 50
+    assert min(outcomes.get(k, 0) for k in ("read", "rejected", "tightened")) >= 20
+
+
+def test_read_trace_rejects_underscores_non_ascii_digits_floats_and_overflow(tmp_path):
+    path = tmp_path / "trace.csv"
+    for field in ("1_0", "\u0661", "\uff11", "1.5", "1.0", "1e0", "99999999999999999999"):
+        path.write_text(f"n,x1,y1\n0,{field},1\n", encoding="utf-8")
+        with pytest.raises(ScenarioFileError, match=NOT_INTEGERS):
+            read_trace(path)
+
+
+def test_read_trace_fails_closed_when_loadtxt_truncates_a_float(tmp_path, monkeypatch):
+    # NumPy 1.23-1.26 read "1.5" into an integer column as 1 and only warned
+    loadtxt = np.loadtxt
+
+    def truncating_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+    path = tmp_path / "trace.csv"
+    path.write_text("n,x1,y1\n0,1,1\n")
+    with pytest.raises(ScenarioFileError, match=NOT_INTEGERS):
+        read_trace(path)
+
+
+def test_detect_reports_an_overflowing_field(tmp_path, capsys):
+    path = write_doc(tmp_path, detect_wiring_doc({"type": "identity"}))
+    trace = tmp_path / "trace.csv"
+    trace.write_text("n,x1,y1\n0,99999999999999999999,1\n")
+    assert main(["detect", path, str(trace)]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {NOT_INTEGERS}"
+
+
+def test_detect_checks_a_size_declared_after_the_header(tmp_path, capsys):
+    path = write_doc(tmp_path, detect_wiring_doc({"type": "identity"}))
+    trace = tmp_path / "trace.csv"
+    trace.write_text("n,x1,y1\n0,1,1\n# x1_size = 4\n1,0,2\n")
+    assert main(["detect", path, str(trace)]) == 1
+    assert "trace: x1_size" in capsys.readouterr().err
+
+
+def test_trace_rows_match_the_per_row_formatter():
+    rng = np.random.default_rng(7)
+    for first_size, second_size in [(2, 3), (3, 3), (5, 5), (11, 13), (13, 11), (12, 12)]:
+        n = int(rng.integers(1, 2_000))
+        first = rng.integers(0, first_size, n)
+        second = rng.integers(0, second_size, n)
+        first[0], second[-1] = first_size - 1, second_size - 1
+        rows = _trace_rows(first, second, first_size, second_size)
+        assert rows == list(_old_trace_rows(first, second))
+
+
+# sha256 of fig3b trial 0's emitted traces, as the per-row formatter wrote them
+FIG3B_TRACE_DIGESTS = {
+    "trace_0000_source.csv": "d1107af1b6532718f3e5ee8218d56bb8d86aa25168064d47aa13f1a2af92d6c6",
+    "trace_0000_relay.csv": "0d9419c10ad24d9b39d7efa9dc765191ee302a76c56b1f80f600c66705222ab8",
+}
+
+
+def test_emitted_fig3b_traces_are_pinned_and_detect_repeats_the_statistic(tmp_path, capsys):
+    out, traces = tmp_path / "out.csv", tmp_path / "traces"
+    argv = ["simulate", "--preset", "fig3b", "--trials", "1", "-o", str(out)]
+    assert main(argv + ["--emit-trace", str(traces)]) == 0
+    digests = {
+        name: hashlib.sha256((traces / name).read_bytes()).hexdigest()
+        for name in FIG3B_TRACE_DIGESTS
+    }
+    assert digests == FIG3B_TRACE_DIGESTS
+
+    _, rest = read_csv_lines(out)
+    statistic = float(rest[1].split(",")[1])
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_document(preset_curves("fig3b")["phi2"])))
+    capsys.readouterr()
+    code = main(["detect", str(scenario), str(traces / "trace_0000_source.csv")])
+    assert code in (0, 2)
+    assert json.loads(capsys.readouterr().out)["statistic"] == statistic
 
 
 # ---------- reproduce ----------
