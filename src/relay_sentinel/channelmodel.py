@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stochcore import validate_column_stochastic, validate_pmf
+from .stochcore import validate_column_stochastic, validate_count, validate_pmf
 
 __all__ = [
     "AlphabetReductionError",
@@ -149,8 +149,7 @@ def simulate_uplink(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw N i.i.d. source symbols and the induced relay inputs."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    validate_count(n, "n")
     p1 = validate_pmf(p1, "p1")
     p2 = validate_pmf(p2, "p2")
     x1 = _inverse_cdf(p1, rng.random(n))

@@ -26,6 +26,7 @@ zero-based base-10 int64 symbol indices, and ``#``-prefixed metadata lines.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -43,12 +44,19 @@ from .harness import (
     Scenario,
     empirical_cdf,
     error_rates,
+    preset,
     preset_curves,
     run_experiment,
+    score_trial,
     trial_traces,
 )
 from .manipulability import CertificationFailure, ConsistencyFailure, certify
-from .stochcore import validate_column_stochastic, validate_pmf
+from .stochcore import (
+    validate_column_stochastic,
+    validate_count,
+    validate_pmf,
+    validate_positive,
+)
 
 __all__ = [
     "main",
@@ -79,21 +87,6 @@ def _get(mapping, key, path=""):
     return mapping[key]
 
 
-def _count(value, path, minimum=1):
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ScenarioFileError(f"{path}: expected an integer >= {minimum}")
-    return value
-
-
-def _positive_real(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFileError(f"{path}: expected a positive number")
-    value = float(value)
-    if not (np.isfinite(value) and value > 0):
-        raise ScenarioFileError(f"{path}: expected a positive number")
-    return value
-
-
 def load_channel(doc):
     """(p1, p2, mac, b) from a scenario/channel document."""
     sources = _get(doc, "sources")
@@ -104,7 +97,7 @@ def load_channel(doc):
     if mac_type == "adder":
         mac = MacModel.adder(p1.size, p2.size)
     elif mac_type == "table":
-        u_size = _count(_get(mac_doc, "u_size", "mac."), "mac.u_size")
+        u_size = validate_count(_get(mac_doc, "u_size", "mac."), "mac.u_size")
         table = validate_column_stochastic(_get(mac_doc, "table", "mac."), "mac.table")
         if table.shape[0] != u_size:
             raise ScenarioFileError(
@@ -150,23 +143,23 @@ def scenario_from_document(doc) -> Scenario:
     p1, p2, mac, b = load_channel(doc)
     attack = _load_attack(doc, mac.u_size)
     sim = _get(doc, "sim")
-    n = _count(_get(sim, "N", "sim."), "sim.N")
-    trials = _count(_get(sim, "trials", "sim."), "sim.trials")
-    mu = _positive_real(_get(sim, "mu", "sim."), "sim.mu")
-    delta = _positive_real(_get(sim, "delta", "sim."), "sim.delta")
-    seed = _count(_get(sim, "seed", "sim."), "sim.seed", minimum=0)
     return Scenario(
         p1=p1,
         p2=p2,
         mac=mac,
         b=b,
         attack=attack,
-        n=n,
-        mu=mu,
-        delta=delta,
-        trials=trials,
-        master_seed=seed,
+        n=validate_count(_get(sim, "N", "sim."), "sim.N"),
+        trials=validate_count(_get(sim, "trials", "sim."), "sim.trials"),
+        mu=_positive(sim, "mu"),
+        delta=_positive(sim, "delta"),
+        master_seed=validate_count(_get(sim, "seed", "sim."), "sim.seed", minimum=0),
     )
+
+
+def _positive(sim, key):
+    """sim[key] as a positive finite number, or ValueError naming ``sim.{key}``."""
+    return validate_positive(_get(sim, key, "sim."), f"sim.{key}")
 
 
 def scenario_document(scenario: Scenario) -> dict:
@@ -312,32 +305,30 @@ def _trace_rows(first, second, first_size, second_size):
     return [f"{i}{labels[k]}" for i, k in enumerate(keys)]
 
 
-def _write_trial_traces(directory, scenario, results):
-    os.makedirs(directory, exist_ok=True)
-    digest = scenario_hash(scenario)
+def _write_trial_traces(directory, scenario, digest, result, traces):
+    """The source and relay trace files of one scored trial."""
+    x1, y1, u, v = traces
     x1_size = scenario.mac.x1_size
     y1_size = scenario.b.shape[0]
     u_size = scenario.mac.u_size
-    for result in results:
-        x1, y1, u, v = trial_traces(scenario, result.trial_index)
-        shared = _tool_metadata() + [
-            ("scenario_hash", digest),
-            ("trial", result.trial_index),
-            ("seed", result.seed_used),
-        ]
-        stem = f"trace_{result.trial_index:04d}"
-        _write_csv(
-            Path(directory) / f"{stem}_source.csv",
-            shared + [("x1_size", x1_size), ("y1_size", y1_size)],
-            "n,x1,y1",
-            _trace_rows(x1, y1, x1_size, y1_size),
-        )
-        _write_csv(
-            Path(directory) / f"{stem}_relay.csv",
-            shared + [("u_size", u_size)],
-            "n,u,v",
-            _trace_rows(u, v, u_size, u_size),
-        )
+    shared = _tool_metadata() + [
+        ("scenario_hash", digest),
+        ("trial", result.trial_index),
+        ("seed", result.seed_used),
+    ]
+    stem = f"trace_{result.trial_index:04d}"
+    _write_csv(
+        Path(directory) / f"{stem}_source.csv",
+        shared + [("x1_size", x1_size), ("y1_size", y1_size)],
+        "n,x1,y1",
+        _trace_rows(x1, y1, x1_size, y1_size),
+    )
+    _write_csv(
+        Path(directory) / f"{stem}_relay.csv",
+        shared + [("u_size", u_size)],
+        "n,u,v",
+        _trace_rows(u, v, u_size, u_size),
+    )
 
 
 # ---------- commands ----------
@@ -382,22 +373,21 @@ def _scenario_for_simulate(args):
         raise _UsageError("provide exactly one of a scenario file or --preset")
     if args.preset is not None:
         try:
-            curves = preset_curves(args.preset, full_scale=args.full_scale)
+            scenario = preset(args.preset, full_scale=args.full_scale)
         except ValueError as exc:
             raise ScenarioFileError(str(exc)) from None
-        scenario = curves["phi2"] if "phi2" in curves else next(iter(curves.values()))
     else:
         scenario = scenario_from_document(_read_json(args.scenario_file))
     return _with_overrides(scenario, args)
 
 
-def _simulate_metadata(args, scenario):
+def _simulate_metadata(args, scenario, digest):
     metadata = _tool_metadata()
     if args.preset is not None:
         metadata.append(("preset", args.preset))
     metadata.extend(
         [
-            ("scenario_hash", scenario_hash(scenario)),
+            ("scenario_hash", digest),
             ("master_seed", scenario.master_seed),
             ("n", scenario.n),
             ("trials", scenario.trials),
@@ -408,20 +398,26 @@ def _simulate_metadata(args, scenario):
 
 def _cmd_simulate(args):
     scenario = _scenario_for_simulate(args)
-    results = run_experiment(scenario)
-    rows = [
-        f"{r.trial_index},{r.statistic!r},{r.truth_stat!r},"
-        f"{'true' if r.feasible else 'false'},{r.seed_used}"
-        for r in results
-    ]
+    digest = scenario_hash(scenario)
+    if args.emit_trace is not None:
+        os.makedirs(args.emit_trace, exist_ok=True)
+    rows = []
+    for index in range(scenario.trials):
+        # one draw per trial, scored and (with --emit-trace) written out
+        traces = trial_traces(scenario, index)
+        result = score_trial(scenario, index, *traces)
+        rows.append(
+            f"{index},{result.statistic!r},{result.truth_stat!r},"
+            f"{'true' if result.feasible else 'false'},{result.seed_used}"
+        )
+        if args.emit_trace is not None:
+            _write_trial_traces(args.emit_trace, scenario, digest, result, traces)
     _write_csv(
         args.output,
-        _simulate_metadata(args, scenario),
+        _simulate_metadata(args, scenario, digest),
         "trial,D,truth_stat,feasible,seed",
         rows,
     )
-    if args.emit_trace is not None:
-        _write_trial_traces(args.emit_trace, scenario, results)
     return EXIT_OK
 
 
@@ -429,8 +425,7 @@ def _cmd_detect(args):
     doc = _read_json(args.channel_file)
     _p1, p2, mac, b = load_channel(doc)
     sim = _get(doc, "sim")
-    mu = _positive_real(_get(sim, "mu", "sim."), "sim.mu")
-    delta = _positive_real(_get(sim, "delta", "sim."), "sim.delta")
+    mu, delta = _positive(sim, "mu"), _positive(sim, "delta")
     a = marginalize_mac(mac, p2)
 
     metadata, header, (x1, y1) = read_trace(args.trace_file)
@@ -448,23 +443,10 @@ def _cmd_detect(args):
             )
 
     report = run_detection(DetectorConfig(a=a, b=b, mu=mu, delta=delta), x1, y1)
-    print(
-        json.dumps(
-            {
-                "statistic": report.statistic,
-                "verdict": report.verdict,
-                "feasible": report.feasible,
-                "residual": report.residual,
-                "unseen_x1_columns": report.unseen_x1_columns,
-                "noiseless_floor": report.noiseless_floor,
-                "lp_path": report.lp_path,
-                "lp_pivots": report.lp_pivots,
-                "gamma_hat": report.gamma_hat.tolist(),
-                "phi_hat": report.phi_hat.tolist(),
-            },
-            indent=2,
-        )
-    )
+    # every report field, in field order with the arrays last
+    fields = sorted(vars(report).items(), key=lambda item: isinstance(item[1], np.ndarray))
+    fields = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in fields}
+    print(json.dumps(fields, indent=2))
     return EXIT_FLAGGED if report.verdict == "malicious" else EXIT_OK
 
 
@@ -533,12 +515,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="relay-sentinel",
         description="Certify, simulate, and detect relay symbol manipulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    runs = argparse.ArgumentParser(add_help=False)  # options of every seeded run
+    runs.add_argument("--trials", type=int, help="override the trial count")
+    runs.add_argument(
+        "--full-scale",
+        action="store_true",
+        help="use the 5000-trial preset count instead of 300",
+    )
 
     certify_parser = sub.add_parser(
         "certify", help="decide whether a channel admits undetectable manipulation"
@@ -547,16 +537,10 @@ def _build_parser():
     certify_parser.set_defaults(func=_cmd_certify)
 
     simulate_parser = sub.add_parser(
-        "simulate", help="run a seeded Monte Carlo experiment to a results CSV"
+        "simulate", parents=[runs], help="run a seeded Monte Carlo experiment to a results CSV"
     )
     simulate_parser.add_argument("scenario_file", nargs="?")
     simulate_parser.add_argument("--preset", help="named preset scenario")
-    simulate_parser.add_argument("--trials", type=int, help="override the trial count")
-    simulate_parser.add_argument(
-        "--full-scale",
-        action="store_true",
-        help="use the 5000-trial preset count instead of 300",
-    )
     simulate_parser.add_argument(
         "--emit-trace", metavar="DIR", help="also write per-trial symbol traces"
     )
@@ -571,15 +555,9 @@ def _build_parser():
     detect_parser.set_defaults(func=_cmd_detect)
 
     reproduce_parser = sub.add_parser(
-        "reproduce", help="write the CDF tables of a named preset"
+        "reproduce", parents=[runs], help="write the CDF tables of a named preset"
     )
     reproduce_parser.add_argument("figure")
-    reproduce_parser.add_argument("--trials", type=int, help="override the trial count")
-    reproduce_parser.add_argument(
-        "--full-scale",
-        action="store_true",
-        help="use the 5000-trial preset count instead of 300",
-    )
     reproduce_parser.add_argument("-o", "--output-dir", required=True)
     reproduce_parser.set_defaults(func=_cmd_reproduce)
 
@@ -587,9 +565,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ vec(B X A) = kron(B, A.T) @ vec(X).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -37,7 +36,12 @@ import numpy as np
 from . import lpkernel, numlinalg
 from .lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
 from .numlinalg import column_space_projector, row_space_projector
-from .stochcore import l1_norm, validate_column_stochastic
+from .stochcore import (
+    l1_norm,
+    validate_channel,
+    validate_column_stochastic,
+    validate_positive,
+)
 
 __all__ = [
     "DetectorConfig",
@@ -61,26 +65,11 @@ class DetectorConfig:
     delta: float
 
     def __post_init__(self):
-        a, b = _validated_channel(self.a, self.b)
+        a, b = validate_channel(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        _check_parameter("mu", self.mu)
-        _check_parameter("delta", self.delta)
-
-
-def _validated_channel(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """A and B as column-stochastic float arrays that agree on the relay alphabet."""
-    a = validate_column_stochastic(a, "A")
-    b = validate_column_stochastic(b, "B")
-    if b.shape[1] != a.shape[0]:
-        raise ValueError("A and B disagree on the relay alphabet size")
-    return a, b
-
-
-def _check_parameter(name: str, value: float, zero_allowed: bool = False) -> None:
-    if not (0 <= value if zero_allowed else 0 < value) or not value < math.inf:
-        sign = "nonnegative" if zero_allowed else "positive"
-        raise ValueError(f"{name} must be {sign} and finite, got {value}")
+        object.__setattr__(self, "mu", validate_positive(self.mu, "mu"))
+        object.__setattr__(self, "delta", validate_positive(self.delta, "delta"))
 
 
 @dataclass(frozen=True)
@@ -236,8 +225,8 @@ def estimate_attack(
     checks them, and gamma_hat must be a |Y1| x |X1| column-stochastic
     histogram.
     """
-    a, b = _validated_channel(a, b)
-    _check_parameter("mu", mu, zero_allowed=True)
+    a, b = validate_channel(a, b)
+    mu = validate_positive(mu, "mu", zero_allowed=True)
     gamma_hat = validate_column_stochastic(gamma_hat, "gamma_hat")
     if gamma_hat.shape != (b.shape[0], a.shape[1]):
         raise ValueError(

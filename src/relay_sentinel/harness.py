@@ -34,6 +34,7 @@ from .channelmodel import (
     validate_pmf,
 )
 from .detector import DetectorConfig, run_detection
+from .stochcore import validate_count
 
 __all__ = [
     "DESK_TRIALS",
@@ -47,6 +48,7 @@ __all__ = [
     "preset_curves",
     "run_experiment",
     "run_trial",
+    "score_trial",
     "trial_traces",
 ]
 
@@ -61,7 +63,7 @@ class Scenario:
     """One fully specified experiment: channels, manipulation, detector.
 
     ``detector_config`` is built once from the other fields, and it
-    validates B, mu and delta.
+    validates B, mu and delta; the counts are checked by ``validate_count``.
     """
 
     p1: np.ndarray
@@ -88,12 +90,9 @@ class Scenario:
             self.mac.u_size,
         ):
             raise ValueError("attack map size does not match the relay alphabet")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError("n must be a positive integer")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise ValueError("trials must be a positive integer")
-        if not (isinstance(self.master_seed, int) and self.master_seed >= 0):
-            raise ValueError("master_seed must be a non-negative integer")
+        validate_count(self.n, "n")
+        validate_count(self.trials, "trials")
+        validate_count(self.master_seed, "master_seed", minimum=0)
         config = DetectorConfig(
             a=self.uplink_matrix(), b=self.b, mu=self.mu, delta=self.delta
         )
@@ -117,8 +116,7 @@ class TrialResult:
     changed_fraction: float
 
     def __post_init__(self):
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be non-negative")
+        validate_count(self.trial_index, "trial_index", minimum=0)
         for label, value in (
             ("statistic", self.statistic),
             ("truth_stat", self.truth_stat),
@@ -133,35 +131,25 @@ def _trial_seed_sequence(scenario: Scenario, trial_index: int) -> np.random.Seed
     return np.random.SeedSequence(scenario.master_seed, spawn_key=(trial_index,))
 
 
-def _simulate_trial(scenario: Scenario, trial_index: int):
-    """Regenerate one trial's traces: (x1, y1, u, v, seed_used)."""
-    if not (isinstance(trial_index, int) and trial_index >= 0):
-        raise ValueError("trial_index must be a non-negative integer")
-    seed_seq = _trial_seed_sequence(scenario, trial_index)
-    seed_used = int(seed_seq.generate_state(1)[0])
-    rng = np.random.default_rng(seed_seq)
-    x1, _x2, u = simulate_uplink(scenario.mac, scenario.p1, scenario.p2, scenario.n, rng)
-    v = apply_attack(scenario.attack, u, rng)
-    y1 = simulate_downlink(scenario.b, v, rng)
-    return x1, y1, u, v, seed_used
-
-
 def trial_traces(
     scenario: Scenario, trial_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (x1, y1, u, v) symbol traces of one seeded trial."""
-    x1, y1, u, v, _ = _simulate_trial(scenario, trial_index)
+    """The (x1, y1, u, v) symbol traces of one seeded trial.
+
+    The RNG stream is derived from ``(master_seed, trial_index)`` alone,
+    so repeated calls with the same arguments draw the same traces.
+    """
+    validate_count(trial_index, "trial_index", minimum=0)
+    rng = np.random.default_rng(_trial_seed_sequence(scenario, trial_index))
+    x1, _x2, u = simulate_uplink(scenario.mac, scenario.p1, scenario.p2, scenario.n, rng)
+    v = apply_attack(scenario.attack, u, rng)
+    y1 = simulate_downlink(scenario.b, v, rng)
     return x1, y1, u, v
 
 
-def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
-    """Simulate one seeded trial and run the detector on its traces.
-
-    The RNG stream is derived from ``(master_seed, trial_index)`` alone,
-    so repeated calls with the same arguments reproduce the same result
-    exactly.
-    """
-    x1, y1, u, v, seed_used = _simulate_trial(scenario, trial_index)
+def score_trial(scenario: Scenario, trial_index: int, x1, y1, u, v) -> TrialResult:
+    """Run the detector and the ground truth on one trial's traces."""
+    seed_used = int(_trial_seed_sequence(scenario, trial_index).generate_state(1)[0])
     truth_stat = truth_statistic(extract_attack_channel(u, v, scenario.mac.u_size))
     report = run_detection(scenario.detector_config, x1, y1)
     return TrialResult(
@@ -172,6 +160,11 @@ def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
         seed_used=seed_used,
         changed_fraction=float(np.mean(u != v)),
     )
+
+
+def run_trial(scenario: Scenario, trial_index: int) -> TrialResult:
+    """Simulate one seeded trial and score it (``trial_traces``, ``score_trial``)."""
+    return score_trial(scenario, trial_index, *trial_traces(scenario, trial_index))
 
 
 def run_experiment(scenario: Scenario) -> list[TrialResult]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .lpkernel import LpProblem, LpStatus, solve_lp
 from .numlinalg import left_nullspace_basis, rank, rref
-from .stochcore import l1_norm, validate_column_stochastic
+from .stochcore import l1_norm, validate_channel, validate_column_stochastic
 
 __all__ = [
     "CertificationFailure",
@@ -73,17 +73,6 @@ class ManipulabilityVerdict:
     dpv_found: bool | None
 
 
-def _validated_channel(a: np.ndarray, b: np.ndarray):
-    a = validate_column_stochastic(a, "A")
-    b = validate_column_stochastic(b, "B")
-    if b.shape[1] != a.shape[0]:
-        raise ValueError(
-            f"downlink matrix has {b.shape[1]} columns but uplink has "
-            f"{a.shape[0]} rows"
-        )
-    return a, b
-
-
 def check_algorithm1(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     """LP certification of manipulability: (optimal_value, manipulable).
 
@@ -100,7 +89,7 @@ def check_algorithm1(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     non-optimal solver status is therefore numerical trouble and raises
     CertificationFailure.
     """
-    a, b = _validated_channel(a, b)
+    a, b = validate_channel(a, b)
     size_u, size_x1 = a.shape
     size_y1 = b.shape[0]
     n_omega = size_x1 * size_y1
@@ -173,7 +162,7 @@ def find_witness(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     always feasible and the objective is capped at 1, so any non-optimal
     solver status raises CertificationFailure.
     """
-    a, b = _validated_channel(a, b)
+    a, b = validate_channel(a, b)
     size_u = a.shape[0]
     a_eq, b_eq, bounds = _deviation_polytope(a, b)
     for k in range(size_u):
@@ -270,7 +259,7 @@ def certify(a: np.ndarray, b: np.ndarray) -> ManipulabilityVerdict:
     full rank (trivial right null space) the null-space search runs as
     well. Any disagreement raises ConsistencyFailure rather than guessing.
     """
-    a, b = _validated_channel(a, b)
+    a, b = validate_channel(a, b)
     size_u = a.shape[0]
     value, manipulable = check_algorithm1(a, b)
     upsilon = find_witness(a, b)

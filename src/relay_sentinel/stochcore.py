@@ -7,11 +7,16 @@ Conventions used throughout the package:
 - vector/matrix norms written ``l1`` are entrywise sums of absolute values;
 - all indices are zero-based;
 - `validate_pmf` and `validate_column_stochastic` are the only judges of
-  whether an input is a probability object, always at ``DEFAULT_TOL``.
+  whether an input is a probability object, always at ``DEFAULT_TOL``;
+  `validate_channel`, `validate_positive` and `validate_count` alone decide
+  the channel pair, the real parameters (mu, delta) and the counts. A bool
+  is never a number or a count here.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,9 @@ __all__ = [
     "is_column_stochastic",
     "validate_pmf",
     "validate_column_stochastic",
+    "validate_channel",
+    "validate_positive",
+    "validate_count",
     "channel_constants",
 ]
 
@@ -109,6 +117,37 @@ def validate_column_stochastic(m, name: str) -> np.ndarray:
         j = off.argmax()
         raise ValueError(f"{name}[.][{j}]: column sums to {sums[j]}, expected 1")
     return m
+
+
+def validate_channel(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) as column-stochastic float arrays that agree on the relay alphabet."""
+    a = validate_column_stochastic(a, "A")
+    b = validate_column_stochastic(b, "B")
+    if b.shape[1] != a.shape[0]:
+        raise ValueError("A and B disagree on the relay alphabet size")
+    return a, b
+
+
+def validate_positive(value, name: str, zero_allowed: bool = False) -> float:
+    """value as a float, or ValueError naming ``name``.
+
+    value must be a real number other than a bool, finite, and positive
+    (nonnegative when ``zero_allowed``).
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    number = float(value) if real else math.nan
+    if not (0 <= number if zero_allowed else 0 < number) or not number < math.inf:
+        sign = "nonnegative" if zero_allowed else "positive"
+        shown = number if real else repr(value)
+        raise ValueError(f"{name} must be {sign} and finite, got {shown}")
+    return number
+
+
+def validate_count(value, name: str, minimum: int = 1) -> int:
+    """value, or ValueError naming ``name`` unless it is an int >= minimum (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def channel_constants(a: np.ndarray, y1_size: int) -> ChannelConstants:

@@ -5,6 +5,7 @@ Exit-code contract: 0 = clean/non-manipulable, 2 = malicious/manipulable,
 meaning exactly one thing).
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relay_sentinel import cli
 from relay_sentinel.cli import (
     ScenarioFileError,
     _trace_rows,
@@ -21,8 +23,10 @@ from relay_sentinel.cli import (
     read_trace,
     scenario_document,
     scenario_from_document,
+    scenario_hash,
 )
-from relay_sentinel.harness import preset, preset_curves
+from relay_sentinel.detector import DetectionReport, run_detection
+from relay_sentinel.harness import preset, preset_curves, trial_traces
 
 THIRD = 1 / 3
 
@@ -197,6 +201,23 @@ def test_scenario_rejects_unknown_attack_type(tmp_path, capsys):
     assert "attack.type" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (section, key, value)
+        for section, key in [("sim", "N"), ("sim", "mu"), ("sim", "seed"), ("mac", "u_size")]
+        for value in (True, "1", 0, -1)
+        if (key, value) != ("seed", 0)  # seed 0 is a valid master seed
+    ],
+)
+def test_bad_count_or_parameter_is_named_by_key_path(tmp_path, capsys, section, key, value):
+    doc = scenario_document(preset("fig3a"))  # a "table" mac, so mac.u_size is read
+    doc[section][key] = value
+    code = main(["simulate", write_doc(tmp_path, doc), "-o", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert re.match(rf"^error: {section}\.{key} must be ", capsys.readouterr().err)
+
+
 # ---------- simulate ----------
 
 
@@ -214,6 +235,52 @@ def test_simulate_preset_with_trial_override(tmp_path):
     first_row = rest[1].split(",")
     assert first_row[0] == "0"
     assert first_row[3] in ("true", "false")
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b"])
+def test_simulate_preset_runs_the_preset_headline(tmp_path, name):
+    # simulate --preset used to take phi2 wherever a preset had one, so
+    # fig3d ran phi2 where preset("fig3d") is phi4
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--preset", name, "--trials", "1", "-o", str(out)]) == 0
+    meta, _ = read_csv_lines(out)
+    expected = scenario_hash(dataclasses.replace(preset(name), trials=1))
+    assert f"# scenario_hash = {expected}" in meta
+
+
+# sha256 of a file scenario's results CSV and trial 0's traces, written
+# before simulate scored and emitted each trial from one draw
+FILE_SCENARIO_DIGESTS = {
+    "out.csv": "0745418e03af68427ce117b39d861754be18f9ca4dcb9c5987e909bf6f021021",
+    "traces/trace_0000_source.csv": "aef7fdf17dbf89c5a5ff190bb3b14c0d710d53b9fba8c1075ab26dc4bc049c88",
+    "traces/trace_0000_relay.csv": "a7d5ad0960fe7a89ce6e77c3ffd833b0e53bfeb8441edde4f9e4779bd5f70b9e",
+}
+
+
+def test_simulate_file_scenario_outputs_are_pinned(tmp_path):
+    doc = binary_adder_doc(trials=3)
+    doc["attack"] = {"type": "iid", "phi": preset("fig3a").attack.phi.tolist()}
+    argv = ["simulate", write_doc(tmp_path, doc), "-o", str(tmp_path / "out.csv")]
+    assert main(argv + ["--emit-trace", str(tmp_path / "traces")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FILE_SCENARIO_DIGESTS
+    }
+    assert digests == FILE_SCENARIO_DIGESTS
+    # each trial's traces come from the draw that was scored
+    for trial in range(3):
+        _, _, (x1, y1) = read_trace(tmp_path / "traces" / f"trace_{trial:04d}_source.csv")
+        _, _, (u, v) = read_trace(tmp_path / "traces" / f"trace_{trial:04d}_relay.csv")
+        for written, drawn in zip((x1, y1, u, v), trial_traces(scenario_from_document(doc), trial)):
+            assert np.array_equal(written, drawn)
+
+
+def test_main_builds_the_parser_once(tmp_path):
+    main(["simulate", "--preset", "fig3a", "--trials", "1", "-o", str(tmp_path / "a.csv")])
+    built = cli._build_parser.cache_info().misses
+    assert main(["reproduce", "fig3a", "--trials", "1", "--full-scale", "-o", str(tmp_path)]) == 0
+    assert main(["certify", str(tmp_path / "missing.json")]) == 1
+    assert cli._build_parser.cache_info().misses == built == 1
 
 
 def test_simulate_identity_single_trial(tmp_path):
@@ -312,6 +379,28 @@ def test_simulate_emit_trace_then_detect_clean(tmp_path, capsys):
     # the estimator LP is answered from the restart compiled for this channel
     assert report["lp_path"] in ("start", "dual")
     assert isinstance(report["lp_pivots"], int) and report["lp_pivots"] >= 0
+
+
+def test_detect_prints_every_report_field(tmp_path, capsys):
+    doc = detect_wiring_doc({"type": "identity"})
+    path = write_doc(tmp_path, doc)
+    trace_dir = tmp_path / "traces"
+    assert main(["simulate", path, "-o", str(tmp_path / "o.csv"), "--emit-trace", str(trace_dir)]) == 0
+    capsys.readouterr()
+    source = trace_dir / "trace_0000_source.csv"
+    assert main(["detect", path, str(source)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+
+    scenario = scenario_from_document(doc)
+    _, _, (x1, y1) = read_trace(source)
+    report = run_detection(scenario.detector_config, x1, y1)
+    assert list(printed) == sorted(
+        (f.name for f in dataclasses.fields(DetectionReport)),
+        key=lambda name: name in ("gamma_hat", "phi_hat"),
+    )
+    for name, value in vars(report).items():
+        expected = value.tolist() if isinstance(value, np.ndarray) else value
+        assert printed[name] == expected, name
 
 
 def test_detect_flags_swapped_symbols(tmp_path, capsys):

@@ -28,6 +28,7 @@ from relay_sentinel.harness import (
     preset_curves,
     run_experiment,
     run_trial,
+    score_trial,
     trial_traces,
 )
 
@@ -101,6 +102,13 @@ def test_trial_result_validates():
 
 
 # ---------- run_trial ----------
+
+
+def test_run_trial_scores_the_traces_of_its_trial():
+    scenario = binary_adder_scenario(attack=AttackSpec.iid(preset("fig3a").attack.phi))
+    for index in range(3):
+        traces = trial_traces(scenario, index)
+        assert run_trial(scenario, index) == score_trial(scenario, index, *traces)
 
 
 def test_run_trial_identity_attack():

@@ -9,7 +9,18 @@ import re
 import numpy as np
 import pytest
 
-from relay_sentinel import AttackSpec, DetectorConfig, MacModel, Scenario, certify, stochcore
+from relay_sentinel import (
+    AttackSpec,
+    DetectorConfig,
+    MacModel,
+    Scenario,
+    certify,
+    channelmodel,
+    check_algorithm1,
+    estimate_attack,
+    find_witness,
+    stochcore,
+)
 
 
 def test_l1_norm_zero_matrix():
@@ -172,3 +183,107 @@ def _binary_adder_scenario(**changes):
 def test_library_entry_points_reject_a_nan_entry(build, path, motivating_a):
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}: entry nan is not finite$"):
         build(motivating_a)
+
+
+@pytest.mark.parametrize(
+    "value, zero_allowed, expected",
+    [(0.1, False, 0.1), (2, False, 2.0), (np.float64(0.5), False, 0.5), (0, True, 0.0)],
+)
+def test_validate_positive_returns_a_float(value, zero_allowed, expected):
+    number = stochcore.validate_positive(value, "mu", zero_allowed)
+    assert type(number) is float and number == expected
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (True, "True"),
+        (np.bool_(True), r"(np\.)?True_?"),  # the repr depends on the NumPy version
+        ("0.1", "'0.1'"),
+        (None, "None"),
+        ([0.1], r"\[0.1\]"),
+        (0, "0.0"),
+        (-0.1, "-0.1"),
+        (np.inf, "inf"),
+        (np.nan, "nan"),
+    ],
+)
+def test_validate_positive_names_the_parameter(value, shown):
+    with pytest.raises(ValueError, match=rf"^sim\.mu must be positive and finite, got {shown}$"):
+        stochcore.validate_positive(value, "sim.mu")
+
+
+def test_validate_positive_zero_allowed_still_rejects_negatives_and_bools():
+    for value in (-0.1, False, -np.inf):
+        with pytest.raises(ValueError, match="^mu must be nonnegative and finite"):
+            stochcore.validate_positive(value, "mu", zero_allowed=True)
+
+
+def test_validate_count_accepts_python_ints_only():
+    assert stochcore.validate_count(3, "n") == 3
+    assert stochcore.validate_count(0, "seed", minimum=0) == 0
+    rejected = [(True, 1), (False, 0), (1.0, 1), ("3", 1), (None, 1), (np.int64(3), 1), (0, 1), (-1, 0)]
+    for value, minimum in rejected:
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= {minimum}, got "):
+            stochcore.validate_count(value, "n", minimum)
+
+
+def test_validate_channel_checks_each_matrix_then_the_shared_alphabet(motivating_a):
+    a, b = stochcore.validate_channel(motivating_a.tolist(), np.eye(3))
+    assert a.dtype == b.dtype == float
+    with pytest.raises(ValueError, match="^A and B disagree on the relay alphabet size$"):
+        stochcore.validate_channel(motivating_a, np.eye(4))
+    with pytest.raises(ValueError, match=r"^B\[\.\]\[0\]: column sums to 1.5"):
+        stochcore.validate_channel(motivating_a, np.full((3, 3), 0.5))
+
+
+# every entry point reports a bad parameter with the one stochcore message;
+# before the rules moved there, True passed everywhere and "0.1" or None
+# raised TypeError from a comparison
+@pytest.mark.parametrize("value, shown", [(True, "True"), ("0.1", "'0.1'"), (None, "None")])
+@pytest.mark.parametrize(
+    "build, field, sign",
+    [
+        (lambda a, v: DetectorConfig(a=a, b=np.eye(3), mu=v, delta=0.1), "mu", "positive"),
+        (lambda a, v: DetectorConfig(a=a, b=np.eye(3), mu=0.1, delta=v), "delta", "positive"),
+        (lambda a, v: estimate_attack(a, a, np.eye(3), v), "mu", "nonnegative"),
+        (lambda a, v: _binary_adder_scenario(delta=v), "delta", "positive"),
+    ],
+    ids=["DetectorConfig-mu", "DetectorConfig-delta", "estimate_attack-mu", "Scenario-delta"],
+)
+def test_library_entry_points_reject_a_non_real_parameter(
+    build, field, sign, value, shown, motivating_a
+):
+    with pytest.raises(ValueError, match=rf"^{field} must be {sign} and finite, got {shown}$"):
+        build(motivating_a, value)
+
+
+def _uplink(n):
+    half = np.array([0.5, 0.5])
+    return channelmodel.simulate_uplink(MacModel.adder(2, 2), half, half, n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "build, field, minimum",
+    [
+        (lambda v: _binary_adder_scenario(n=v), "n", 1),
+        (lambda v: _binary_adder_scenario(trials=v), "trials", 1),
+        (lambda v: _binary_adder_scenario(master_seed=v), "master_seed", 0),
+        (_uplink, "n", 1),
+    ],
+    ids=["Scenario-n", "Scenario-trials", "Scenario-master_seed", "simulate_uplink-n"],
+)
+def test_entry_points_reject_a_bool_count(build, field, minimum):
+    # True used to pass as 1; simulate_uplink raised TypeError from rng.random
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {minimum}, got True$"):
+        build(True)
+
+
+@pytest.mark.parametrize(
+    "entry", [certify, check_algorithm1, find_witness, lambda a, b: DetectorConfig(a, b, 0.1, 0.1)],
+    ids=["certify", "check_algorithm1", "find_witness", "DetectorConfig"],
+)
+def test_every_entry_point_names_an_alphabet_mismatch_alike(entry, motivating_a):
+    # certify used to say "downlink matrix has 4 columns but uplink has 3 rows"
+    with pytest.raises(ValueError, match="^A and B disagree on the relay alphabet size$"):
+        entry(motivating_a, np.eye(4))
