@@ -19,7 +19,6 @@ from .channelmodel import (
     simulate_downlink,
     simulate_uplink,
     stationary_u_pmf,
-    validate_pmf,
 )
 from .detector import (
     DetectionReport,
@@ -53,6 +52,7 @@ from .manipulability import (
     find_witness,
     witness_to_attack,
 )
+from .stochcore import validate_pmf
 
 __all__ = [
     "AlphabetReductionError",

@@ -12,9 +12,9 @@ Three attack families are shipped:
   broadcasting.
 
 The ground-truth attack channel of a (u, v) trace pair is the conditional
-frequency matrix phi_n[i, j] = #(v=i, u=j) / #(u=j). Columns of symbols
-that never occurred carry no evidence and default to identity columns,
-flagged in ``observed_mask``.
+frequency matrix phi_n[i, j] = #(v=i, u=j) / #(u=j), kept with its counts.
+Columns of symbols that never occurred carry no evidence and default to
+identity columns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channelmodel import sample_columns
-from .stochcore import l1_norm, validate_column_stochastic
+from .stochcore import l1_norm, transition_counts, validate_column_stochastic
 
 __all__ = [
     "AttackSpec",
@@ -72,10 +72,10 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class AttackChannel:
-    """Empirical |U| x |U| attack channel with per-symbol observation flags."""
+    """Empirical |U| x |U| attack channel and its counts #(v=i, u=j)."""
 
     phi_n: np.ndarray
-    observed_mask: np.ndarray
+    counts: np.ndarray
 
 
 def apply_attack(
@@ -96,25 +96,15 @@ def apply_attack(
 
 
 def extract_attack_channel(
-    u_trace: np.ndarray, v_trace: np.ndarray, u_size: int | None = None
+    u_trace: np.ndarray, v_trace: np.ndarray, u_size: int
 ) -> AttackChannel:
     """Conditional frequency of v given u; identity columns where u never occurred."""
-    u_trace = np.asarray(u_trace)
-    v_trace = np.asarray(v_trace)
-    if u_trace.size != v_trace.size:
-        raise ValueError("trace lengths differ")
-    if u_trace.size == 0:
-        raise ValueError("empty traces")
-    if u_size is None:
-        u_size = int(max(u_trace.max(), v_trace.max())) + 1
-    counts = np.bincount(
-        v_trace * u_size + u_trace, minlength=u_size * u_size
-    ).reshape(u_size, u_size).astype(float)
-    column_totals = counts.sum(axis=0)
-    observed = column_totals > 0
+    counts = transition_counts(u_trace, v_trace, u_size, u_size, ("u", "v"))
+    totals = counts.sum(axis=0)
+    observed = totals > 0
     phi_n = np.eye(u_size)
-    phi_n[:, observed] = counts[:, observed] / column_totals[observed]
-    return AttackChannel(phi_n=phi_n, observed_mask=observed)
+    phi_n[:, observed] = counts[:, observed] / totals[observed]
+    return AttackChannel(phi_n=phi_n, counts=counts)
 
 
 def truth_statistic(ac: AttackChannel) -> float:

@@ -21,7 +21,6 @@ from .stochcore import validate_column_stochastic, validate_count, validate_pmf
 __all__ = [
     "AlphabetReductionError",
     "MacModel",
-    "validate_pmf",
     "marginalize_mac",
     "gamma_from",
     "stationary_u_pmf",
@@ -113,32 +112,25 @@ def stationary_u_pmf(mac: MacModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
     return mac.table @ pair
 
 
-def _inverse_cdf(
-    pmfs: np.ndarray, draws: np.ndarray, columns: np.ndarray | None = None
+def sample_columns(
+    matrix: np.ndarray, columns: np.ndarray | None, draws: np.ndarray
 ) -> np.ndarray:
     """Inverse-CDF sampling: per draw, the first row whose cumulative sum exceeds it.
 
-    ``pmfs`` is one pmf, or a matrix of column pmfs indexed per draw by
-    ``columns``. The index is the number of rows of the running-maximum
-    cumulative sum that the draw is >= to. The running maximum keeps this the
-    first exceeding row where tolerated negative entries dip the sum; leaving
-    out the last row treats it as 1.0, so a float undersum cannot push a
-    draw past the alphabet.
+    ``matrix`` is a matrix of column pmfs indexed per draw by ``columns``,
+    or one pmf when ``columns`` is None. The index is the number of rows of
+    the running-maximum cumulative sum that the draw is >= to. The running
+    maximum keeps this the first exceeding row where tolerated negative
+    entries dip the sum; leaving out the last row treats it as 1.0, so a
+    float undersum cannot push a draw past the alphabet.
     """
     draws = np.asarray(draws)
-    cum = np.cumsum(np.asarray(pmfs, dtype=float), axis=0)
+    cum = np.cumsum(np.asarray(matrix, dtype=float), axis=0)
     cum = np.maximum.accumulate(cum, axis=0)
     index = np.zeros(draws.size, dtype=np.intp)
     for row in cum[:-1]:
         index += draws >= (row if columns is None else row[columns])
     return index
-
-
-def sample_columns(
-    matrix: np.ndarray, columns: np.ndarray, draws: np.ndarray
-) -> np.ndarray:
-    """Vectorized inverse-CDF sampling from per-symbol columns of a matrix."""
-    return _inverse_cdf(matrix, draws, columns)
 
 
 def simulate_uplink(
@@ -152,8 +144,8 @@ def simulate_uplink(
     validate_count(n, "n")
     p1 = validate_pmf(p1, "p1")
     p2 = validate_pmf(p2, "p2")
-    x1 = _inverse_cdf(p1, rng.random(n))
-    x2 = _inverse_cdf(p2, rng.random(n))
+    x1 = sample_columns(p1, None, rng.random(n))
+    x2 = sample_columns(p2, None, rng.random(n))
     if mac.deterministic:
         u = mac.table.argmax(axis=0)[x1 * mac.x2_size + x2]
     else:

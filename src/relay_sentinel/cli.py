@@ -371,6 +371,8 @@ def _with_overrides(scenario, args):
 def _scenario_for_simulate(args):
     if (args.scenario_file is None) == (args.preset is None):
         raise _UsageError("provide exactly one of a scenario file or --preset")
+    if args.full_scale and args.preset is None:
+        raise _UsageError("--full-scale applies to --preset only")
     if args.preset is not None:
         try:
             scenario = preset(args.preset, full_scale=args.full_scale)

@@ -38,6 +38,7 @@ from .lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
 from .numlinalg import column_space_projector, row_space_projector
 from .stochcore import (
     l1_norm,
+    transition_counts,
     validate_channel,
     validate_column_stochastic,
     validate_positive,
@@ -100,35 +101,19 @@ class DetectionReport:
 
 def conditional_histogram(
     x1_trace: np.ndarray, y1_trace: np.ndarray, x1_size: int, y1_size: int
-) -> np.ndarray:
-    """Empirical conditional frequency of y1 given x1, column-stochastic.
+) -> tuple[np.ndarray, list]:
+    """Conditional frequency of y1 given x1, and the x1 symbols never seen.
 
-    Columns of x1 symbols that never occurred are filled uniformly (the
-    maximum-entropy neutral choice); run_detection reports their indices.
-    Symbols outside {0, ..., size - 1} are rejected, never folded into
-    another cell.
+    Returns (gamma_hat, unseen). gamma_hat is column-stochastic; its unseen
+    columns are filled uniformly (the maximum-entropy neutral choice).
+    ``transition_counts`` checks and counts the traces.
     """
-    x1_trace = np.asarray(x1_trace)
-    y1_trace = np.asarray(y1_trace)
-    if x1_trace.size != y1_trace.size:
-        raise ValueError("trace lengths differ")
-    if x1_trace.size == 0:
-        raise ValueError("empty traces")
-    for name, trace, size in (("x1", x1_trace, x1_size), ("y1", y1_trace, y1_size)):
-        low, high = trace.min(), trace.max()
-        if low < 0 or high >= size:
-            raise ValueError(
-                f"{name} symbol {low if low < 0 else high} is outside the"
-                f" alphabet of size {size}"
-            )
-    counts = np.bincount(
-        y1_trace * x1_size + x1_trace, minlength=y1_size * x1_size
-    ).reshape(y1_size, x1_size).astype(float)
+    counts = transition_counts(x1_trace, y1_trace, x1_size, y1_size, ("x1", "y1"))
     totals = counts.sum(axis=0)
     seen = totals > 0
     gamma_hat = np.full((y1_size, x1_size), 1.0 / y1_size)
     gamma_hat[:, seen] = counts[:, seen] / totals[seen]
-    return gamma_hat
+    return gamma_hat, np.flatnonzero(~seen).tolist()
 
 
 # distinct (A, B, mu) whose compiled estimators are kept
@@ -295,9 +280,7 @@ def run_detection(
     """Histogram -> estimator -> statistic -> verdict, with diagnostics."""
     x1_size = config.a.shape[1]
     y1_size = config.b.shape[0]
-    x1_trace = np.asarray(x1_trace)
-    gamma_hat = conditional_histogram(x1_trace, y1_trace, x1_size, y1_size)
-    unseen = np.flatnonzero(np.bincount(x1_trace, minlength=x1_size) == 0).tolist()
+    gamma_hat, unseen = conditional_histogram(x1_trace, y1_trace, x1_size, y1_size)
     a, b = config.a, config.b
     estimator = _compiled(a, b, config.mu)
     phi_hat, feasible, outcome = _estimate(estimator, gamma_hat, a, b)

@@ -26,15 +26,9 @@ from .attackmodel import (
     extract_attack_channel,
     truth_statistic,
 )
-from .channelmodel import (
-    MacModel,
-    marginalize_mac,
-    simulate_downlink,
-    simulate_uplink,
-    validate_pmf,
-)
+from .channelmodel import MacModel, marginalize_mac, simulate_downlink, simulate_uplink
 from .detector import DetectorConfig, run_detection
-from .stochcore import validate_count
+from .stochcore import validate_count, validate_pmf
 
 __all__ = [
     "DESK_TRIALS",
@@ -148,17 +142,22 @@ def trial_traces(
 
 
 def score_trial(scenario: Scenario, trial_index: int, x1, y1, u, v) -> TrialResult:
-    """Run the detector and the ground truth on one trial's traces."""
+    """Run the detector and the ground truth on one trial's traces.
+
+    ``changed_fraction`` is the off-diagonal share of the relay's counts.
+    """
     seed_used = int(_trial_seed_sequence(scenario, trial_index).generate_state(1)[0])
-    truth_stat = truth_statistic(extract_attack_channel(u, v, scenario.mac.u_size))
+    truth = extract_attack_channel(u, v, scenario.mac.u_size)
+    truth_stat = truth_statistic(truth)
     report = run_detection(scenario.detector_config, x1, y1)
+    symbols = int(truth.counts.sum())
     return TrialResult(
         trial_index=trial_index,
         statistic=report.statistic,
         truth_stat=truth_stat,
         feasible=report.feasible,
         seed_used=seed_used,
-        changed_fraction=float(np.mean(u != v)),
+        changed_fraction=(symbols - int(np.trace(truth.counts))) / symbols,
     )
 
 

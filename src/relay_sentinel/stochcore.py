@@ -10,7 +10,9 @@ Conventions used throughout the package:
   whether an input is a probability object, always at ``DEFAULT_TOL``;
   `validate_channel`, `validate_positive` and `validate_count` alone decide
   the channel pair, the real parameters (mu, delta) and the counts. A bool
-  is never a number or a count here.
+  is never a number or a count here;
+- `transition_counts` alone counts a pair of symbol traces and decides the
+  trace rules: equal non-zero lengths, every symbol inside its alphabet.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "validate_channel",
     "validate_positive",
     "validate_count",
+    "transition_counts",
     "channel_constants",
 ]
 
@@ -148,6 +151,33 @@ def validate_count(value, name: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def transition_counts(
+    given, observed, given_size: int, observed_size: int, names: tuple[str, str]
+) -> np.ndarray:
+    """counts[i, j] = #(observed = i, given = j) over two paired symbol traces.
+
+    ``names`` labels (given, observed) in the messages. Traces of different
+    or zero length, and symbols outside {0, ..., size - 1}, are rejected,
+    never folded into another cell.
+    """
+    given = np.asarray(given)
+    observed = np.asarray(observed)
+    if given.size != observed.size:
+        raise ValueError("trace lengths differ")
+    if given.size == 0:
+        raise ValueError("empty traces")
+    for name, trace, size in zip(names, (given, observed), (given_size, observed_size)):
+        low, high = trace.min(), trace.max()
+        if low < 0 or high >= size:
+            raise ValueError(
+                f"{name} symbol {low if low < 0 else high} is outside the"
+                f" alphabet of size {size}"
+            )
+    return np.bincount(
+        observed * given_size + given, minlength=observed_size * given_size
+    ).reshape(observed_size, given_size)
 
 
 def channel_constants(a: np.ndarray, y1_size: int) -> ChannelConstants:

@@ -71,15 +71,16 @@ def test_gated_odd_parity_complements_even(motivating_phis):
 
 def test_extract_identity():
     u = np.array([0, 1, 2, 1])
-    ac = attackmodel.extract_attack_channel(u, u.copy())
+    ac = attackmodel.extract_attack_channel(u, u.copy(), u_size=3)
     np.testing.assert_allclose(ac.phi_n, np.eye(3), atol=1e-15)
-    assert ac.observed_mask.all()
+    np.testing.assert_array_equal(ac.counts, np.diag([1, 2, 1]))
 
 
 def test_extract_hand_counted():
     u = np.array([0, 1, 0, 1])
     v = np.array([1, 1, 0, 1])
-    ac = attackmodel.extract_attack_channel(u, v)
+    ac = attackmodel.extract_attack_channel(u, v, u_size=2)
+    np.testing.assert_array_equal(ac.counts, [[1, 0], [1, 2]])
     np.testing.assert_allclose(ac.phi_n[:, 0], [0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(ac.phi_n[:, 1], [0.0, 1.0], atol=1e-15)
 
@@ -89,23 +90,44 @@ def test_extract_unobserved_columns_are_identity():
     v = np.zeros(10, dtype=int)
     ac = attackmodel.extract_attack_channel(u, v, u_size=3)
     np.testing.assert_allclose(ac.phi_n, np.eye(3), atol=1e-15)
-    np.testing.assert_array_equal(ac.observed_mask, [True, False, False])
+    np.testing.assert_array_equal(ac.counts, [[10, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
 def test_extract_length_mismatch():
     with pytest.raises(ValueError):
-        attackmodel.extract_attack_channel(np.array([0, 1]), np.array([0]))
+        attackmodel.extract_attack_channel(np.array([0, 1]), np.array([0]), u_size=2)
+
+
+@pytest.mark.parametrize(
+    "u, v, message",
+    [
+        # u = 2 used to be counted as a 0 -> 1 substitution, in cell (1, 0)
+        ([0, 2], [0, 0], "u symbol 2 is outside the alphabet of size 2"),
+        # v = 5 used to fail in NumPy's reshape, u = -1 in bincount
+        ([0, 1], [0, 5], "v symbol 5 is outside the alphabet of size 2"),
+        ([0, -1], [0, 1], "u symbol -1 is outside the alphabet of size 2"),
+    ],
+)
+def test_extract_rejects_relay_symbols_outside_the_alphabet(u, v, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        attackmodel.extract_attack_channel(u, v, u_size=2)
+
+
+def test_extract_needs_the_alphabet_size():
+    with pytest.raises(TypeError):
+        attackmodel.extract_attack_channel(np.array([0, 1]), np.array([1, 0]))
 
 
 def test_truth_statistic_values(motivating_phis):
     identity = attackmodel.extract_attack_channel(
-        np.array([0, 1, 2]), np.array([0, 1, 2])
+        np.array([0, 1, 2]), np.array([0, 1, 2]), u_size=3
     )
     assert attackmodel.truth_statistic(identity) == 0.0
 
     for idx, expected in ((2, 0.06), (4, 0.04)):
         ac = attackmodel.AttackChannel(
-            phi_n=motivating_phis[idx], observed_mask=np.ones(3, dtype=bool)
+            phi_n=motivating_phis[idx],
+            counts=np.rint(1000 * motivating_phis[idx]).astype(np.int64),
         )
         assert attackmodel.truth_statistic(ac) == pytest.approx(
             expected, abs=1e-12

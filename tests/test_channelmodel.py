@@ -153,6 +153,10 @@ def test_inverse_cdf_kernel_matches_argmax_oracle():
     np.testing.assert_array_equal(
         channelmodel.sample_columns(quarters, columns, draws), expected
     )
+    # columns=None samples one pmf
+    np.testing.assert_array_equal(
+        channelmodel.sample_columns(quarters[:, 0], None, draws), expected
+    )
     mac = MacModel.adder(3, 1)
     x1, x2, _ = channelmodel.simulate_uplink(
         mac, quarters[:, 0], [1.0], draws.size, _ScriptedGenerator(draws, draws)

@@ -330,6 +330,15 @@ def test_simulate_requires_exactly_one_source(tmp_path, capsys):
     ) == 1
 
 
+def test_simulate_file_rejects_full_scale(tmp_path, capsys):
+    # the flag used to be ignored: the file's trial count ran, exit 0
+    out = tmp_path / "o.csv"
+    argv = ["simulate", write_doc(tmp_path, binary_adder_doc()), "--full-scale", "-o", str(out)]
+    assert main(argv) == 1
+    assert "usage error: --full-scale applies to --preset only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------- traces + detect ----------
 
 

@@ -15,18 +15,20 @@ from relay_sentinel.harness import preset, preset_curves, run_experiment, run_tr
 def test_conditional_histogram_hand_counted():
     x1 = np.array([0, 0, 1, 0])
     y1 = np.array([0, 1, 0, 0])
-    gamma_hat = detector.conditional_histogram(x1, y1, x1_size=2, y1_size=2)
+    gamma_hat, unseen = detector.conditional_histogram(x1, y1, x1_size=2, y1_size=2)
     np.testing.assert_allclose(gamma_hat[:, 0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
     np.testing.assert_allclose(gamma_hat[:, 1], [1.0, 0.0], atol=1e-15)
+    assert unseen == []
 
 
 def test_conditional_histogram_constant_traces():
     x1 = np.zeros(5, dtype=int)
     y1 = np.zeros(5, dtype=int)
-    gamma_hat = detector.conditional_histogram(x1, y1, x1_size=3, y1_size=2)
+    gamma_hat, unseen = detector.conditional_histogram(x1, y1, x1_size=3, y1_size=2)
     np.testing.assert_allclose(gamma_hat[:, 0], [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(gamma_hat[:, 1], [0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(gamma_hat[:, 2], [0.5, 0.5], atol=1e-15)
+    assert unseen == [1, 2]
 
 
 def test_conditional_histogram_length_mismatch():
@@ -71,7 +73,7 @@ def test_conditional_histogram_converges_clean(motivating_a):
     rng = np.random.default_rng(1234)
     x1, _, u = channelmodel.simulate_uplink(mac, half, half, 100_000, rng)
     y1 = channelmodel.simulate_downlink(np.eye(3), u, rng)
-    gamma_hat = detector.conditional_histogram(x1, y1, 2, 3)
+    gamma_hat, _ = detector.conditional_histogram(x1, y1, 2, 3)
     # realized deviation with this seed: 0.0128
     assert stochcore.l1_norm(gamma_hat - motivating_a) < 0.02
 
@@ -233,7 +235,7 @@ def test_feasibility_guarantee_clean_run(motivating_a):
     rng = np.random.default_rng(606)
     x1, _, u = channelmodel.simulate_uplink(mac, half, half, 10_000, rng)
     y1 = channelmodel.simulate_downlink(np.eye(3), u, rng)
-    gamma_hat = detector.conditional_histogram(x1, y1, 2, 3)
+    gamma_hat, _ = detector.conditional_histogram(x1, y1, 2, 3)
     residual = detector.g_mu_residual(
         np.eye(3), gamma_hat, motivating_a, np.eye(3)
     )

@@ -211,6 +211,15 @@ def test_trial_traces_match_run_trial(motivating_phis):
     # traces regenerate identically
     again = trial_traces(scenario, 3)
     assert all(np.array_equal(first, second) for first, second in zip((x1, y1, u, v), again))
+    # the count-based record equals the per-symbol one on every preset curve
+    for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b"):
+        for label, curve in preset_curves(name).items():
+            x1, y1, u, v = trial_traces(curve, 3)
+            result = score_trial(curve, 3, x1, y1, u, v)
+            assert float(np.mean(u != v)) == result.changed_fraction, (name, label)
+            report = detector.run_detection(curve.detector_config, x1, y1)
+            unseen = np.flatnonzero(np.bincount(x1, minlength=curve.mac.x1_size) == 0)
+            assert report.unseen_x1_columns == unseen.tolist(), (name, label)
 
 
 def test_clean_trials_stay_feasible():

@@ -287,3 +287,25 @@ def test_every_entry_point_names_an_alphabet_mismatch_alike(entry, motivating_a)
     # certify used to say "downlink matrix has 4 columns but uplink has 3 rows"
     with pytest.raises(ValueError, match="^A and B disagree on the relay alphabet size$"):
         entry(motivating_a, np.eye(4))
+
+
+def test_transition_counts_hand_counted():
+    # counts[i, j] = #(observed = i, given = j), as int64
+    counts = stochcore.transition_counts([0, 1, 0, 2, 0], [1, 1, 0, 0, 1], 3, 2, ("x", "y"))
+    np.testing.assert_array_equal(counts, [[1, 0, 1], [2, 1, 0]])
+    assert counts.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "given, observed, message",
+    [
+        ([0, 1], [0], "trace lengths differ"),
+        ([], [], "empty traces"),
+        ([0, 2], [0, 0], "g symbol 2 is outside the alphabet of size 2"),
+        ([0, -1], [0, 0], "g symbol -1 is outside the alphabet of size 2"),
+        ([0, 1], [0, 3], "o symbol 3 is outside the alphabet of size 3"),
+    ],
+)
+def test_transition_counts_owns_the_trace_rules(given, observed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stochcore.transition_counts(given, observed, 2, 3, ("g", "o"))
