@@ -34,40 +34,49 @@ __all__ = [
     "truth_statistic",
 ]
 
-_KINDS = ("identity", "iid", "gated")
 _PARITIES = ("even", "odd")
 
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """One of the shipped relay strategies; build via the factory methods."""
+    """One of the shipped relay strategies; build via the factory methods.
 
-    kind: str
+    ``kind`` is read off the fields: no ``phi`` is the identity, a
+    ``gate_parity`` makes a phi attack gated, and a phi alone is iid.
+    """
+
     phi: np.ndarray | None = None
     gate_parity: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if self.kind != "identity":
-            phi = validate_column_stochastic(self.phi, "phi")
-            if phi.shape[0] != phi.shape[1]:
-                raise ValueError("attack matrix must be square")
-            object.__setattr__(self, "phi", phi)
-        if self.kind == "gated" and self.gate_parity not in _PARITIES:
+        if self.gate_parity not in (None, *_PARITIES):
             raise ValueError(f"gate parity must be one of {_PARITIES}")
+        if self.phi is None:
+            if self.gate_parity is not None:
+                raise ValueError("a gated attack needs an attack matrix phi")
+            return
+        phi = validate_column_stochastic(self.phi, "phi")
+        if phi.shape[0] != phi.shape[1]:
+            raise ValueError("attack matrix must be square")
+        object.__setattr__(self, "phi", phi)
+
+    @property
+    def kind(self) -> str:
+        if self.phi is None:
+            return "identity"
+        return "iid" if self.gate_parity is None else "gated"
 
     @staticmethod
     def identity() -> "AttackSpec":
-        return AttackSpec(kind="identity")
+        return AttackSpec()
 
     @staticmethod
     def iid(phi: np.ndarray) -> "AttackSpec":
-        return AttackSpec(kind="iid", phi=phi)
+        return AttackSpec(phi=phi)
 
     @staticmethod
     def gated(phi: np.ndarray, gate_parity: str) -> "AttackSpec":
-        return AttackSpec(kind="gated", phi=phi, gate_parity=gate_parity)
+        return AttackSpec(phi=phi, gate_parity=gate_parity)
 
 
 @dataclass(frozen=True)
@@ -85,14 +94,13 @@ def apply_attack(
     u_trace = np.asarray(u_trace)
     if u_trace.size == 0:
         raise ValueError("empty relay-input trace")
-    if spec.kind == "identity":
+    if spec.phi is None:
         return u_trace.copy()
-    if spec.kind == "iid":
-        return sample_columns(spec.phi, u_trace, rng.random(u_trace.size))
-    parity = "even" if int(u_trace.sum()) % 2 == 0 else "odd"
-    if parity == spec.gate_parity:
-        return sample_columns(spec.phi, u_trace, rng.random(u_trace.size))
-    return u_trace.copy()
+    if spec.gate_parity is not None:
+        parity = "even" if int(u_trace.sum()) % 2 == 0 else "odd"
+        if parity != spec.gate_parity:
+            return u_trace.copy()
+    return sample_columns(spec.phi, u_trace, rng.random(u_trace.size))
 
 
 def extract_attack_channel(

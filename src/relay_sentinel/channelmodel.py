@@ -12,7 +12,7 @@ for u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,28 +38,27 @@ class AlphabetReductionError(ValueError):
 class MacModel:
     """Multiple-access channel p(u | x1, x2) in flattened-table form.
 
-    ``deterministic`` marks tables whose columns are point masses (adders);
-    simulation then computes u directly and consumes no random draws for it.
+    ``deterministic`` is derived from the table, validated at construction:
+    it marks point-mass columns (adders), for which simulation computes u
+    directly and consumes no random draws for it.
     """
 
     table: np.ndarray
     x1_size: int
     x2_size: int
-    deterministic: bool
+    deterministic: bool = field(init=False)
+
+    def __post_init__(self):
+        columns = validate_count(self.x1_size, "x1_size") * validate_count(self.x2_size, "x2_size")
+        table = validate_column_stochastic(self.table, "table")
+        if table.shape[1] != columns:
+            raise ValueError(f"table has {table.shape[1]} columns, expected {columns}")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "deterministic", bool(np.isclose(table, np.round(table)).all()))
 
     @property
     def u_size(self) -> int:
         return self.table.shape[0]
-
-    @staticmethod
-    def from_table(table: np.ndarray, x1_size: int, x2_size: int) -> "MacModel":
-        table = validate_column_stochastic(table, "table")
-        if table.shape[1] != x1_size * x2_size:
-            raise ValueError(
-                f"table has {table.shape[1]} columns, expected {x1_size * x2_size}"
-            )
-        deterministic = bool(np.isclose(table, np.round(table)).all())
-        return MacModel(table, x1_size, x2_size, deterministic)
 
     @staticmethod
     def adder(x1_size: int, x2_size: int) -> "MacModel":
@@ -69,7 +68,7 @@ class MacModel:
         for j in range(x1_size):
             for k in range(x2_size):
                 table[j + k, j * x2_size + k] = 1.0
-        return MacModel(table, x1_size, x2_size, deterministic=True)
+        return MacModel(table, x1_size, x2_size)
 
 
 def marginalize_mac(mac: MacModel, p2: np.ndarray) -> np.ndarray:

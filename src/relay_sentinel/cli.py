@@ -48,6 +48,7 @@ from .harness import (
     preset_curves,
     run_experiment,
     score_trial,
+    trial_seed,
     trial_traces,
 )
 from .manipulability import CertificationFailure, ConsistencyFailure, certify
@@ -88,7 +89,12 @@ def _get(mapping, key, path=""):
 
 
 def load_channel(doc):
-    """(p1, p2, mac, b) from a scenario/channel document."""
+    """(p1, p2, mac, a, b) from a scenario/channel document.
+
+    The uplink matrix A that p2 and the MAC give is checked too, and its
+    faults (a column sum only their product pushes out of tolerance, an
+    unreachable relay symbol) are named by their keys.
+    """
     sources = _get(doc, "sources")
     p1 = validate_pmf(_get(sources, "p1", "sources."), "sources.p1")
     p2 = validate_pmf(_get(sources, "p2", "sources."), "sources.p2")
@@ -104,7 +110,7 @@ def load_channel(doc):
                 f"mac.table: has {table.shape[0]} rows, u_size says {u_size}"
             )
         try:
-            mac = MacModel.from_table(table, p1.size, p2.size)
+            mac = MacModel(table, p1.size, p2.size)
         except ValueError as exc:
             raise ScenarioFileError(f"mac.table: {exc}") from None
     else:
@@ -115,7 +121,12 @@ def load_channel(doc):
             f"bc_marginal: has {b.shape[1]} columns, expected one per relay symbol"
             f" ({mac.u_size})"
         )
-    return p1, p2, mac, b
+    try:
+        a = validate_column_stochastic(marginalize_mac(mac, p2), "A")
+    except ValueError as exc:
+        keys = "sources.p2 and mac.table" if mac_type == "table" else "sources.p2"
+        raise ScenarioFileError(f"{keys}: uplink matrix A: {exc}") from None
+    return p1, p2, mac, a, b
 
 
 def _load_attack(doc, u_size):
@@ -140,7 +151,7 @@ def _load_attack(doc, u_size):
 
 def scenario_from_document(doc) -> Scenario:
     """Validate a scenario document into a Scenario."""
-    p1, p2, mac, b = load_channel(doc)
+    p1, p2, mac, _a, b = load_channel(doc)
     attack = _load_attack(doc, mac.u_size)
     sim = _get(doc, "sim")
     return Scenario(
@@ -305,18 +316,18 @@ def _trace_rows(first, second, first_size, second_size):
     return [f"{i}{labels[k]}" for i, k in enumerate(keys)]
 
 
-def _write_trial_traces(directory, scenario, digest, result, traces):
-    """The source and relay trace files of one scored trial."""
+def _write_trial_traces(directory, scenario, digest, index, seed, traces):
+    """The source and relay trace files of one trial."""
     x1, y1, u, v = traces
     x1_size = scenario.mac.x1_size
     y1_size = scenario.b.shape[0]
     u_size = scenario.mac.u_size
     shared = _tool_metadata() + [
         ("scenario_hash", digest),
-        ("trial", result.trial_index),
-        ("seed", result.seed_used),
+        ("trial", index),
+        ("seed", seed),
     ]
-    stem = f"trace_{result.trial_index:04d}"
+    stem = f"trace_{index:04d}"
     _write_csv(
         Path(directory) / f"{stem}_source.csv",
         shared + [("x1_size", x1_size), ("y1_size", y1_size)],
@@ -335,9 +346,7 @@ def _write_trial_traces(directory, scenario, digest, result, traces):
 
 
 def _cmd_certify(args):
-    doc = _read_json(args.channel_file)
-    _p1, p2, mac, b = load_channel(doc)
-    a = marginalize_mac(mac, p2)
+    _p1, _p2, _mac, a, b = load_channel(_read_json(args.channel_file))
     verdict = certify(a, b)
     report = {
         "manipulable": verdict.manipulable,
@@ -371,11 +380,9 @@ def _with_overrides(scenario, args):
 def _scenario_for_simulate(args):
     if (args.scenario_file is None) == (args.preset is None):
         raise _UsageError("provide exactly one of a scenario file or --preset")
-    if args.full_scale and args.preset is None:
-        raise _UsageError("--full-scale applies to --preset only")
     if args.preset is not None:
         try:
-            scenario = preset(args.preset, full_scale=args.full_scale)
+            scenario = preset(args.preset)
         except ValueError as exc:
             raise ScenarioFileError(str(exc)) from None
     else:
@@ -408,12 +415,13 @@ def _cmd_simulate(args):
         # one draw per trial, scored and (with --emit-trace) written out
         traces = trial_traces(scenario, index)
         result = score_trial(scenario, index, *traces)
+        seed = trial_seed(scenario, index)
         rows.append(
             f"{index},{result.statistic!r},{result.truth_stat!r},"
-            f"{'true' if result.feasible else 'false'},{result.seed_used}"
+            f"{'true' if result.feasible else 'false'},{seed}"
         )
         if args.emit_trace is not None:
-            _write_trial_traces(args.emit_trace, scenario, digest, result, traces)
+            _write_trial_traces(args.emit_trace, scenario, digest, index, seed, traces)
     _write_csv(
         args.output,
         _simulate_metadata(args, scenario, digest),
@@ -425,10 +433,9 @@ def _cmd_simulate(args):
 
 def _cmd_detect(args):
     doc = _read_json(args.channel_file)
-    _p1, p2, mac, b = load_channel(doc)
+    _p1, _p2, _mac, a, b = load_channel(doc)
     sim = _get(doc, "sim")
     mu, delta = _positive(sim, "mu"), _positive(sim, "delta")
-    a = marginalize_mac(mac, p2)
 
     metadata, header, (x1, y1) = read_trace(args.trace_file)
     if header != ("n", "x1", "y1"):
@@ -454,7 +461,7 @@ def _cmd_detect(args):
 
 def _cmd_reproduce(args):
     try:
-        curves = preset_curves(args.figure, full_scale=args.full_scale)
+        curves = preset_curves(args.figure)
     except ValueError as exc:
         raise ScenarioFileError(str(exc)) from None
     curves = {label: _with_overrides(s, args) for label, s in curves.items()}
@@ -525,12 +532,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     runs = argparse.ArgumentParser(add_help=False)  # options of every seeded run
-    runs.add_argument("--trials", type=int, help="override the trial count")
-    runs.add_argument(
-        "--full-scale",
-        action="store_true",
-        help="use the 5000-trial preset count instead of 300",
-    )
+    runs.add_argument("--trials", type=int, help="override the trial count (presets run 300)")
 
     certify_parser = sub.add_parser(
         "certify", help="decide whether a channel admits undetectable manipulation"

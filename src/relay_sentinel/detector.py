@@ -16,8 +16,9 @@ gamma_tilde = B phi A always qualifies, because Pi_B B = B and A Pi_A = A.
 
 Only the target rows' right-hand side depends on the histogram. So the
 estimator is compiled once per (A, B, mu) content: the constant blocks,
-validated once, and an lpkernel.Restart factored at the optimal basis of
-the noiseless problem gamma_hat = B A, from which every solve restarts.
+validated once, and an lpkernel.Restart of the noiseless problem
+gamma_hat = B A, factored at its optimal basis, from which every solve
+restarts.
 That restart depends on (A, B, mu) alone and no solve modifies it, so a
 result still depends only on its traces. The noiseless optimum's statistic
 is the clean-data floor D0 every report carries.
@@ -125,8 +126,8 @@ class _Estimator:
     """The estimator LP of one (A, B, mu), with the target rows left open.
 
     ``program`` holds zeros in the 2 |Y1||X1| target rows of its b_ub;
-    ``restart`` is factored at the optimal basis of the noiseless problem
-    and ``noiseless_floor`` is that optimum's statistic D0.
+    ``restart`` is the Restart of the noiseless problem and
+    ``noiseless_floor`` is its optimum's statistic D0.
     """
 
     program: LpProblem
@@ -178,12 +179,11 @@ def _compile(a_shape, a_data, b_shape, b_data, mu) -> _Estimator:
     open_rows = _Estimator(program, None, 0.0)
     pi_b = numlinalg.column_space_projector(b)
     pi_a = numlinalg.row_space_projector(a)
-    noiseless = open_rows.problem((pi_b @ (b @ a) @ pi_a).ravel())
-    outcome = lpkernel.solve_lp(noiseless)
+    restart = lpkernel.Restart(open_rows.problem((pi_b @ (b @ a) @ pi_a).ravel()))
+    outcome = restart.optimum
     if outcome.status is not LpStatus.OPTIMAL:  # Phi = I is always feasible
         raise LpFailure(f"noiseless estimator LP ended with status {outcome.status}")
     floor = decision_statistic(outcome.solution[:n_phi].reshape(u, u))
-    restart = lpkernel.Restart(noiseless, outcome.basis)
     return replace(open_rows, restart=restart, noiseless_floor=floor)
 
 

@@ -32,7 +32,6 @@ from .stochcore import validate_count, validate_pmf
 
 __all__ = [
     "DESK_TRIALS",
-    "FULL_TRIALS",
     "Scenario",
     "TrialResult",
     "empirical_cdf",
@@ -43,11 +42,11 @@ __all__ = [
     "run_experiment",
     "run_trial",
     "score_trial",
+    "trial_seed",
     "trial_traces",
 ]
 
 DESK_TRIALS = 300
-FULL_TRIALS = 5000
 
 _MASTER_SEED = 20240501
 
@@ -77,12 +76,8 @@ class Scenario:
         object.__setattr__(self, "p2", validate_pmf(self.p2, "p2"))
         if self.p1.size != self.mac.x1_size:
             raise ValueError("p1 length does not match the first source alphabet")
-        if self.p2.size != self.mac.x2_size:
-            raise ValueError("p2 length does not match the second source alphabet")
-        if self.attack.phi is not None and self.attack.phi.shape != (
-            self.mac.u_size,
-            self.mac.u_size,
-        ):
+        # marginalize_mac checks p2 against the MAC, and phi is square
+        if self.attack.phi is not None and self.attack.phi.shape[0] != self.mac.u_size:
             raise ValueError("attack map size does not match the relay alphabet")
         validate_count(self.n, "n")
         validate_count(self.trials, "trials")
@@ -106,7 +101,6 @@ class TrialResult:
     statistic: float
     truth_stat: float
     feasible: bool
-    seed_used: int
     changed_fraction: float
 
     def __post_init__(self):
@@ -122,7 +116,13 @@ class TrialResult:
 
 
 def _trial_seed_sequence(scenario: Scenario, trial_index: int) -> np.random.SeedSequence:
+    validate_count(trial_index, "trial_index", minimum=0)
     return np.random.SeedSequence(scenario.master_seed, spawn_key=(trial_index,))
+
+
+def trial_seed(scenario: Scenario, trial_index: int) -> int:
+    """The first 32-bit word of one trial's seed sequence, to label its outputs."""
+    return int(_trial_seed_sequence(scenario, trial_index).generate_state(1)[0])
 
 
 def trial_traces(
@@ -133,7 +133,6 @@ def trial_traces(
     The RNG stream is derived from ``(master_seed, trial_index)`` alone,
     so repeated calls with the same arguments draw the same traces.
     """
-    validate_count(trial_index, "trial_index", minimum=0)
     rng = np.random.default_rng(_trial_seed_sequence(scenario, trial_index))
     x1, _x2, u = simulate_uplink(scenario.mac, scenario.p1, scenario.p2, scenario.n, rng)
     v = apply_attack(scenario.attack, u, rng)
@@ -146,7 +145,6 @@ def score_trial(scenario: Scenario, trial_index: int, x1, y1, u, v) -> TrialResu
 
     ``changed_fraction`` is the off-diagonal share of the relay's counts.
     """
-    seed_used = int(_trial_seed_sequence(scenario, trial_index).generate_state(1)[0])
     truth = extract_attack_channel(u, v, scenario.mac.u_size)
     truth_stat = truth_statistic(truth)
     report = run_detection(scenario.detector_config, x1, y1)
@@ -156,7 +154,6 @@ def score_trial(scenario: Scenario, trial_index: int, x1, y1, u, v) -> TrialResu
         statistic=report.statistic,
         truth_stat=truth_stat,
         feasible=report.feasible,
-        seed_used=seed_used,
         changed_fraction=(symbols - int(np.trace(truth.counts))) / symbols,
     )
 
@@ -328,16 +325,15 @@ def _preset_attacks(name: str) -> dict[str, AttackSpec]:
     }
 
 
-def preset_curves(name: str, full_scale: bool = False) -> dict[str, Scenario]:
+def preset_curves(name: str) -> dict[str, Scenario]:
     """All curves of a named preset: one scenario per manipulation map.
 
-    ``full_scale`` switches from the 300-trial desk default to the
-    5000-trial count used for the reference result figures.
+    Each runs the 300-trial desk default; ``dataclasses.replace(s,
+    trials=5000)`` gives the count of the reference result figures.
     """
     if name not in _PRESET_PARAMS:
         raise ValueError(f"unknown preset {name!r}")
     n, mu, delta = _PRESET_PARAMS[name]
-    trials = FULL_TRIALS if full_scale else DESK_TRIALS
     if name.startswith("fig3"):
         sources = (np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         mac = MacModel.adder(2, 2)
@@ -356,13 +352,13 @@ def preset_curves(name: str, full_scale: bool = False) -> dict[str, Scenario]:
             n=n,
             mu=mu,
             delta=delta,
-            trials=trials,
+            trials=DESK_TRIALS,
             master_seed=_MASTER_SEED,
         )
         for label, attack in _preset_attacks(name).items()
     }
 
 
-def preset(name: str, full_scale: bool = False) -> Scenario:
+def preset(name: str) -> Scenario:
     """The headline scenario of a named preset (its main malicious curve)."""
-    return preset_curves(name, full_scale)[_PRESET_HEADLINE[name]]
+    return preset_curves(name)[_PRESET_HEADLINE[name]]

@@ -10,19 +10,20 @@ variables are split into positive/negative parts at the solver boundary.
 Results are deterministic: identical inputs produce bitwise-identical
 outcomes.
 
-An optimal outcome carries its basis. A Restart factors a program once at
-such a basis; solve_lp then answers every sibling that differs only in its
-right-hand sides by dual simplex from there: reduced costs do not depend on
-the right-hand side, so the basis stays dual feasible and is typically a
-few pivots from the new optimum (Chvatal, Linear Programming, 1983,
-ch. 10). A sibling already primal feasible at that basis costs one matvec.
-An optimum is declared only after the basic values and reduced costs are
-recomputed at the final basis from pristine data. When the dual ratio test
-finds no eligible entry, the leaving row is a Farkas ray; it is recomputed
-from pristine data and declares the sibling infeasible only if it verifies
-(y @ A >= 0 and y @ b < 0, with a margin). Whenever the restart cannot
-finish (a ray that does not verify, a singular or dual-infeasible basis, a
-spent pivot budget), the cold two-phase solve runs instead.
+An optimal outcome carries its basis. A Restart solves a program once,
+cold, and factors it at its own optimal basis; solve_lp then answers every
+sibling that differs only in its right-hand sides by dual simplex from
+there: reduced costs do not depend on the right-hand side, so the basis
+stays dual feasible and is typically a few pivots from the new optimum
+(Chvatal, Linear Programming, 1983, ch. 10). A sibling already primal
+feasible at that basis costs one matvec. An optimum is declared only after
+the basic values and reduced costs are recomputed at the final basis from
+pristine data. When the dual ratio test finds no eligible entry, the
+leaving row is a Farkas ray; it is recomputed from pristine data and
+declares the sibling infeasible only if it verifies (y @ A >= 0 and
+y @ b < 0, with a margin). Whenever the restart cannot finish (a ray that
+does not verify, a singular or dual-infeasible basis, a spent pivot
+budget), the cold two-phase solve runs instead.
 
 This is deliberately a small, dependency-free kernel: every program in this
 package has at most a few hundred variables, so a dense tableau is adequate.
@@ -131,7 +132,7 @@ class LpOutcome:
     """Status, and for an optimum the solution, its value and its basis.
 
     ``basis`` (read-only) lists the standard-form columns basic at the
-    optimum; it is what a Restart of a program of the same shape factors.
+    optimum; a Restart factors its program at the basis of its own optimum.
     ``path`` says what answered: ``"start"`` (optimal at a restart's basis),
     ``"dual"`` (dual-simplex pivots from it), ``"farkas"`` (a verified ray
     from it) or ``"cold"`` (the two-phase solve); ``pivots`` counts every
@@ -268,7 +269,7 @@ _REFRESH_PERIOD = 64
 _STALL_LIMIT = 40
 
 
-def _simplex(ext, rhs, c_vec, basis, max_iter, n_enter, pin_start):
+def _simplex(ext, rhs, c_vec, basis, max_iter, pin_start):
     """Iterate to optimality from `basis`; returns (status, tab, basis, pivots).
 
     Pivot choice is Dantzig's rule (most negative reduced cost) with the
@@ -278,15 +279,16 @@ def _simplex(ext, rhs, c_vec, basis, max_iter, n_enter, pin_start):
     which breaks cycles. 'optimal'/'unbounded' are only declared on a
     freshly refactorized tableau so drift cannot manufacture either.
 
-    Only columns below n_enter may enter the basis. Basic variables with
-    index >= pin_start (lingering artificials in phase 2) are pinned at
-    zero: any entering column that would move one forces a ratio of 0 and
-    ejects the artificial instead, on either pivot sign. Such pivots can
-    happen at most once per artificial, so they cannot cycle, and sound
-    unbounded certificates are preserved (a ray may never grow an
-    artificial).
+    Only the real columns, left of `ext`'s artificial block, may enter the
+    basis. Basic variables with index >= pin_start (lingering artificials
+    in phase 2) are pinned at zero: any entering column that would move one
+    forces a ratio of 0 and ejects the artificial instead, on either pivot
+    sign. Such pivots can happen at most once per artificial, so they
+    cannot cycle, and sound unbounded certificates are preserved (a ray may
+    never grow an artificial).
     """
     tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
+    n_enter = ext.shape[1] - ext.shape[0]
     since_refresh = 0
     stall = 0
     bland = False
@@ -459,34 +461,34 @@ def _same_program(p: LpProblem, q: LpProblem) -> bool:
 
 
 class Restart:
-    """One program factored at one of its bases, to answer its siblings.
+    """One program solved cold and factored at its own optimum, to answer its siblings.
 
-    Built once from a program and a basis (an ``LpOutcome.basis`` of a
-    program of the same shape, typically its own optimum). It holds the
-    program's standard form, the basis inverse, the tableau B^-1 [A | I]
-    and the reduced costs. Dual feasibility does not depend on the
-    right-hand side, so it is checked here once: a singular or
-    dual-infeasible basis leaves the restart unusable, and every solve
-    through it runs cold. The restart is never modified by a solve.
+    ``optimum`` is the program's cold LpOutcome. At its basis the restart
+    holds the program's standard form, the basis inverse, the tableau
+    B^-1 [A | I] and the reduced costs. Dual feasibility does not depend on
+    the right-hand side, so it is checked here once: a program with no
+    optimum, or a basis that roundoff leaves singular or dual infeasible,
+    leaves the restart unusable, and every solve through it runs cold. The
+    restart is never modified by a solve.
     """
 
-    def __init__(self, p: LpProblem, basis):
+    def __init__(self, p: LpProblem):
         form = _StandardForm(p)
+        self.problem, self.form = p, form
+        self.optimum = _solve_cold(p, form, 0)
+        self.basis = self.optimum.basis
         m, n_real = form.full.shape
-        start = np.array(basis, dtype=np.intp)
-        if start.shape != (m,) or ((start < 0) | (start >= n_real + m)).any():
-            raise ValueError(f"basis must hold {m} column indices below {n_real + m}")
-        start.setflags(write=False)
-        self.problem, self.form, self.basis = p, form, start
         self.ext = np.hstack([form.full, np.eye(m)])
         self.cost = np.concatenate([form.cost, np.zeros(m)])
         self.inverse = self.tableau = self.reduced = None
+        if self.basis is None:
+            return
         try:
-            inverse = np.linalg.inv(self.ext[:, start])
+            inverse = np.linalg.inv(self.ext[:, self.basis])
         except np.linalg.LinAlgError:
             return
         tableau = inverse @ self.ext
-        reduced = self.cost - self.cost[start] @ tableau
+        reduced = self.cost - self.cost[self.basis] @ tableau
         if (reduced[:n_real] < -_FEAS_TOL).any():
             return
         self.inverse, self.tableau, self.reduced = inverse, tableau, reduced
@@ -525,14 +527,14 @@ def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
     if it cannot finish, the cold two-phase solve runs as if no restart had
     been given.
     """
-    spent = 0
     if restart is None:
-        form = _StandardForm(p)
-    else:
-        outcome, spent = restart.answer(p)
-        if outcome is not None:
-            return outcome
-        form = restart.form
+        return _solve_cold(p, _StandardForm(p), 0)
+    outcome, spent = restart.answer(p)
+    return outcome if outcome is not None else _solve_cold(p, restart.form, spent)
+
+
+def _solve_cold(p: LpProblem, form: _StandardForm, spent: int) -> LpOutcome:
+    """The two-phase solve of p in its standard form; ``spent`` pivots came before."""
     rhs = form.rhs(p)
     # the primal phases start from the artificial basis, so make rhs >= 0
     full = form.full.copy()
@@ -547,9 +549,7 @@ def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
     c1 = np.zeros(n_real + m)
     c1[n_real:] = 1.0
     basis = np.arange(n_real, n_real + m)
-    status, tab, basis, pivots1 = _simplex(
-        ext, rhs, c1, basis, max_iter, n_enter=n_real, pin_start=n_real + m
-    )
+    status, tab, basis, pivots1 = _simplex(ext, rhs, c1, basis, max_iter, pin_start=n_real + m)
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
         raise LpFailure("phase 1 reported unbounded")
     phase1 = float(c1[basis] @ np.maximum(tab[:, -1], 0.0))
@@ -559,9 +559,7 @@ def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
     # phase 2: original objective; lingering artificial columns stay in the
     # working basis (pinned at zero) so it remains well-conditioned even
     # when the caller supplied redundant equality rows
-    status, tab, basis, pivots2 = _simplex(
-        ext, rhs, c2, basis, max_iter, n_enter=n_real, pin_start=n_real
-    )
+    status, tab, basis, pivots2 = _simplex(ext, rhs, c2, basis, max_iter, pin_start=n_real)
     pivots = spent + pivots1 + pivots2
     if status == "unbounded":
         return LpOutcome(status=LpStatus.UNBOUNDED, pivots=pivots)

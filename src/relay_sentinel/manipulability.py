@@ -61,16 +61,19 @@ class ConsistencyFailure(RuntimeError):
 class ManipulabilityVerdict:
     """Combined certification result.
 
-    method is "Both" when the null-space search also ran (square full-rank
-    B), else "Algorithm1"; dpv_found mirrors that search or stays None.
+    dpv_found mirrors the null-space search, which runs only on a square
+    full-rank B, or stays None; method is then "Both", else "Algorithm1".
     """
 
     manipulable: bool
     lp_optimal_value: float
     witness: np.ndarray | None
     induced_attack: np.ndarray | None
-    method: str
     dpv_found: bool | None
+
+    @property
+    def method(self) -> str:
+        return "Both" if self.dpv_found is not None else "Algorithm1"
 
 
 def check_algorithm1(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
@@ -272,7 +275,6 @@ def certify(a: np.ndarray, b: np.ndarray) -> ManipulabilityVerdict:
     induced = witness_to_attack(upsilon) if upsilon is not None else None
     if induced is not None and l1_norm(induced - np.eye(size_u)) <= 0.0:
         raise ConsistencyFailure("induced attack collapsed to the identity")
-    method = "Algorithm1"
     dpv_found = None
     if rank(b) == size_u:
         dpv_found = dpv_search_algorithm2(a) == "found"
@@ -281,12 +283,10 @@ def certify(a: np.ndarray, b: np.ndarray) -> ManipulabilityVerdict:
                 f"null-space search says found={dpv_found} but the LP value "
                 f"{value:.3e} says manipulable={manipulable}"
             )
-        method = "Both"
     return ManipulabilityVerdict(
         manipulable=manipulable,
         lp_optimal_value=value,
         witness=upsilon,
         induced_attack=induced,
-        method=method,
         dpv_found=dpv_found,
     )

@@ -52,9 +52,6 @@ class ChannelConstants:
     a_big_min: float
     a_min: float
     b_min: float
-    u_size: int
-    x1_size: int
-    y1_size: int
 
 
 def l1_norm(m: np.ndarray) -> float:
@@ -159,8 +156,9 @@ def transition_counts(
     """counts[i, j] = #(observed = i, given = j) over two paired symbol traces.
 
     ``names`` labels (given, observed) in the messages. Traces of different
-    or zero length, and symbols outside {0, ..., size - 1}, are rejected,
-    never folded into another cell.
+    or zero length, traces that are not integer arrays (bool and float
+    included), and symbols outside {0, ..., size - 1}, are rejected, never
+    folded into another cell.
     """
     given = np.asarray(given)
     observed = np.asarray(observed)
@@ -169,12 +167,16 @@ def transition_counts(
     if given.size == 0:
         raise ValueError("empty traces")
     for name, trace, size in zip(names, (given, observed), (given_size, observed_size)):
+        if trace.dtype.kind not in "iu":
+            raise ValueError(f"{name} symbols must be integers, got dtype {trace.dtype}")
         low, high = trace.min(), trace.max()
         if low < 0 or high >= size:
             raise ValueError(
                 f"{name} symbol {low if low < 0 else high} is outside the"
                 f" alphabet of size {size}"
             )
+    # in range, so every integer dtype (uint64 included) fits an intp
+    given, observed = given.astype(np.intp, copy=False), observed.astype(np.intp, copy=False)
     return np.bincount(
         observed * given_size + given, minlength=observed_size * given_size
     ).reshape(observed_size, given_size)
@@ -190,11 +192,4 @@ def channel_constants(a: np.ndarray, y1_size: int) -> ChannelConstants:
         raise ValueError("channel matrix has an all-zero row")
     a_min = a_big_min / (u_size * (x1_size + a_big_min))
     b_min = 1.0 / (u_size * (y1_size + 1))
-    return ChannelConstants(
-        a_big_min=a_big_min,
-        a_min=a_min,
-        b_min=b_min,
-        u_size=u_size,
-        x1_size=x1_size,
-        y1_size=y1_size,
-    )
+    return ChannelConstants(a_big_min=a_big_min, a_min=a_min, b_min=b_min)

@@ -29,6 +29,19 @@ def test_attack_spec_validation(motivating_phis):
         AttackSpec.gated(motivating_phis[2], "sometimes")
 
 
+def test_attack_kind_is_read_off_the_fields(motivating_phis):
+    phi = motivating_phis[2]
+    assert AttackSpec().kind == AttackSpec.identity().kind == "identity"
+    assert AttackSpec(phi=phi).kind == AttackSpec.iid(phi).kind == "iid"
+    assert AttackSpec(phi=phi, gate_parity="odd").kind == "gated"
+    assert AttackSpec.gated(phi, "even").kind == "gated"
+    # a kind that contradicts the fields can no longer be stated
+    with pytest.raises(ValueError, match="a gated attack needs an attack matrix phi"):
+        AttackSpec(gate_parity="even")
+    with pytest.raises(TypeError):
+        AttackSpec(kind="identity", phi=phi)
+
+
 def test_iid_phi4_changed_fraction(motivating_phis):
     # matrix arithmetic: only symbols 0 and 2 can change, each w.p. 0.01,
     # and p(u=0) + p(u=2) = 1/2 under uniform binary sources -> 0.005

@@ -18,7 +18,27 @@ def test_adder_mac_shape_and_determinism():
 
 def test_table_mac_validation():
     with pytest.raises(ValueError):
-        MacModel.from_table(np.array([[0.5, 0.5], [0.4, 0.5]]), 2, 1)
+        MacModel(np.array([[0.5, 0.5], [0.4, 0.5]]), 2, 1)
+
+
+def test_table_mac_checks_its_table_and_derives_determinism():
+    # a model used to take its determinism flag on trust, so a NaN table
+    # or a table with a split column could be declared deterministic
+    with pytest.raises(ValueError, match=r"table\[0\]\[0\]: entry nan is not finite"):
+        MacModel(np.array([[np.nan, 0.0], [1.0, 1.0]]), 2, 1)
+    with pytest.raises(ValueError, match="expected 4"):
+        MacModel(np.eye(2), 2, 2)
+    mixed = np.array([[1.0, 0.5], [0.0, 0.5]])
+    assert not MacModel(mixed, 2, 1).deterministic
+    assert MacModel(np.eye(2), 2, 1).deterministic
+    assert MacModel.adder(3, 2).deterministic
+    with pytest.raises(TypeError):
+        MacModel(mixed, 2, 1, True)
+    # the alphabet sizes are counts: a product of -1 and -2 fit two columns
+    with pytest.raises(ValueError, match="x1_size must be an integer >= 1, got -1"):
+        MacModel(np.eye(2), -1, -2)
+    with pytest.raises(ValueError, match="x1_size must be an integer >= 1, got True"):
+        MacModel(np.eye(2), True, 2)
 
 
 def test_marginalize_binary_adder(motivating_a):
@@ -35,14 +55,14 @@ def test_marginalize_ternary_adder(higher_a):
 
 def test_marginalize_degenerate_second_source():
     table = np.array([[0.9, 0.2], [0.1, 0.8]])
-    mac = MacModel.from_table(table, x1_size=2, x2_size=1)
+    mac = MacModel(table, x1_size=2, x2_size=1)
     a = channelmodel.marginalize_mac(mac, np.array([1.0]))
     np.testing.assert_allclose(a, table, atol=1e-12)
 
 
 def test_marginalize_dead_output_row_rejected():
     table = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    mac = MacModel.from_table(table, x1_size=2, x2_size=1)
+    mac = MacModel(table, x1_size=2, x2_size=1)
     with pytest.raises(AlphabetReductionError):
         channelmodel.marginalize_mac(mac, np.array([1.0]))
 
@@ -177,7 +197,7 @@ def test_inverse_cdf_kernel_matches_argmax_oracle():
         second = np.resize(_oracle_draws(p2_col), n)
         table = rng.dirichlet(np.ones(3), size=p1.size * p2.size).T
         table[:, 0] = dips[:3, 0]
-        mac = MacModel.from_table(table, p1.size, p2.size)
+        mac = MacModel(table, p1.size, p2.size)
         third = rng.random(n)
         x1, x2, u = channelmodel.simulate_uplink(
             mac, p1, p2, n, _ScriptedGenerator(first, second, third)
@@ -262,7 +282,7 @@ def test_marginalize_random_tables_stochastic():
         x1 = int(rng.integers(2, 5))
         x2 = int(rng.integers(1, 5))
         table = rng.dirichlet(np.ones(u), size=x1 * x2).T
-        mac = MacModel.from_table(table, x1, x2)
+        mac = MacModel(table, x1, x2)
         p2 = rng.dirichlet(np.ones(x2))
         try:
             a = channelmodel.marginalize_mac(mac, p2)

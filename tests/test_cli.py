@@ -193,6 +193,83 @@ def test_scenario_document_round_trip():
     assert scenario_document(rebuilt) == scenario_document(scenario)
 
 
+def test_every_preset_curve_round_trips_through_its_document():
+    # fig3d's curves take the gated branch of the attack loader
+    kinds = set()
+    for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b"):
+        for label, scenario in preset_curves(name).items():
+            rebuilt = scenario_from_document(json.loads(json.dumps(scenario_document(scenario))))
+            assert scenario_hash(rebuilt) == scenario_hash(scenario), (name, label)
+            assert rebuilt.attack.kind == scenario.attack.kind, (name, label)
+            assert rebuilt.attack.gate_parity == scenario.attack.gate_parity, (name, label)
+            kinds.add(rebuilt.attack.kind)
+    assert kinds == {"identity", "iid", "gated"}
+
+
+def _gated_doc():
+    doc = scenario_document(preset("fig3d"))
+    doc["sim"].update(N=200, trials=1)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "change, key_path",
+    [
+        (lambda doc: doc["mac"].update(type="lut"), "mac.type: unknown type 'lut'"),
+        (lambda doc: doc["mac"].update(u_size=4), "mac.table: has 3 rows, u_size says 4"),
+        (
+            lambda doc: doc["mac"].update(table=np.eye(3)[:, [0, 1, 1]].tolist()),
+            "mac.table: table has 3 columns, expected 4",
+        ),
+        (
+            lambda doc: doc.update(bc_marginal=np.eye(4).tolist()),
+            r"bc_marginal: has 4 columns, expected one per relay symbol \(3\)",
+        ),
+        (
+            lambda doc: doc["attack"].update(phi=np.eye(2).tolist()),
+            "attack.phi: expected a 3x3 matrix, got 2x2",
+        ),
+        (lambda doc: doc["attack"].update(gate="both"), "attack.gate: expected 'even' or 'odd'"),
+        (lambda doc: doc["attack"].pop("gate"), "attack.gate: missing"),
+    ],
+    ids=["mac-type", "table-rows", "table-columns", "bc-width", "phi-shape", "gate", "no-gate"],
+)
+def test_document_rejections_name_the_key_path(tmp_path, capsys, change, key_path):
+    doc = _gated_doc()
+    assert main(["simulate", write_doc(tmp_path, doc), "-o", str(tmp_path / "o.csv")]) == 0
+    capsys.readouterr()
+    change(doc)
+    code = main(["simulate", write_doc(tmp_path, doc), "-o", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert re.match(rf"^error: {key_path}", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_uplink_matrix_out_of_tolerance_is_named_by_the_document_keys(tmp_path, capsys, command):
+    # each entry passes the 1e-9 check on its own; their product A does not
+    doc = scenario_document(preset("fig3a"))
+    doc["sim"]["trials"] = 1
+    doc["sources"]["p2"] = [0.5 + 9e-10, 0.5]
+    doc["mac"]["table"][0][0] = 1.0 + 9e-10
+    argv = [command, write_doc(tmp_path, doc)]
+    if command == "simulate":
+        argv += ["-o", str(tmp_path / "o.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sources.p2 and mac.table: uplink matrix A: A[.][0]: column sums")
+    assert "to 1.00000000135" in err
+    doc["mac"] = {"type": "adder"}
+    assert main([command, write_doc(tmp_path, doc)] + argv[2:]) == 0
+    capsys.readouterr()
+    # an adder's third symbol needs x2 = 1, which this p2 never sends
+    doc["sources"]["p2"] = [1.0, 0.0]
+    assert main([command, write_doc(tmp_path, doc)] + argv[2:]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: sources.p2: uplink matrix A: relay-input symbols [2] are unreachable; prune U\n"
+    )
+
+
 def test_scenario_rejects_unknown_attack_type(tmp_path, capsys):
     doc = binary_adder_doc()
     doc["attack"] = {"type": "zap"}
@@ -278,7 +355,7 @@ def test_simulate_file_scenario_outputs_are_pinned(tmp_path):
 def test_main_builds_the_parser_once(tmp_path):
     main(["simulate", "--preset", "fig3a", "--trials", "1", "-o", str(tmp_path / "a.csv")])
     built = cli._build_parser.cache_info().misses
-    assert main(["reproduce", "fig3a", "--trials", "1", "--full-scale", "-o", str(tmp_path)]) == 0
+    assert main(["reproduce", "fig3a", "--trials", "1", "-o", str(tmp_path)]) == 0
     assert main(["certify", str(tmp_path / "missing.json")]) == 1
     assert cli._build_parser.cache_info().misses == built == 1
 
@@ -331,11 +408,11 @@ def test_simulate_requires_exactly_one_source(tmp_path, capsys):
 
 
 def test_simulate_file_rejects_full_scale(tmp_path, capsys):
-    # the flag used to be ignored: the file's trial count ran, exit 0
+    # --trials alone sets the trial count; --full-scale is not an option
     out = tmp_path / "o.csv"
     argv = ["simulate", write_doc(tmp_path, binary_adder_doc()), "--full-scale", "-o", str(out)]
     assert main(argv) == 1
-    assert "usage error: --full-scale applies to --preset only" in capsys.readouterr().err
+    assert "usage error: unrecognized arguments: --full-scale" in capsys.readouterr().err
     assert not out.exists()
 
 

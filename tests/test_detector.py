@@ -67,6 +67,13 @@ def test_out_of_alphabet_symbols_rejected(motivating_a, x1, y1, message):
         detector.run_detection(config, x1, y1)
 
 
+def test_float_trace_is_rejected_by_name():
+    # a float trace used to leak NumPy's TypeError from np.bincount
+    config = preset("fig3a").detector_config
+    with pytest.raises(ValueError, match="^x1 symbols must be integers, got dtype float64$"):
+        detector.run_detection(config, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+
+
 def test_conditional_histogram_converges_clean(motivating_a):
     mac = MacModel.adder(2, 2)
     half = np.array([0.5, 0.5])

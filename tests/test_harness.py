@@ -18,7 +18,6 @@ from relay_sentinel.attackmodel import AttackSpec
 from relay_sentinel.channelmodel import AlphabetReductionError, MacModel
 from relay_sentinel.harness import (
     DESK_TRIALS,
-    FULL_TRIALS,
     Scenario,
     TrialResult,
     empirical_cdf,
@@ -29,6 +28,7 @@ from relay_sentinel.harness import (
     run_experiment,
     run_trial,
     score_trial,
+    trial_seed,
     trial_traces,
 )
 
@@ -85,7 +85,6 @@ def test_trial_result_validates():
         statistic=0.1,
         truth_stat=0.0,
         feasible=True,
-        seed_used=7,
         changed_fraction=0.0,
     )
     TrialResult(**good)
@@ -112,13 +111,14 @@ def test_run_trial_scores_the_traces_of_its_trial():
 
 
 def test_run_trial_identity_attack():
-    result = run_trial(binary_adder_scenario(), 5)
+    scenario = binary_adder_scenario()
+    result = run_trial(scenario, 5)
     assert result.trial_index == 5
     assert result.truth_stat == 0.0
     assert result.changed_fraction == 0.0
     assert np.isfinite(result.statistic) and result.statistic >= 0.0
     assert result.feasible is True
-    assert isinstance(result.seed_used, int) and result.seed_used >= 0
+    assert isinstance(trial_seed(scenario, 5), int) and trial_seed(scenario, 5) >= 0
 
 
 def test_run_trial_uses_the_scenarios_detector_config(monkeypatch):
@@ -143,7 +143,7 @@ def test_scenario_with_unreachable_relay_symbol_fails_when_built():
     table = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
     with pytest.raises(AlphabetReductionError):
         binary_adder_scenario(
-            mac=MacModel.from_table(table, 2, 2), p2=np.array([1.0, 0.0])
+            mac=MacModel(table, 2, 2), p2=np.array([1.0, 0.0])
         )
 
 
@@ -172,7 +172,7 @@ def test_run_trial_streams_differ_by_index():
         )
     )
     first, second = run_trial(scenario, 0), run_trial(scenario, 1)
-    assert first.seed_used != second.seed_used
+    assert trial_seed(scenario, 0) != trial_seed(scenario, 1)
     assert first != second
 
 
@@ -289,7 +289,6 @@ def test_preset_parameters():
         assert scenario.trials == DESK_TRIALS
         seeds.add(scenario.master_seed)
     assert len(seeds) == 1  # one shared master seed across presets
-    assert preset("fig3b", full_scale=True).trials == FULL_TRIALS
     with pytest.raises(ValueError):
         preset("fig9z")
 
@@ -351,7 +350,6 @@ def test_preset_curves_families(motivating_phis, higher_phis):
     assert counter["clean"].attack.kind == "identity"
     assert np.allclose(counter["phi2"].attack.phi, np.eye(5) - counter_upsilon(1.0))
 
-    assert preset_curves("fig3a", full_scale=True)["phi1"].trials == FULL_TRIALS
     with pytest.raises(ValueError):
         preset_curves("fig4x")
 

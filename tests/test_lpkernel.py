@@ -5,6 +5,7 @@ vertex-enumeration oracle that is independent of the simplex path.
 """
 
 import collections
+import dataclasses
 import itertools
 
 import numpy as np
@@ -309,7 +310,8 @@ def test_warm_start_from_sibling_basis_matches_cold():
     for base, optimum, siblings in _families():
         assert optimum.status is LpStatus.OPTIMAL and optimum.path == "cold"
         assert optimum.basis.shape == (base.a_ub.shape[0] + base.objective.size + base.a_eq.shape[0],)
-        restart = lpkernel.Restart(base, optimum.basis)
+        restart = lpkernel.Restart(base)
+        assert _outcome_key(restart.optimum) == _outcome_key(optimum)
         answers = []
         for k, p in enumerate(siblings):
             cold = solve_lp(p)
@@ -343,23 +345,29 @@ def test_warm_start_basis_contract():
     assert out.basis.tolist() == [0]
     with pytest.raises(ValueError):
         out.basis[0] = 1
-    with pytest.raises(ValueError, match="basis"):
-        lpkernel.Restart(p, [0, 1])
-    with pytest.raises(ValueError, match="basis"):
-        lpkernel.Restart(p, [5])
+    # a restart solves its program cold and factors it at that optimum
+    restart = lpkernel.Restart(p)
+    assert _outcome_key(restart.optimum) == _outcome_key(out)
+    assert restart.basis is restart.optimum.basis
     other = LpProblem(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
     with pytest.raises(ValueError, match="different program"):
-        solve_lp(other, lpkernel.Restart(p, out.basis))
-    assert solve_lp(p.with_rhs(b_eq=[2.0]), lpkernel.Restart(p, out.basis)).path == "start"
-    # an artificial start is pivoted out; a dual-infeasible start (x1 basic
-    # costs more than x0) and a singular one fall back to the cold solve
-    artificial = solve_lp(p, lpkernel.Restart(p, [2]))
-    assert (artificial.value, artificial.path, artificial.pivots) == (out.value, "dual", 1)
-    dual_infeasible = solve_lp(p, lpkernel.Restart(p, [1]))
-    assert (dual_infeasible.value, dual_infeasible.path) == (out.value, "cold")
-    twice = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0])
-    singular = solve_lp(twice, lpkernel.Restart(twice, [0, 0]))
-    assert (singular.value, singular.path) == (solve_lp(twice).value, "cold")
+        solve_lp(other, restart)
+    assert solve_lp(p.with_rhs(b_eq=[2.0]), restart).path == "start"
+    # duplicated equality rows keep an artificial basic (column 2 or 3) at
+    # the optimum, pinned at zero: a sibling that moves both copies is
+    # answered from the start, one that moves a single copy by a ray
+    twice = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 1.0])
+    lingering = lpkernel.Restart(twice)
+    assert (lingering.basis >= 2).any() and lingering.inverse is not None
+    both = solve_lp(twice.with_rhs(b_eq=[2.0, 2.0]), lingering)
+    assert (both.value, both.path) == (2.0, "start")
+    one = solve_lp(twice.with_rhs(b_eq=[1.0, 2.0]), lingering)
+    assert (one.status, one.path) == (LpStatus.INFEASIBLE, "farkas")
+    # a program with no optimum leaves the restart unusable: solves run cold
+    empty = LpProblem(objective=[1.0], a_ub=[[1.0]], b_ub=[-1.0])
+    unusable = lpkernel.Restart(empty)
+    assert unusable.optimum.status is LpStatus.INFEASIBLE and unusable.inverse is None
+    assert solve_lp(empty.with_rhs(b_ub=[1.0]), unusable).path == "cold"
     assert solve_lp(LpProblem(objective=[1.0], a_ub=[[1.0]], b_ub=[-1.0])).basis is None
     # a sibling checks only its new right-hand side
     with pytest.raises(ValueError, match="b_eq"):
@@ -368,6 +376,34 @@ def test_warm_start_basis_contract():
         p.with_rhs(b_eq=[np.inf])
     with pytest.raises(ValueError, match="b_ub"):
         p.with_rhs(b_ub=[1.0])
+
+
+@pytest.mark.parametrize(
+    "p, basis",
+    [
+        # x1 basic costs more than x0: dual infeasible
+        (LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]), [1]),
+        (
+            LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0]),
+            [0, 0],
+        ),
+    ],
+    ids=["dual-infeasible", "singular"],
+)
+def test_restart_at_a_basis_it_cannot_use_solves_cold(monkeypatch, p, basis):
+    # roundoff could leave a cold optimum's basis singular or dual
+    # infeasible when it is factored; stand in such a basis for the optimum's
+    honest = lpkernel._solve_cold
+
+    def foreign(q, form, spent):
+        return dataclasses.replace(honest(q, form, spent), basis=np.array(basis))
+
+    monkeypatch.setattr(lpkernel, "_solve_cold", foreign)
+    restart = lpkernel.Restart(p)
+    monkeypatch.setattr(lpkernel, "_solve_cold", honest)
+    assert restart.inverse is None
+    answer = solve_lp(p, restart)
+    assert (answer.value, answer.path) == (solve_lp(p).value, "cold")
 
 
 @pytest.mark.parametrize("corruption", ["flipped sign", "negative slack entry"])
@@ -388,7 +424,7 @@ def test_corrupted_farkas_ray_falls_back_to_the_cold_solve(monkeypatch, corrupti
     monkeypatch.setattr(lpkernel, "_farkas_ray", corrupted)
     infeasible = 0
     for base, optimum, siblings in _families(30):
-        restart = lpkernel.Restart(base, optimum.basis)
+        restart = lpkernel.Restart(base)
         for p in siblings:
             cold = solve_lp(p)
             warm = solve_lp(p, restart)
@@ -404,7 +440,7 @@ def test_ray_verification_never_declares_a_feasible_sibling_infeasible():
     # try every row of the factored basis and of the final one as the ray
     checked = 0
     for base, optimum, siblings in _families():
-        restart = lpkernel.Restart(base, optimum.basis)
+        restart = lpkernel.Restart(base)
         full = restart.ext[:, : restart.form.full.shape[1]]
         for p in siblings:
             warm = solve_lp(p, restart)
@@ -442,7 +478,7 @@ def test_restart_answers_from_pristine_data_despite_tableau_drift(monkeypatch):
     monkeypatch.setattr(lpkernel, "_dual_simplex", dual_simplex)
     answered = 0
     for base, optimum, siblings in _families():
-        restart = lpkernel.Restart(base, optimum.basis)
+        restart = lpkernel.Restart(base)
         for p in siblings:
             cold = solve_lp(p)
             warm = solve_lp(p, restart)

@@ -203,6 +203,14 @@ def test_certify_motivating(motivating_a, motivating_b):
     assert verdict.induced_attack is None
 
 
+def test_verdict_method_is_read_off_the_null_space_search():
+    base = dict(manipulable=False, lp_optimal_value=0.0, witness=None, induced_attack=None)
+    assert ManipulabilityVerdict(**base, dpv_found=False).method == "Both"
+    assert ManipulabilityVerdict(**base, dpv_found=None).method == "Algorithm1"
+    with pytest.raises(TypeError):
+        ManipulabilityVerdict(**base, method="Both", dpv_found=None)
+
+
 def test_certify_higher_order(higher_a, higher_b):
     # B is 4x5 with a nontrivial right null space, so the null-space search
     # is not authoritative and only the linear program decides.
@@ -278,6 +286,27 @@ def test_property_lp_verdict_matches_witness_search():
         assert stochcore.l1_norm(b @ phi @ a - b @ a) <= 1e-6
     # the sweep must exercise both outcomes to mean anything
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_blands_rule_gives_the_same_certificates(
+    monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    # the witness LPs have an all-zero right-hand side, so their pivots are
+    # degenerate: with no stall allowance Bland's rule engages at once
+    rng = np.random.default_rng(20260816)  # the witness-search property channels
+    channels = [(motivating_a, motivating_b), (higher_a, higher_b), (higher_a, counter_b)]
+    for _ in range(100):
+        size_u = int(rng.integers(2, 6))
+        size_x1 = int(rng.integers(1, size_u + 1))
+        size_y1 = int(rng.integers(1, 6))
+        channels.append(_random_channel(rng, size_u, size_x1, size_y1))
+    dantzig = [manipulability.certify(a, b) for a, b in channels]
+    monkeypatch.setattr(lpkernel, "_STALL_LIMIT", 0)
+    for (a, b), expected in zip(channels, dantzig):
+        verdict = manipulability.certify(a, b)
+        assert verdict.manipulable == expected.manipulable
+        assert verdict.lp_optimal_value == pytest.approx(expected.lp_optimal_value, abs=1e-9)
+    assert 0 < sum(v.manipulable for v in dantzig) < len(channels)
 
 
 def test_property_lp_verdict_matches_null_space_search():

@@ -53,7 +53,6 @@ def test_channel_constants_motivating(motivating_a):
     assert c.a_big_min == pytest.approx(0.5, abs=1e-12)
     assert c.a_min == pytest.approx(1.0 / 15.0, abs=1e-12)
     assert c.b_min == pytest.approx(1.0 / 12.0, abs=1e-12)
-    assert (c.u_size, c.x1_size, c.y1_size) == (3, 2, 3)
 
 
 def test_channel_constants_identity():
@@ -309,3 +308,25 @@ def test_transition_counts_hand_counted():
 def test_transition_counts_owns_the_trace_rules(given, observed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         stochcore.transition_counts(given, observed, 2, 3, ("g", "o"))
+
+
+@pytest.mark.parametrize(
+    "given, observed, message",
+    [
+        ([0.0, 1.0], [0, 1], "g symbols must be integers, got dtype float64"),
+        ([0, 1], [False, True], "o symbols must be integers, got dtype bool"),
+        ([0, 1], ["0", "1"], "o symbols must be integers, got dtype <U1"),
+    ],
+)
+def test_transition_counts_rejects_non_integer_traces(given, observed, message):
+    # a float trace used to leak NumPy's TypeError from np.bincount
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        stochcore.transition_counts(np.array(given), np.array(observed), 2, 3, ("g", "o"))
+
+
+def test_transition_counts_takes_every_integer_dtype():
+    for dtype in (np.uint8, np.int32, np.uint64, np.int64):
+        counts = stochcore.transition_counts(
+            np.array([0, 1, 1], dtype=dtype), np.array([2, 0, 2], dtype=dtype), 2, 3, ("g", "o")
+        )
+        np.testing.assert_array_equal(counts, [[0, 1], [0, 0], [1, 1]])
