@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channelmodel import sample_columns
-from .stochcore import l1_norm, transition_counts, validate_column_stochastic
+from .channelmodel import sample_trace
+from .stochcore import l1_norm, transition_counts, validate_column_stochastic, value_eq
 
 __all__ = [
     "AttackSpec",
@@ -47,6 +47,8 @@ class AttackSpec:
 
     phi: np.ndarray | None = None
     gate_parity: str | None = None
+
+    __eq__ = value_eq
 
     def __post_init__(self):
         if self.gate_parity not in (None, *_PARITIES):
@@ -97,10 +99,11 @@ def apply_attack(
     if spec.phi is None:
         return u_trace.copy()
     if spec.gate_parity is not None:
-        parity = "even" if int(u_trace.sum()) % 2 == 0 else "odd"
+        # the parity of the sum is the low bit of the XOR: no widening pass
+        parity = _PARITIES[int(np.bitwise_xor.reduce(u_trace)) & 1]
         if parity != spec.gate_parity:
             return u_trace.copy()
-    return sample_columns(spec.phi, u_trace, rng.random(u_trace.size))
+    return sample_trace(spec.phi, u_trace.size, rng, lambda block: u_trace[block])
 
 
 def extract_attack_channel(

@@ -8,15 +8,29 @@ Sampling draw order inside `simulate_uplink` is fixed (x1 block, then x2
 block, then — for non-deterministic MACs only — the u block) so traces are
 reproducible from a seeded generator. Deterministic MACs consume no draws
 for u.
+
+Each stage draws its stream in consecutive ``trace_blocks``: consecutive
+``rng.random(k)`` calls return exactly the doubles of one ``rng.random(n)``,
+so a trace is bitwise the one a single draw gives, and it comes back in the
+smallest unsigned dtype of its alphabet (``symbol_dtype``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .stochcore import validate_column_stochastic, validate_count, validate_pmf
+from .stochcore import (
+    pair_index,
+    symbol_dtype,
+    trace_blocks,
+    validate_column_stochastic,
+    validate_count,
+    validate_pmf,
+    value_eq,
+)
 
 __all__ = [
     "AlphabetReductionError",
@@ -25,6 +39,7 @@ __all__ = [
     "gamma_from",
     "stationary_u_pmf",
     "sample_columns",
+    "sample_trace",
     "simulate_uplink",
     "simulate_downlink",
 ]
@@ -47,6 +62,8 @@ class MacModel:
     x1_size: int
     x2_size: int
     deterministic: bool = field(init=False)
+
+    __eq__ = value_eq
 
     def __post_init__(self):
         columns = validate_count(self.x1_size, "x1_size") * validate_count(self.x2_size, "x2_size")
@@ -111,6 +128,38 @@ def stationary_u_pmf(mac: MacModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
     return mac.table @ pair
 
 
+# distinct matrices whose cumulative tables are kept
+_CDF_MEMO = 64
+
+
+def _cdf_table(matrix) -> tuple[np.ndarray, np.dtype]:
+    """The running-maximum cumulative sum of ``matrix``'s columns, last row
+    left out, and the symbol dtype of its rows.
+
+    Memoized by content, so it is built once per matrix, not per trial.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    return _cdf_table_of(matrix.shape, matrix.tobytes())
+
+
+@lru_cache(maxsize=_CDF_MEMO)
+def _cdf_table_of(shape: tuple, data: bytes) -> tuple[np.ndarray, np.dtype]:
+    cum = np.cumsum(np.frombuffer(data).reshape(shape), axis=0)
+    rows = np.maximum.accumulate(cum, axis=0)[:-1]
+    rows.setflags(write=False)
+    return rows, symbol_dtype(shape[0])
+
+
+def _inverse_cdf(rows: np.ndarray, columns, draws: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Writes into ``index`` the number of ``rows`` each draw is >= to."""
+    index.fill(0)
+    if columns is not None:
+        columns = np.asarray(columns).astype(np.intp, copy=False)
+    for row in rows:
+        index += draws >= (row if columns is None else row.take(columns))
+    return index
+
+
 def sample_columns(
     matrix: np.ndarray, columns: np.ndarray | None, draws: np.ndarray
 ) -> np.ndarray:
@@ -123,13 +172,24 @@ def sample_columns(
     entries dip the sum; leaving out the last row treats it as 1.0, so a
     float undersum cannot push a draw past the alphabet.
     """
+    rows, dtype = _cdf_table(matrix)
     draws = np.asarray(draws)
-    cum = np.cumsum(np.asarray(matrix, dtype=float), axis=0)
-    cum = np.maximum.accumulate(cum, axis=0)
-    index = np.zeros(draws.size, dtype=np.intp)
-    for row in cum[:-1]:
-        index += draws >= (row if columns is None else row[columns])
-    return index
+    return _inverse_cdf(rows, columns, draws, np.empty(draws.size, dtype))
+
+
+def sample_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns=None) -> np.ndarray:
+    """n symbols drawn by ``sample_columns``, one of ``trace_blocks(n)`` at a time.
+
+    ``columns(block)`` gives the column index of each symbol in the slice
+    ``block``; without it every symbol is drawn from the one pmf ``matrix``.
+    The draws of the blocks are those of one ``rng.random(n)``.
+    """
+    rows, dtype = _cdf_table(matrix)
+    trace = np.empty(n, dtype)
+    for block in trace_blocks(n):
+        draws = rng.random(block.stop - block.start)
+        _inverse_cdf(rows, None if columns is None else columns(block), draws, trace[block])
+    return trace
 
 
 def simulate_uplink(
@@ -143,12 +203,18 @@ def simulate_uplink(
     validate_count(n, "n")
     p1 = validate_pmf(p1, "p1")
     p2 = validate_pmf(p2, "p2")
-    x1 = sample_columns(p1, None, rng.random(n))
-    x2 = sample_columns(p2, None, rng.random(n))
-    if mac.deterministic:
-        u = mac.table.argmax(axis=0)[x1 * mac.x2_size + x2]
-    else:
-        u = sample_columns(mac.table, x1 * mac.x2_size + x2, rng.random(n))
+    x1 = sample_trace(p1, n, rng)
+    x2 = sample_trace(p2, n, rng)
+
+    def pairs(block):
+        return pair_index(x1[block], x2[block], mac.x2_size)
+
+    if not mac.deterministic:
+        return x1, x2, sample_trace(mac.table, n, rng, pairs)
+    point_masses = mac.table.argmax(axis=0).astype(symbol_dtype(mac.u_size))
+    u = np.empty(n, dtype=point_masses.dtype)
+    for block in trace_blocks(n):
+        u[block] = point_masses[pairs(block)]
     return x1, x2, u
 
 
@@ -157,4 +223,4 @@ def simulate_downlink(
 ) -> np.ndarray:
     """Pass the relay outputs through the memoryless broadcast marginal B."""
     v_trace = np.asarray(v_trace)
-    return sample_columns(b, v_trace, rng.random(v_trace.size))
+    return sample_trace(b, v_trace.size, rng, lambda block: v_trace[block])

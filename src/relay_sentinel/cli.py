@@ -53,6 +53,7 @@ from .harness import (
 )
 from .manipulability import CertificationFailure, ConsistencyFailure, certify
 from .stochcore import (
+    pair_index,
     validate_column_stochastic,
     validate_count,
     validate_pmf,
@@ -312,7 +313,7 @@ def _trace_rows(first, second, first_size, second_size):
     alphabet pairs, formatted once per scenario and looked up per row.
     """
     labels = [f",{a},{b}" for a in range(first_size) for b in range(second_size)]
-    keys = (first * second_size + second).tolist()
+    keys = pair_index(first, second, second_size).tolist()
     return [f"{i}{labels[k]}" for i, k in enumerate(keys)]
 
 

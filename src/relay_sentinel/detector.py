@@ -43,6 +43,7 @@ from .stochcore import (
     validate_channel,
     validate_column_stochastic,
     validate_positive,
+    value_eq,
 )
 
 __all__ = [
@@ -65,6 +66,8 @@ class DetectorConfig:
     b: np.ndarray
     mu: float
     delta: float
+
+    __eq__ = value_eq
 
     def __post_init__(self):
         a, b = validate_channel(self.a, self.b)

@@ -28,7 +28,7 @@ from .attackmodel import (
 )
 from .channelmodel import MacModel, marginalize_mac, simulate_downlink, simulate_uplink
 from .detector import DetectorConfig, run_detection
-from .stochcore import validate_count, validate_pmf
+from .stochcore import validate_count, validate_pmf, value_eq
 
 __all__ = [
     "DESK_TRIALS",
@@ -70,6 +70,8 @@ class Scenario:
     trials: int
     master_seed: int
     detector_config: DetectorConfig = field(init=False, repr=False, compare=False)
+
+    __eq__ = value_eq
 
     def __post_init__(self):
         object.__setattr__(self, "p1", validate_pmf(self.p1, "p1"))

@@ -12,11 +12,16 @@ Conventions used throughout the package:
   the channel pair, the real parameters (mu, delta) and the counts. A bool
   is never a number or a count here;
 - `transition_counts` alone counts a pair of symbol traces and decides the
-  trace rules: equal non-zero lengths, every symbol inside its alphabet.
+  trace rules: equal non-zero lengths, every symbol inside its alphabet;
+- symbol traces are stored in the smallest unsigned dtype of their alphabet
+  (`symbol_dtype`), and every per-symbol pass walks them in `trace_blocks`,
+  so no temporary grows with the trace length. `pair_index` alone widens a
+  pair of symbols to one intp key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -33,11 +38,40 @@ __all__ = [
     "validate_channel",
     "validate_positive",
     "validate_count",
+    "symbol_dtype",
+    "trace_blocks",
+    "pair_index",
     "transition_counts",
     "channel_constants",
+    "value_eq",
 ]
 
 DEFAULT_TOL = 1e-9
+
+# symbols per block of a per-symbol pass: a block's draws, column indices
+# and comparisons (about 100 KB) stay in cache and under glibc's 128 KiB
+# heap-trim threshold, so a long trial takes no page faults (8 192 does)
+BLOCK_SIZE = 4096
+
+
+def value_eq(self, other) -> bool:
+    """``__eq__`` for a dataclass with ndarray fields: those by np.array_equal.
+
+    The generated ``__eq__`` compares the fields as tuples, and an ndarray
+    field makes that raise. Assign it in the class body as ``__eq__ = value_eq``.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for field in dataclasses.fields(self):
+        if not field.compare:
+            continue
+        mine, theirs = getattr(self, field.name), getattr(other, field.name)
+        if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
+            if not np.array_equal(mine, theirs):  # None against an array too
+                return False
+        elif mine != theirs:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -150,6 +184,26 @@ def validate_count(value, name: str, minimum: int = 1) -> int:
     return value
 
 
+def symbol_dtype(size: int) -> np.dtype:
+    """The smallest unsigned integer dtype that holds the symbols 0, ..., size - 1."""
+    return np.min_scalar_type(size - 1)
+
+
+def trace_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK_SIZE symbols that cover range(n)."""
+    return [slice(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
+
+
+def pair_index(first: np.ndarray, second: np.ndarray, second_size: int) -> np.ndarray:
+    """The flattened pair keys first * second_size + second, as intp.
+
+    Both are widened to intp in the arithmetic itself: in a compact symbol
+    dtype the product wraps silently, and intp += uint64 raises.
+    """
+    key = np.multiply(first, second_size, dtype=np.intp)
+    return np.add(key, second, out=key, dtype=np.intp)
+
+
 def transition_counts(
     given, observed, given_size: int, observed_size: int, names: tuple[str, str]
 ) -> np.ndarray:
@@ -169,17 +223,19 @@ def transition_counts(
     for name, trace, size in zip(names, (given, observed), (given_size, observed_size)):
         if trace.dtype.kind not in "iu":
             raise ValueError(f"{name} symbols must be integers, got dtype {trace.dtype}")
-        low, high = trace.min(), trace.max()
+        # an unsigned trace (every sampled one) holds no negative symbol
+        low, high = trace.min() if trace.dtype.kind == "i" else 0, trace.max()
         if low < 0 or high >= size:
             raise ValueError(
                 f"{name} symbol {low if low < 0 else high} is outside the"
                 f" alphabet of size {size}"
             )
-    # in range, so every integer dtype (uint64 included) fits an intp
-    given, observed = given.astype(np.intp, copy=False), observed.astype(np.intp, copy=False)
-    return np.bincount(
-        observed * given_size + given, minlength=observed_size * given_size
-    ).reshape(observed_size, given_size)
+    counts = np.zeros(observed_size * given_size, dtype=np.intp)
+    for block in trace_blocks(given.size):
+        # in range, so every integer dtype (uint64 included) fits an intp
+        keys = pair_index(observed[block], given[block], given_size)
+        counts += np.bincount(keys, minlength=counts.size)
+    return counts.reshape(observed_size, given_size)
 
 
 def channel_constants(a: np.ndarray, y1_size: int) -> ChannelConstants:

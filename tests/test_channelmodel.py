@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from relay_sentinel import channelmodel, stochcore
+from relay_sentinel import attackmodel, channelmodel, stochcore
+from relay_sentinel.attackmodel import AttackSpec
 from relay_sentinel.channelmodel import AlphabetReductionError, MacModel
 
 
@@ -115,15 +116,25 @@ def _argmax_oracle(matrix, columns, draws):
 
 
 class _ScriptedGenerator:
-    """Stands in for a Generator whose random(n) returns scripted blocks."""
+    """Stands in for a Generator whose random(n) calls serve scripted blocks.
+
+    Consecutive calls take consecutive slices of the current block; a call
+    may not run past its end, and the next call starts the next block.
+    """
 
     def __init__(self, *blocks):
         self.blocks = list(blocks)
+        self.offset = 0
 
     def random(self, n):
-        block = self.blocks.pop(0)
-        assert block.size == n
-        return block
+        block = self.blocks[0]
+        draws = block[self.offset : self.offset + n]
+        assert draws.size == n
+        self.offset += n
+        if self.offset == block.size:
+            self.blocks.pop(0)
+            self.offset = 0
+        return draws
 
 
 def _oracle_draws(matrix):
@@ -208,6 +219,98 @@ def test_inverse_cdf_kernel_matches_argmax_oracle():
         np.testing.assert_array_equal(
             u, _argmax_oracle(table, x1 * p2.size + x2, third)
         )
+
+
+_DIPS = np.array(
+    [
+        [0.5, 0.3, -5e-10, 0.25],
+        [-5e-10, 0.2 + 5e-10, 0.6, 0.25 - 5e-10],
+        [0.5 + 5e-10, -5e-10, 0.4 + 5e-10, 5e-10],
+        [0.0, 0.5 + 5e-10, 0.0, 0.5 - 5e-10],
+    ]
+)
+
+_BLOCK = stochcore.BLOCK_SIZE
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_blocked_sampler_matches_argmax_oracle_across_blocks(n):
+    # each stage draws in blocks; the oracle samples the concatenated draws
+    rng = np.random.default_rng(n)
+    matrices = {
+        "dirichlet": rng.dirichlet(np.ones(4), size=5).T,
+        "negative dips": _DIPS,
+        "point masses": np.eye(4)[:, [2, 0, 3, 3, 1]],
+    }
+
+    def draws_for(matrix):
+        return rng.permutation(np.resize(_oracle_draws(matrix), n))
+
+    zeros = np.zeros(n, dtype=int)
+    for label, matrix in matrices.items():
+        columns = rng.integers(0, matrix.shape[1], n)
+        for pmf in matrix.T:  # the columns=None pmfs
+            draws = draws_for(pmf[:, None])
+            np.testing.assert_array_equal(
+                channelmodel.sample_trace(pmf, n, _ScriptedGenerator(draws)),
+                _argmax_oracle(pmf[:, None], zeros, draws),
+                err_msg=label,
+            )
+        draws = draws_for(matrix)
+        np.testing.assert_array_equal(
+            channelmodel.simulate_downlink(matrix, columns, _ScriptedGenerator(draws)),
+            _argmax_oracle(matrix, columns, draws),
+            err_msg=label,
+        )
+
+    # a non-deterministic MAC: x1, x2, then u from the pair's column
+    p1, p2 = _DIPS[:, 1], _DIPS[:3, 0]
+    table = rng.dirichlet(np.ones(3), size=p1.size * p2.size).T
+    table[:, 0] = _DIPS[:3, 0]
+    mac = MacModel(table, p1.size, p2.size)
+    first, second, third = draws_for(p1[:, None]), draws_for(p2[:, None]), rng.random(n)
+    x1, x2, u = channelmodel.simulate_uplink(
+        mac, p1, p2, n, _ScriptedGenerator(first, second, third)
+    )
+    np.testing.assert_array_equal(x1, _argmax_oracle(p1[:, None], zeros, first))
+    np.testing.assert_array_equal(x2, _argmax_oracle(p2[:, None], zeros, second))
+    np.testing.assert_array_equal(u, _argmax_oracle(table, x1 * p2.size + x2, third))
+
+    # a gated attack whose gate is open on this block
+    phi = np.array([[0.5, -5e-10, 0.3], [-5e-10, 0.6 + 5e-10, 0.3], [0.5 + 5e-10, 0.4, 0.4]])
+    parity = ("even", "odd")[int(u.sum()) % 2]
+    draws = draws_for(phi)
+    v = attackmodel.apply_attack(AttackSpec.gated(phi, parity), u, _ScriptedGenerator(draws))
+    np.testing.assert_array_equal(v, _argmax_oracle(phi, u, draws))
+
+
+def test_traces_come_in_the_smallest_unsigned_dtype_of_their_alphabet():
+    rng = np.random.default_rng(17)
+    for size, dtype in [(1, np.uint8), (17, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16)]:
+        pmf = np.full(size, 1.0 / size)
+        trace = channelmodel.sample_trace(pmf, 50, rng)
+        assert trace.dtype == dtype
+        assert channelmodel.simulate_downlink(np.full((size, 2), 1.0 / size), trace % 2, rng).dtype == dtype
+    x1, x2, u = channelmodel.simulate_uplink(
+        MacModel.adder(3, 3), np.full(3, 1 / 3), np.full(3, 1 / 3), 50, rng
+    )
+    assert x1.dtype == x2.dtype == u.dtype == np.uint8
+
+
+def test_mac_pair_lookup_widens_compact_symbols():
+    # 17 x 17 pairs: the flattened key of (16, 16) is 288, past uint8
+    mac = MacModel.adder(17, 17)
+    uniform = np.full(17, 1 / 17)
+    x1, x2, u = channelmodel.simulate_uplink(mac, uniform, uniform, 20_000, np.random.default_rng(5))
+    assert x1.dtype == u.dtype == np.uint8
+    assert ((x1 == 16) & (x2 == 16)).any()
+    np.testing.assert_array_equal(u, x1.astype(np.int64) + x2)
+    table = np.full((2, 17 * 17), 0.5)
+    table[:, -1] = [1.0, 0.0]  # the (16, 16) pair alone always gives u = 0
+    mac = MacModel(table, 17, 17)
+    x1, x2, u = channelmodel.simulate_uplink(mac, uniform, uniform, 20_000, np.random.default_rng(5))
+    assert (u[(x1 == 16) & (x2 == 16)] == 0).all()
+    assert (u[(x1 != 16) | (x2 != 16)] == 1).any()
 
 
 def test_simulate_uplink_adder_identity():

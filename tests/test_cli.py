@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from relay_sentinel import cli
+from relay_sentinel.attackmodel import AttackSpec, apply_attack
+from relay_sentinel.channelmodel import sample_trace
 from relay_sentinel.cli import (
     ScenarioFileError,
     _trace_rows,
@@ -27,6 +29,7 @@ from relay_sentinel.cli import (
 )
 from relay_sentinel.detector import DetectionReport, run_detection
 from relay_sentinel.harness import preset, preset_curves, trial_traces
+from relay_sentinel.stochcore import transition_counts
 
 THIRD = 1 / 3
 
@@ -802,6 +805,30 @@ def test_trace_rows_match_the_per_row_formatter():
         first[0], second[-1] = first_size - 1, second_size - 1
         rows = _trace_rows(first, second, first_size, second_size)
         assert rows == list(_old_trace_rows(first, second))
+
+
+@pytest.mark.parametrize("size, dtype", [(17, np.uint8), (300, np.uint16)])
+def test_compact_relay_traces_agree_with_their_int64_casts(size, dtype):
+    # the pair (size - 1, size - 1) has key size**2 - 1, past the traces' dtype
+    rng = np.random.default_rng(size)
+    pmf = np.full(size, 1.0 / size)
+    u, v = sample_trace(pmf, 5_000, rng), sample_trace(pmf, 5_000, rng)
+    u[-1] = v[-1] = size - 1
+    assert u.dtype == v.dtype == dtype
+    wide_u, wide_v = u.astype(np.int64), v.astype(np.int64)
+    rows = _trace_rows(u, v, size, size)
+    assert rows == list(_old_trace_rows(wide_u, wide_v)) == _trace_rows(wide_u, wide_v, size, size)
+    assert rows[-1] == f"4999,{size - 1},{size - 1}"
+    counts = transition_counts(u, v, size, size, ("u", "v"))
+    np.testing.assert_array_equal(counts, transition_counts(wide_u, wide_v, size, size, ("u", "v")))
+    assert counts[size - 1, size - 1] >= 1 and counts.sum() == u.size
+    phi = np.full((size, size), 1.0 / size)
+    for parity in ("even", "odd"):
+        spec = AttackSpec.gated(phi, parity)
+        np.testing.assert_array_equal(
+            apply_attack(spec, u, np.random.default_rng(1)),
+            apply_attack(spec, wide_u, np.random.default_rng(1)),
+        )
 
 
 # sha256 of fig3b trial 0's emitted traces, as the per-row formatter wrote them

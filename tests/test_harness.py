@@ -8,6 +8,7 @@ checked against tiny hand-computed samples.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import counter_upsilon
 from relay_sentinel import detector, harness
 from relay_sentinel.attackmodel import AttackSpec
 from relay_sentinel.channelmodel import AlphabetReductionError, MacModel
+from relay_sentinel.detector import DetectorConfig
 from relay_sentinel.harness import (
     DESK_TRIALS,
     Scenario,
@@ -421,3 +423,47 @@ def test_sampler_stream_digest():
                 for trace in trial_traces(curve, trial_index):
                     digest.update(np.asarray(trace, dtype=np.int64).tobytes())
             assert digest.hexdigest() == _STREAM_DIGESTS[name, label], (name, label)
+
+
+def test_long_trial_memory_stays_under_one_mib():
+    # traces are uint8 and every per-symbol pass works in blocks; whole-trace
+    # int64 and float64 temporaries put this peak at about 5.4 MiB
+    scenario = preset("fig5a")
+    assert scenario.n == 100_000
+    run_trial(scenario, 0)  # builds the cached estimator and sampling tables
+    tracemalloc.start()
+    try:
+        run_trial(scenario, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_array_holding_inputs_compare_by_value():
+    phi = np.eye(2)
+    equal_pairs = [
+        (MacModel.adder(2, 2), MacModel.adder(2, 2)),
+        (preset("fig3a"), preset("fig3a")),
+        (AttackSpec.iid(phi), AttackSpec.iid(phi.copy())),
+        (AttackSpec.gated(phi, "odd"), AttackSpec.gated(phi.tolist(), "odd")),
+        (AttackSpec.identity(), AttackSpec.identity()),
+        (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig([[1, 0], [0, 1]], np.eye(2), 0.1, 0.2)),
+    ]
+    for left, right in equal_pairs:
+        assert left == right and not left != right
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    unequal_pairs = [
+        (MacModel.adder(2, 2), MacModel.adder(2, 3)),
+        (MacModel(np.eye(2), 2, 1), MacModel(swap, 2, 1)),
+        (preset("fig3a"), preset("fig3b")),
+        (preset("fig3a"), preset_curves("fig3a")["phi3"]),
+        (AttackSpec.iid(phi), AttackSpec.iid(swap)),
+        (AttackSpec.iid(phi), AttackSpec.gated(phi, "even")),
+        (AttackSpec.identity(), AttackSpec.iid(phi)),
+        (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig(np.eye(2), swap, 0.1, 0.2)),
+        (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.3)),
+        (MacModel.adder(2, 2), "adder"),
+    ]
+    for left, right in unequal_pairs:
+        assert left != right and not left == right
