@@ -88,6 +88,8 @@ class AttackChannel:
     phi_n: np.ndarray
     counts: np.ndarray
 
+    __eq__ = value_eq
+
 
 def apply_attack(
     spec: AttackSpec, u_trace: np.ndarray, rng: np.random.Generator

@@ -53,7 +53,7 @@ from .harness import (
 )
 from .manipulability import CertificationFailure, ConsistencyFailure, certify
 from .stochcore import (
-    pair_index,
+    trace_blocks,
     validate_column_stochastic,
     validate_count,
     validate_pmf,
@@ -295,26 +295,74 @@ def read_trace(path):
     return metadata, header, (data[:, 1], data[:, 2])
 
 
-def _write_csv(path, metadata, header, rows):
-    lines = [f"# {key} = {value}" for key, value in metadata]
-    lines.append(header)
-    lines.extend(rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_csv(path, metadata, header, body):
+    """Write ``# key = value`` lines and the header, then the body's byte chunks."""
+    head = "".join(f"# {key} = {value}\n" for key, value in metadata) + f"{header}\n"
+    with open(path, "wb") as file:
+        file.write(head.encode())
+        file.writelines(body)
+
+
+def _text_body(rows):
+    """Text rows as one bytes chunk, each row ending in a newline."""
+    return ["".join(f"{row}\n" for row in rows).encode()]
 
 
 def _tool_metadata():
     return [("tool", f"relay-sentinel {__version__}"), ("rng", "PCG64")]
 
 
-def _trace_rows(first, second, first_size, second_size):
-    """``n,first,second`` rows of two symbol columns.
+# a row index's last four digits are looked up among this many labels
+_LOW_DIGITS = 10_000
 
-    Each row is its index followed by one of the ``,a,b`` labels of the
-    alphabet pairs, formatted once per scenario and looked up per row.
+
+def _labels(texts):
+    """The texts as void items of one power-of-two width, each padded with zero bytes."""
+    width = 1 << (max(map(len, texts)) - 1).bit_length()
+    return np.array([text.encode() for text in texts], f"S{width}").view(f"V{width}")
+
+
+@functools.cache
+def _low_digit_labels():
+    """The labels of 0, ..., 9 999: plain, and zero-filled to four digits."""
+    numbers = range(_LOW_DIGITS)
+    return _labels([f"{i}" for i in numbers]), _labels([f"{i:04d}" for i in numbers])
+
+
+def _trace_rows(first, second, first_size, second_size):
+    """``n,first,second`` rows of two symbol columns, one bytes chunk per trace block.
+
+    Each block is a zero-filled byte table with one row per trace row: the
+    index's leading digits (one run of rows shares them), its last four
+    digits, then the ``,a`` and ``,b\\n`` labels of the two columns, taken
+    from one table per column. No symbol or digit byte is zero, so dropping
+    the zero bytes leaves every row at its own width.
     """
-    labels = [f",{a},{b}" for a in range(first_size) for b in range(second_size)]
-    keys = pair_index(first, second, second_size).tolist()
-    return [f"{i}{labels[k]}" for i, k in enumerate(keys)]
+    left = _labels([f",{a}" for a in range(first_size)])
+    right = _labels([f",{b}\n" for b in range(second_size)])
+    plain, padded = _low_digit_labels()
+    n = len(first)
+    lead_width = len(str((n - 1) // _LOW_DIGITS)) if n > _LOW_DIGITS else 0
+    low_end = lead_width + plain.itemsize
+    left_end = low_end + left.itemsize
+    for block in trace_blocks(n):
+        table = np.zeros((block.stop - block.start, left_end + right.itemsize), np.uint8)
+        start = block.start
+        while start < block.stop:
+            # a run of rows whose indices share every digit but the last four
+            lead, low = divmod(start, _LOW_DIGITS)
+            stop = min(block.stop, (lead + 1) * _LOW_DIGITS)
+            run = slice(start - block.start, stop - block.start)
+            if lead:
+                digits = str(lead).encode()
+                table[run, : len(digits)] = np.frombuffer(digits, np.uint8)
+            labels = padded if lead else plain
+            table[run, lead_width:low_end].view(labels.dtype)[:, 0] = labels[low : low + stop - start]
+            start = stop
+        table[:, low_end:left_end].view(left.dtype)[:, 0] = left.take(first[block])
+        table[:, left_end:].view(right.dtype)[:, 0] = right.take(second[block])
+        table = table.ravel()
+        yield table[table != 0].tobytes()
 
 
 def _write_trial_traces(directory, scenario, digest, index, seed, traces):
@@ -427,7 +475,7 @@ def _cmd_simulate(args):
         args.output,
         _simulate_metadata(args, scenario, digest),
         "trial,D,truth_stat,feasible,seed",
-        rows,
+        _text_body(rows),
     )
     return EXIT_OK
 
@@ -492,7 +540,7 @@ def _cmd_reproduce(args):
             Path(args.output_dir) / f"{args.figure}_{label}.csv",
             metadata,
             "value,cum_fraction",
-            rows,
+            _text_body(rows),
         )
         delta = scenario.delta
 
@@ -512,7 +560,7 @@ def _cmd_reproduce(args):
         Path(args.output_dir) / f"{args.figure}_error_rates.csv",
         summary_metadata,
         "curve,delta,false_alarm,miss",
-        summary_rows,
+        _text_body(summary_rows),
     )
     return EXIT_OK
 

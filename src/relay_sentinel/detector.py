@@ -102,6 +102,8 @@ class DetectionReport:
     lp_path: str = "cold"
     lp_pivots: int = 0
 
+    __eq__ = value_eq
+
 
 def conditional_histogram(
     x1_trace: np.ndarray, y1_trace: np.ndarray, x1_size: int, y1_size: int

@@ -36,6 +36,8 @@ from enum import Enum
 
 import numpy as np
 
+from .stochcore import value_eq
+
 __all__ = ["LpProblem", "LpOutcome", "LpStatus", "LpFailure", "Restart", "solve_lp"]
 
 # pivot/zero thresholds inside the tableau
@@ -70,6 +72,8 @@ class LpProblem:
     a_ub: np.ndarray | None = None
     b_ub: np.ndarray | None = None
     bounds: tuple = field(default=None)
+
+    __eq__ = value_eq
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float).ravel()
@@ -145,6 +149,8 @@ class LpOutcome:
     basis: np.ndarray | None = None
     path: str = "cold"
     pivots: int = 0
+
+    __eq__ = value_eq
 
 
 # ---------- standard-form conversion ----------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .lpkernel import LpProblem, LpStatus, solve_lp
 from .numlinalg import left_nullspace_basis, rank, rref
-from .stochcore import l1_norm, validate_channel, validate_column_stochastic
+from .stochcore import l1_norm, validate_channel, validate_column_stochastic, value_eq
 
 __all__ = [
     "CertificationFailure",
@@ -70,6 +70,8 @@ class ManipulabilityVerdict:
     witness: np.ndarray | None
     induced_attack: np.ndarray | None
     dpv_found: bool | None
+
+    __eq__ = value_eq
 
     @property
     def method(self) -> str:

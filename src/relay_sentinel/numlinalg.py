@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .stochcore import value_eq
+
 __all__ = [
     "RrefResult",
     "rank",
@@ -39,6 +41,8 @@ class RrefResult:
     reduced: np.ndarray
     column_permutation: np.ndarray
     rank: int
+
+    __eq__ = value_eq
 
 
 def rank(m: np.ndarray) -> int:

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -796,6 +797,11 @@ def test_detect_checks_a_size_declared_after_the_header(tmp_path, capsys):
     assert "trace: x1_size" in capsys.readouterr().err
 
 
+def _old_trace_bytes(first, second):
+    """The per-row formatter's rows as the file body they made."""
+    return ("\n".join(_old_trace_rows(first, second)) + "\n").encode()
+
+
 def test_trace_rows_match_the_per_row_formatter():
     rng = np.random.default_rng(7)
     for first_size, second_size in [(2, 3), (3, 3), (5, 5), (11, 13), (13, 11), (12, 12)]:
@@ -803,8 +809,22 @@ def test_trace_rows_match_the_per_row_formatter():
         first = rng.integers(0, first_size, n)
         second = rng.integers(0, second_size, n)
         first[0], second[-1] = first_size - 1, second_size - 1
-        rows = _trace_rows(first, second, first_size, second_size)
-        assert rows == list(_old_trace_rows(first, second))
+        rows = b"".join(_trace_rows(first, second, first_size, second_size))
+        assert rows == _old_trace_bytes(first, second)
+
+
+# index digit edges (9 -> 10, 9 999 -> 10 000, 99 999 -> 100 000), and the
+# edges of the 4 096-row blocks the writer formats one at a time
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 4_095, 4_096, 4_097, 10_000, 10_001, 100_001])
+def test_trace_rows_match_the_per_row_formatter_at_digit_and_block_edges(n):
+    rng = np.random.default_rng(n)
+    for first_size, second_size, dtype in [(3, 5, np.uint8), (11, 13, np.uint8), (300, 300, np.uint16)]:
+        first = rng.integers(0, first_size, n).astype(dtype)
+        second = rng.integers(0, second_size, n).astype(dtype)
+        first[-1], second[-1] = first_size - 1, second_size - 1
+        chunks = list(_trace_rows(first, second, first_size, second_size))
+        assert len(chunks) == -(-n // 4_096)
+        assert b"".join(chunks) == _old_trace_bytes(first, second), (n, first_size)
 
 
 @pytest.mark.parametrize("size, dtype", [(17, np.uint8), (300, np.uint16)])
@@ -816,9 +836,9 @@ def test_compact_relay_traces_agree_with_their_int64_casts(size, dtype):
     u[-1] = v[-1] = size - 1
     assert u.dtype == v.dtype == dtype
     wide_u, wide_v = u.astype(np.int64), v.astype(np.int64)
-    rows = _trace_rows(u, v, size, size)
-    assert rows == list(_old_trace_rows(wide_u, wide_v)) == _trace_rows(wide_u, wide_v, size, size)
-    assert rows[-1] == f"4999,{size - 1},{size - 1}"
+    rows = b"".join(_trace_rows(u, v, size, size))
+    assert rows == _old_trace_bytes(wide_u, wide_v) == b"".join(_trace_rows(wide_u, wide_v, size, size))
+    assert rows.endswith(f"\n4999,{size - 1},{size - 1}\n".encode())
     counts = transition_counts(u, v, size, size, ("u", "v"))
     np.testing.assert_array_equal(counts, transition_counts(wide_u, wide_v, size, size, ("u", "v")))
     assert counts[size - 1, size - 1] >= 1 and counts.sum() == u.size
@@ -856,6 +876,42 @@ def test_emitted_fig3b_traces_are_pinned_and_detect_repeats_the_statistic(tmp_pa
     code = main(["detect", str(scenario), str(traces / "trace_0000_source.csv")])
     assert code in (0, 2)
     assert json.loads(capsys.readouterr().out)["statistic"] == statistic
+
+
+def test_emitted_traces_read_back_as_the_trial_traces(tmp_path):
+    out, traces = tmp_path / "out.csv", tmp_path / "traces"
+    argv = ["simulate", "--preset", "fig5b", "--trials", "2", "-o", str(out)]
+    assert main(argv + ["--emit-trace", str(traces)]) == 0
+    scenario = dataclasses.replace(preset("fig5b"), trials=2)
+    for trial in range(2):
+        x1, y1, u, v = trial_traces(scenario, trial)
+        meta, header, (first, second) = read_trace(traces / f"trace_{trial:04d}_source.csv")
+        assert header == ("n", "x1", "y1") and meta["trial"] == str(trial)
+        np.testing.assert_array_equal(first, x1)
+        np.testing.assert_array_equal(second, y1)
+        _, header, (first, second) = read_trace(traces / f"trace_{trial:04d}_relay.csv")
+        assert header == ("n", "u", "v")
+        np.testing.assert_array_equal(first, u)
+        np.testing.assert_array_equal(second, v)
+
+
+def test_writing_a_long_trace_pair_stays_under_one_mib(tmp_path):
+    # the rows are formatted and written one block at a time; the per-row
+    # formatter's list of row strings put this peak at about 9 MiB
+    scenario = preset("fig5a")
+    assert scenario.n == 100_000
+    traces = trial_traces(scenario, 0)
+    cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, traces)  # builds the digit labels
+    tracemalloc.start()
+    try:
+        cli._write_trial_traces(tmp_path, scenario, "0" * 64, 1, 0, traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    _, _, (u, v) = read_trace(tmp_path / "trace_0001_relay.csv")
+    np.testing.assert_array_equal(u, traces[2])
+    np.testing.assert_array_equal(v, traces[3])
 
 
 # ---------- reproduce ----------

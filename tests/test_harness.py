@@ -15,9 +15,9 @@ import pytest
 
 from conftest import counter_upsilon
 from relay_sentinel import detector, harness
-from relay_sentinel.attackmodel import AttackSpec
+from relay_sentinel.attackmodel import AttackSpec, extract_attack_channel
 from relay_sentinel.channelmodel import AlphabetReductionError, MacModel
-from relay_sentinel.detector import DetectorConfig
+from relay_sentinel.detector import DetectorConfig, run_detection
 from relay_sentinel.harness import (
     DESK_TRIALS,
     Scenario,
@@ -33,6 +33,9 @@ from relay_sentinel.harness import (
     trial_seed,
     trial_traces,
 )
+from relay_sentinel.lpkernel import LpOutcome, LpProblem, LpStatus, solve_lp
+from relay_sentinel.manipulability import certify
+from relay_sentinel.numlinalg import rref
 
 
 def binary_adder_scenario(**overrides):
@@ -442,6 +445,12 @@ def test_long_trial_memory_stays_under_one_mib():
 
 def test_array_holding_inputs_compare_by_value():
     phi = np.eye(2)
+    u = np.array([0, 1, 2, 2, 1])
+    scenario = preset("fig3a")
+    config, traces = scenario.detector_config, trial_traces(scenario, 0)
+    program = LpProblem([1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    manipulable = preset("fig5b")  # its verdict holds a witness and an induced attack
+    channel = manipulable.uplink_matrix(), manipulable.b
     equal_pairs = [
         (MacModel.adder(2, 2), MacModel.adder(2, 2)),
         (preset("fig3a"), preset("fig3a")),
@@ -449,6 +458,13 @@ def test_array_holding_inputs_compare_by_value():
         (AttackSpec.gated(phi, "odd"), AttackSpec.gated(phi.tolist(), "odd")),
         (AttackSpec.identity(), AttackSpec.identity()),
         (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig([[1, 0], [0, 1]], np.eye(2), 0.1, 0.2)),
+        (extract_attack_channel(u, u[::-1], 3), extract_attack_channel(u, u[::-1], 3)),
+        (run_detection(config, *traces[:2]), run_detection(config, *traces[:2])),
+        (rref([[1.0, 2.0], [2.0, 4.0]]), rref(np.array([[1, 2], [2, 4]]))),
+        (program, LpProblem(np.ones(2), a_eq=np.ones((1, 2)), b_eq=[1.0])),
+        (solve_lp(program), solve_lp(program)),
+        (LpOutcome(LpStatus.INFEASIBLE), LpOutcome(LpStatus.INFEASIBLE)),
+        (certify(*channel), certify(*channel)),
     ]
     for left, right in equal_pairs:
         assert left == right and not left != right
@@ -464,6 +480,13 @@ def test_array_holding_inputs_compare_by_value():
         (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig(np.eye(2), swap, 0.1, 0.2)),
         (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.3)),
         (MacModel.adder(2, 2), "adder"),
+        (extract_attack_channel(u, u[::-1], 3), extract_attack_channel(u, u, 3)),
+        (run_detection(config, *traces[:2]), run_detection(config, *trial_traces(scenario, 1)[:2])),
+        (rref([[1.0, 2.0], [2.0, 4.0]]), rref([[1.0, 0.0], [0.0, 1.0]])),
+        (program, program.with_rhs(b_eq=[2.0])),
+        (solve_lp(program), solve_lp(program.with_rhs(b_eq=[2.0]))),
+        (solve_lp(program), LpOutcome(LpStatus.INFEASIBLE)),
+        (certify(*channel), certify(scenario.uplink_matrix(), scenario.b)),
     ]
     for left, right in unequal_pairs:
         assert left != right and not left == right
