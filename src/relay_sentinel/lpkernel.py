@@ -10,6 +10,13 @@ variables are split into positive/negative parts at the solver boundary.
 Results are deterministic: identical inputs produce bitwise-identical
 outcomes.
 
+Phase 1 reads only the constraints and the right-hand side, never the
+objective (Chvatal, Linear Programming, 1983, ch. 8), so its result is
+memoized by that data: programs that differ only in their objective, such
+as the per-symbol witness LPs of one channel, run it once. A phase 1
+taken from the memo still counts its pivots, so every outcome is the one
+a fresh solve gives.
+
 An optimal outcome carries its basis. A Restart solves a program once,
 cold, and factors it at its own optimal basis; solve_lp then answers every
 sibling that differs only in its right-hand sides by dual simplex from
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,7 +148,9 @@ class LpOutcome:
     ``path`` says what answered: ``"start"`` (optimal at a restart's basis),
     ``"dual"`` (dual-simplex pivots from it), ``"farkas"`` (a verified ray
     from it) or ``"cold"`` (the two-phase solve); ``pivots`` counts every
-    pivot made, a restart's abandoned ones included.
+    pivot made, a restart's abandoned ones included. A phase 1 shared with
+    an earlier program of the same constraints counts its pivots again, so
+    an outcome never depends on what was solved before it.
     """
 
     status: LpStatus
@@ -546,27 +556,56 @@ def _solve_cold(p: LpProblem, form: _StandardForm, spent: int) -> LpOutcome:
     full = form.full.copy()
     full[rhs < 0] *= -1.0
     rhs = np.abs(rhs)
-    m, n_real = full.shape
-    ext = np.hstack([full, np.eye(m)])
-    c2 = np.concatenate([form.cost, np.zeros(m)])
-    max_iter = 500 + 50 * (m + n_real)
-
-    # phase 1: artificial identity basis, minimize the artificial sum
-    c1 = np.zeros(n_real + m)
-    c1[n_real:] = 1.0
-    basis = np.arange(n_real, n_real + m)
-    status, tab, basis, pivots1 = _simplex(ext, rhs, c1, basis, max_iter, pin_start=n_real + m)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
-        raise LpFailure("phase 1 reported unbounded")
-    phase1 = float(c1[basis] @ np.maximum(tab[:, -1], 0.0))
-    if phase1 > _FEAS_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+    feasible, basis, pivots1 = _phase_one(full.shape, full.tobytes(), rhs.tobytes())
+    if not feasible:
         return LpOutcome(status=LpStatus.INFEASIBLE, pivots=spent + pivots1)
 
     # phase 2: original objective; lingering artificial columns stay in the
     # working basis (pinned at zero) so it remains well-conditioned even
     # when the caller supplied redundant equality rows
-    status, tab, basis, pivots2 = _simplex(ext, rhs, c2, basis, max_iter, pin_start=n_real)
+    m, n_real = full.shape
+    ext = np.hstack([full, np.eye(m)])
+    c2 = np.concatenate([form.cost, np.zeros(m)])
+    status, tab, basis, pivots2 = _simplex(
+        ext, rhs, c2, basis.copy(), _max_iter(full.shape), pin_start=n_real
+    )
     pivots = spent + pivots1 + pivots2
     if status == "unbounded":
         return LpOutcome(status=LpStatus.UNBOUNDED, pivots=pivots)
     return _optimal(p, form, basis, tab[:, -1], "cold", pivots)
+
+
+def _max_iter(shape) -> int:
+    """The pivot budget of one simplex phase on an m x n_real program."""
+    return 500 + 50 * (shape[0] + shape[1])
+
+
+# sign-normalized constraint sets whose phase 1 is remembered; a certify's
+# witness LPs share one polytope and differ only in their objective
+_PHASE_ONE_MEMO = 8
+
+
+@lru_cache(maxsize=_PHASE_ONE_MEMO)
+def _phase_one(shape: tuple, full_data: bytes, rhs_data: bytes) -> tuple[bool, np.ndarray, int]:
+    """(feasible, basis, pivots) of phase 1 on {x >= 0 : full x = rhs}, rhs >= 0.
+
+    Phase 1 starts from the artificial identity basis and minimizes the
+    artificial sum, so it reads only the constraints and the right-hand
+    side: memoized by their content, it runs once per constraint set, not
+    once per objective. The basis is read-only; phase 2 pivots on a copy.
+    """
+    m, n_real = shape
+    rhs = np.frombuffer(rhs_data)
+    ext = np.hstack([np.frombuffer(full_data).reshape(shape), np.eye(m)])
+    c1 = np.zeros(n_real + m)
+    c1[n_real:] = 1.0
+    basis = np.arange(n_real, n_real + m)
+    status, tab, basis, pivots = _simplex(
+        ext, rhs, c1, basis, _max_iter(shape), pin_start=n_real + m
+    )
+    if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
+        raise LpFailure("phase 1 reported unbounded")
+    phase1 = float(c1[basis] @ np.maximum(tab[:, -1], 0.0))
+    infeasible = phase1 > _FEAS_TOL * max(1.0, float(rhs.max(initial=0.0)))
+    basis.setflags(write=False)
+    return not infeasible, basis, pivots

@@ -12,7 +12,8 @@ node. Three cooperating procedures decide this:
   exists, and positive otherwise.
 * find_witness: recovers a concrete deviation by maximizing each diagonal
   entry in turn over the deviation polytope (one LP per symbol; the first
-  clearly positive optimum wins, so results merge deterministically).
+  clearly positive optimum wins, so results merge deterministically). The
+  LPs differ only in their objective, so they share one phase 1.
 * dpv_search_algorithm2: a solver-free sign-pattern search over the left
   null space of A, authoritative when B has a trivial right null space.
 
@@ -108,18 +109,15 @@ def check_algorithm1(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
 
     rows = np.zeros((size_u + size_u * size_u, n_vars))
     rhs = np.zeros(size_u + size_u * size_u)
-    for k in range(size_u):
-        rows[k, k] = -1.0
-        rhs[k] = -1.0
-    r = size_u
-    for k in range(size_u):
-        for l in range(size_u):
-            rows[r, size_u + k] = 1.0
-            # [A Omega B]_{k,l} = sum_{x,y} A_{k,x} Omega_{x,y} B_{y,l}
-            rows[r, 2 * size_u :] = np.outer(a[k, :], b[:, l]).ravel()
-            if l == k:
-                rows[r, k] = -1.0
-            r += 1
+    symbols = np.arange(size_u)
+    rows[symbols, symbols] = -1.0
+    rhs[:size_u] = -1.0
+    # coupling row k |U| + l: nu_k + [A Omega B]_{k,l} (- lambda_k if l == k),
+    # where [A Omega B]_{k,l} = sum_{x,y} A_{k,x} Omega_{x,y} B_{y,l}
+    coupling = rows[size_u:]
+    coupling[:, size_u : 2 * size_u] = np.repeat(np.eye(size_u), size_u, axis=0)
+    coupling[symbols * (size_u + 1), symbols] = -1.0
+    coupling[:, 2 * size_u :] = np.einsum("kx,yl->klxy", a, b).reshape(size_u * size_u, -1)
 
     outcome = solve_lp(
         LpProblem(

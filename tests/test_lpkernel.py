@@ -488,3 +488,62 @@ def test_restart_answers_from_pristine_data_despite_tableau_drift(monkeypatch):
                 assert abs(warm.value - cold.value) <= 1e-9
                 assert np.abs(base.a_eq @ warm.solution - p.b_eq).max() < 1e-8
     assert answered >= 50
+
+
+# ---------- phase-1 memo ----------
+
+
+def test_programs_with_shared_constraints_share_one_phase_one(monkeypatch):
+    # phase 1 reads only the constraints and the right-hand side, so every
+    # objective over one polytope reuses it and still reports its pivots
+    rng = np.random.default_rng(14)
+    optimal = 0
+    for _ in range(20):
+        x0 = rng.random(7)  # inside the bounds below
+        a_eq = rng.normal(size=(3, 7))
+        b_eq = a_eq @ x0
+        a_ub = rng.normal(size=(4, 7))
+        b_ub = a_ub @ x0 + rng.random(4)
+        bounds = [(0.0, 2.0)] * 3 + [(None, None), (-1.0, None), (None, 3.0), (0.0, None)]
+        programs = [
+            LpProblem(objective=rng.normal(size=7), a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+            for _ in range(4)
+        ]
+        lpkernel._phase_one.cache_clear()
+        memoized = [solve_lp(p) for p in programs]
+        assert lpkernel._phase_one.cache_info()[:2] == (3, 1)  # hits, misses
+        with monkeypatch.context() as patch:  # the slow reference: phase 1 run afresh
+            patch.setattr(lpkernel, "_phase_one", lpkernel._phase_one.__wrapped__)
+            assert [solve_lp(p) for p in programs] == memoized
+        optimal += sum(outcome.status is LpStatus.OPTIMAL for outcome in memoized)
+    assert optimal >= 40
+
+
+def test_infeasible_phase_one_is_remembered_with_its_pivots():
+    # x + y <= 1 and x + 2y >= 3 have no solution with x, y >= 0
+    a_ub, b_ub = [[1.0, 1.0], [-1.0, -2.0]], [1.0, -3.0]
+    lpkernel._phase_one.cache_clear()
+    first = solve_lp(LpProblem(objective=[1.0, 1.0], a_ub=a_ub, b_ub=b_ub))
+    again = solve_lp(LpProblem(objective=[1.0, 1.0], a_ub=a_ub, b_ub=b_ub))
+    other = solve_lp(LpProblem(objective=[-1.0, 3.0], a_ub=a_ub, b_ub=b_ub))
+    assert first.status is LpStatus.INFEASIBLE and first.pivots > 0
+    assert first == again == other
+    assert lpkernel._phase_one.cache_info()[:2] == (2, 1)
+
+
+def test_remembered_phase_one_basis_is_read_only(monkeypatch):
+    memo = lpkernel._phase_one
+    bases = []
+
+    def recording(*key):
+        feasible, basis, pivots = memo(*key)
+        bases.append(basis)
+        return feasible, basis, pivots
+
+    monkeypatch.setattr(lpkernel, "_phase_one", recording)
+    p = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    first, again = solve_lp(p), solve_lp(p)
+    assert first == again and bases[0] is bases[1]
+    assert not bases[0].flags.writeable
+    with pytest.raises(ValueError):
+        bases[0][0] = 0

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from relay_sentinel import lpkernel, manipulability, stochcore
+from relay_sentinel.channelmodel import MacModel, marginalize_mac
+from relay_sentinel.lpkernel import LpProblem, solve_lp
 from relay_sentinel.manipulability import (
     CertificationFailure,
     ConsistencyFailure,
@@ -60,6 +62,43 @@ def test_check_algorithm1_unbounded_is_certification_failure(monkeypatch):
     monkeypatch.setattr(manipulability, "solve_lp", fake_solve)
     with pytest.raises(CertificationFailure):
         manipulability.check_algorithm1(np.eye(2), np.eye(2))
+
+
+def _loop_algorithm1_rows(a, b):
+    """Algorithm 1's inequality rows, one np.outer per (k, l): the oracle."""
+    size_u = a.shape[0]
+    rows = np.zeros((size_u + size_u * size_u, 2 * size_u + a.shape[1] * b.shape[0]))
+    for k in range(size_u):
+        rows[k, k] = -1.0
+    r = size_u
+    for k in range(size_u):
+        for l in range(size_u):
+            rows[r, size_u + k] = 1.0
+            rows[r, 2 * size_u :] = np.outer(a[k, :], b[:, l]).ravel()
+            if l == k:
+                rows[r, k] = -1.0
+            r += 1
+    return rows
+
+
+def test_algorithm1_rows_match_the_per_pair_loop(
+    monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    programs = []
+
+    def recording(problem):
+        programs.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(manipulability, "solve_lp", recording)
+    rng = np.random.default_rng(14)
+    channels = [(motivating_a, motivating_b), (higher_a, higher_b), (higher_a, counter_b)]
+    for size_u, size_x1, size_y1 in ((2, 1, 3), (3, 2, 2), (4, 3, 5), (5, 2, 4), (5, 5, 5)):
+        channels.append(_random_channel(rng, size_u, size_x1, size_y1))
+    for a, b in channels:
+        manipulability.check_algorithm1(a, b)
+        rows = programs.pop().a_ub
+        assert rows.tobytes() == _loop_algorithm1_rows(a, b).tobytes()
 
 
 # ---------- find_witness ----------
@@ -302,6 +341,7 @@ def test_blands_rule_gives_the_same_certificates(
         channels.append(_random_channel(rng, size_u, size_x1, size_y1))
     dantzig = [manipulability.certify(a, b) for a, b in channels]
     monkeypatch.setattr(lpkernel, "_STALL_LIMIT", 0)
+    lpkernel._phase_one.cache_clear()  # no phase 1 pivoted by Dantzig's rule is reused
     for (a, b), expected in zip(channels, dantzig):
         verdict = manipulability.certify(a, b)
         assert verdict.manipulable == expected.manipulable
@@ -327,3 +367,84 @@ def test_property_lp_verdict_matches_null_space_search():
         assert manipulable == found
         verdicts[manipulable] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+# ---------- one phase 1 per witness polytope ----------
+
+
+def _sweep_channels(count, seed):
+    """Adder channels drawn as the certify benchmark draws them.
+
+    The second source is uniform, each column of B is a multinomial draw of
+    10 over the downlink symbols divided by 10, and every other channel has
+    two equal columns of B (so the relay can swap those symbols unseen).
+    """
+    rng = np.random.default_rng(seed)
+    sizes = ((2, 2), (2, 3), (3, 2), (3, 3))
+    channels = []
+    while len(channels) < count:
+        x1_size, x2_size = sizes[int(rng.integers(len(sizes)))]
+        a = marginalize_mac(MacModel.adder(x1_size, x2_size), np.full(x2_size, 1 / x2_size))
+        size_u = a.shape[0]
+        size_y1 = size_u + int(rng.integers(-1, 2))
+        b = rng.multinomial(10, np.full(size_y1, 1 / size_y1), size=size_u).T / 10
+        channels.append((a, b))
+        j, k = rng.choice(size_u, size=2, replace=False)
+        b = b.copy()
+        b[:, k] = b[:, j]
+        channels.append((a, b))
+    return channels
+
+
+def _witness_programs(a, b):
+    """find_witness's per-symbol LPs over the deviation polytope of (A, B)."""
+    size_u = a.shape[0]
+    a_eq, b_eq, bounds = manipulability._deviation_polytope(a, b)
+    programs = []
+    for k in range(size_u):
+        c = np.zeros(size_u * size_u)
+        c[k * size_u + k] = -1.0
+        programs.append(LpProblem(objective=c, a_eq=a_eq, b_eq=b_eq, bounds=bounds))
+    return programs
+
+
+def test_remembered_phase_one_gives_the_fresh_outcomes(
+    monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    # the slow reference clears the memo before every solve; the memoized
+    # solves run in symbol order and in reverse, so a cached basis that a
+    # phase 2 corrupted would change a later outcome. certify, whose
+    # Algorithm 1 LP dominates its cost, is compared on every third channel
+    channels = [(motivating_a, motivating_b), (higher_a, higher_b), (higher_a, counter_b)]
+    channels += _sweep_channels(200, 20261018)
+    manipulable = 0
+    for index, (a, b) in enumerate(channels):
+        programs = _witness_programs(a, b)
+        fresh = []
+        for p in programs:
+            lpkernel._phase_one.cache_clear()
+            fresh.append(solve_lp(p))
+        lpkernel._phase_one.cache_clear()
+        assert [solve_lp(p) for p in programs] == fresh
+        lpkernel._phase_one.cache_clear()
+        assert [solve_lp(p) for p in reversed(programs)] == fresh[::-1]
+        if index >= 3 and index % 3:
+            continue
+        verdict = manipulability.certify(a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpkernel, "_phase_one", lpkernel._phase_one.__wrapped__)
+            assert manipulability.certify(a, b) == verdict
+        manipulable += verdict.manipulable
+    assert 0 < manipulable < len(channels)
+
+
+def test_certify_runs_one_phase_one_per_polytope(higher_a, higher_b):
+    # fig5a's channel is not manipulable, so every one of its |U| = 5
+    # witness LPs runs, all over one deviation polytope
+    lpkernel._phase_one.cache_clear()
+    assert manipulability.find_witness(higher_a, higher_b) is None
+    assert lpkernel._phase_one.cache_info()[:2] == (4, 1)  # hits, misses
+    lpkernel._phase_one.cache_clear()
+    assert not manipulability.certify(higher_a, higher_b).manipulable
+    # one phase 1 for Algorithm 1 and one for the witness polytope
+    assert lpkernel._phase_one.cache_info()[:2] == (4, 2)
