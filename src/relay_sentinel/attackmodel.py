@@ -39,10 +39,9 @@ _PARITIES = ("even", "odd")
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """One of the shipped relay strategies; build via the factory methods.
-
-    ``kind`` is read off the fields: no ``phi`` is the identity, a
-    ``gate_parity`` makes a phi attack gated, and a phi alone is iid.
+    """One of the shipped relay strategies: ``AttackSpec()`` is the identity,
+    ``AttackSpec(phi)`` the iid attack and ``AttackSpec(phi, gate_parity)``
+    the gated one; ``kind`` names which.
     """
 
     phi: np.ndarray | None = None
@@ -67,18 +66,6 @@ class AttackSpec:
         if self.phi is None:
             return "identity"
         return "iid" if self.gate_parity is None else "gated"
-
-    @staticmethod
-    def identity() -> "AttackSpec":
-        return AttackSpec()
-
-    @staticmethod
-    def iid(phi: np.ndarray) -> "AttackSpec":
-        return AttackSpec(phi=phi)
-
-    @staticmethod
-    def gated(phi: np.ndarray, gate_parity: str) -> "AttackSpec":
-        return AttackSpec(phi=phi, gate_parity=gate_parity)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ __all__ = [
     "marginalize_mac",
     "gamma_from",
     "stationary_u_pmf",
-    "sample_columns",
     "sample_trace",
     "simulate_uplink",
     "simulate_downlink",
@@ -160,29 +159,18 @@ def _inverse_cdf(rows: np.ndarray, columns, draws: np.ndarray, index: np.ndarray
     return index
 
 
-def sample_columns(
-    matrix: np.ndarray, columns: np.ndarray | None, draws: np.ndarray
-) -> np.ndarray:
-    """Inverse-CDF sampling: per draw, the first row whose cumulative sum exceeds it.
-
-    ``matrix`` is a matrix of column pmfs indexed per draw by ``columns``,
-    or one pmf when ``columns`` is None. The index is the number of rows of
-    the running-maximum cumulative sum that the draw is >= to. The running
-    maximum keeps this the first exceeding row where tolerated negative
-    entries dip the sum; leaving out the last row treats it as 1.0, so a
-    float undersum cannot push a draw past the alphabet.
-    """
-    rows, dtype = _cdf_table(matrix)
-    draws = np.asarray(draws)
-    return _inverse_cdf(rows, columns, draws, np.empty(draws.size, dtype))
-
-
 def sample_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns=None) -> np.ndarray:
-    """n symbols drawn by ``sample_columns``, one of ``trace_blocks(n)`` at a time.
+    """n symbols drawn by inverse-CDF sampling, one of ``trace_blocks(n)`` at a time.
 
-    ``columns(block)`` gives the column index of each symbol in the slice
-    ``block``; without it every symbol is drawn from the one pmf ``matrix``.
-    The draws of the blocks are those of one ``rng.random(n)``.
+    ``matrix`` is a matrix of column pmfs and ``columns(block)`` gives the
+    column of each symbol in the slice ``block``; without it every symbol
+    is drawn from the one pmf ``matrix``. The draws of the blocks are those
+    of one ``rng.random(n)``. Each symbol is the first row whose cumulative
+    sum exceeds its draw: the number of rows of the running-maximum
+    cumulative sum that the draw is >= to. The running maximum keeps this
+    the first exceeding row where tolerated negative entries dip the sum;
+    leaving out the last row treats it as 1.0, so a float undersum cannot
+    push a draw past the alphabet.
     """
     rows, dtype = _cdf_table(matrix)
     trace = np.empty(n, dtype)

@@ -41,6 +41,7 @@ from .attackmodel import AttackSpec
 from .channelmodel import MacModel, marginalize_mac
 from .detector import DetectorConfig, run_detection
 from .harness import (
+    DESK_TRIALS,
     Scenario,
     empirical_cdf,
     error_rates,
@@ -51,6 +52,7 @@ from .harness import (
     trial_seed,
     trial_traces,
 )
+from .lpkernel import LpFailure
 from .manipulability import CertificationFailure, ConsistencyFailure, certify
 from .stochcore import (
     trace_blocks,
@@ -134,7 +136,7 @@ def _load_attack(doc, u_size):
     attack_doc = _get(doc, "attack")
     attack_type = _get(attack_doc, "type", "attack.")
     if attack_type == "identity":
-        return AttackSpec.identity()
+        return AttackSpec()
     if attack_type not in ("iid", "gated"):
         raise ScenarioFileError(f"attack.type: unknown type {attack_type!r}")
     phi = validate_column_stochastic(_get(attack_doc, "phi", "attack."), "attack.phi")
@@ -143,11 +145,11 @@ def _load_attack(doc, u_size):
             f"attack.phi: expected a {u_size}x{u_size} matrix, got {phi.shape[0]}x{phi.shape[1]}"
         )
     if attack_type == "iid":
-        return AttackSpec.iid(phi)
+        return AttackSpec(phi)
     gate = _get(attack_doc, "gate", "attack.")
     if gate not in ("even", "odd"):
         raise ScenarioFileError(f"attack.gate: expected 'even' or 'odd', got {gate!r}")
-    return AttackSpec.gated(phi, gate)
+    return AttackSpec(phi, gate)
 
 
 def scenario_from_document(doc) -> Scenario:
@@ -544,12 +546,11 @@ def _cmd_reproduce(args):
         )
         delta = scenario.delta
 
-    null_label = "clean" if "clean" in statistics else "phi1"
+    # preset_curves lists the honest relay's curve first
+    null_label, *attacked = statistics
     summary_rows = []
-    for label, stats in statistics.items():
-        if label == null_label:
-            continue
-        false_alarm, miss = error_rates(statistics[null_label], stats, delta)
+    for label in attacked:
+        false_alarm, miss = error_rates(statistics[null_label], statistics[label], delta)
         summary_rows.append(f"{label},{delta!r},{false_alarm!r},{miss!r}")
     summary_metadata = _tool_metadata() + [
         ("preset", args.figure),
@@ -581,7 +582,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     runs = argparse.ArgumentParser(add_help=False)  # options of every seeded run
-    runs.add_argument("--trials", type=int, help="override the trial count (presets run 300)")
+    runs.add_argument("--trials", type=int, help=f"override the trial count (presets run {DESK_TRIALS})")
 
     certify_parser = sub.add_parser(
         "certify", help="decide whether a channel admits undetectable manipulation"
@@ -624,7 +625,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, OSError, CertificationFailure, ConsistencyFailure) as exc:
+    except (ValueError, OSError, LpFailure, CertificationFailure, ConsistencyFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,6 +17,7 @@ noisy five-symbol downlinks (one certifiably manipulable).
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,80 +288,57 @@ _SQUARE_DEVIATION = np.array(
 
 _SQUARE_PHI2 = np.eye(5) - _SQUARE_DEVIATION
 
-# n, mu, delta per preset name
-_PRESET_PARAMS = {
-    "fig3a": (1_000, 0.2, 0.065),
-    "fig3b": (10_000, 0.1, 0.065),
-    "fig3c": (100_000, 0.05, 0.004),
-    "fig3d": (100_000, 0.01, 0.07),
-    "fig5a": (100_000, 0.05, 0.07),
-    "fig5b": (100_000, 0.05, 0.07),
+
+class _Preset(NamedTuple):
+    """One named preset: its parameters, its channel and its curves."""
+
+    n: int
+    mu: float
+    delta: float
+    channel: tuple  # (p1, p2, mac, b): Scenario's leading fields
+    honest: str  # label of the honest relay's curve
+    maps: dict  # label -> phi of each manipulated curve
+    gate: str | None  # gate parity of every map; None runs them iid
+    headline: str  # the curve a bare preset() call returns
+
+
+_BINARY = (np.array([0.5, 0.5]), np.array([0.5, 0.5]), MacModel.adder(2, 2), np.eye(3))
+_TERNARY_SOURCES = (np.full(3, 1 / 3), np.full(3, 1 / 3), MacModel.adder(3, 3))
+_TERNARY, _SQUARE = (*_TERNARY_SOURCES, _TERNARY_B), (*_TERNARY_SOURCES, _SQUARE_B)
+
+_PRESETS = {
+    "fig3a": _Preset(1_000, 0.2, 0.065, _BINARY, "phi1", _BINARY_PHI, None, "phi2"),
+    "fig3b": _Preset(10_000, 0.1, 0.065, _BINARY, "phi1", _BINARY_PHI, None, "phi2"),
+    "fig3c": _Preset(100_000, 0.05, 0.004, _BINARY, "phi1", _BINARY_PHI, None, "phi2"),
+    "fig3d": _Preset(100_000, 0.01, 0.07, _BINARY, "phi1", _BINARY_PHI, "even", "phi4"),
+    "fig5a": _Preset(100_000, 0.05, 0.07, _TERNARY, "phi1", _TERNARY_PHI, None, "phi2"),
+    "fig5b": _Preset(100_000, 0.05, 0.07, _SQUARE, "clean", {"phi2": _SQUARE_PHI2}, None, "phi2"),
 }
 
-# the curve a bare preset() call returns: the headline malicious case
-_PRESET_HEADLINE = {
-    "fig3a": "phi2",
-    "fig3b": "phi2",
-    "fig3c": "phi2",
-    "fig3d": "phi4",
-    "fig5a": "phi2",
-    "fig5b": "phi2",
-}
-
-
-def _preset_attacks(name: str) -> dict[str, AttackSpec]:
-    if name == "fig3d":
-        return {"phi1": AttackSpec.identity()} | {
-            label: AttackSpec.gated(phi, "even") for label, phi in _BINARY_PHI.items()
-        }
-    if name.startswith("fig3"):
-        return {"phi1": AttackSpec.identity()} | {
-            label: AttackSpec.iid(phi) for label, phi in _BINARY_PHI.items()
-        }
-    if name == "fig5a":
-        return {"phi1": AttackSpec.identity()} | {
-            label: AttackSpec.iid(phi) for label, phi in _TERNARY_PHI.items()
-        }
-    return {
-        "clean": AttackSpec.identity(),
-        "phi2": AttackSpec.iid(_SQUARE_PHI2),
-    }
+# every preset scenario holds these very arrays, so none may be written to
+for _row in _PRESETS.values():
+    for _array in (*_row.channel[:2], _row.channel[2].table, _row.channel[3], *_row.maps.values()):
+        _array.setflags(write=False)
 
 
 def preset_curves(name: str) -> dict[str, Scenario]:
-    """All curves of a named preset: one scenario per manipulation map.
+    """All curves of a named preset, the honest relay's first: one scenario per map.
 
-    Each runs the 300-trial desk default; ``dataclasses.replace(s,
+    Each runs the ``DESK_TRIALS`` desk default; ``dataclasses.replace(s,
     trials=5000)`` gives the count of the reference result figures.
     """
-    if name not in _PRESET_PARAMS:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    n, mu, delta = _PRESET_PARAMS[name]
-    if name.startswith("fig3"):
-        sources = (np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-        mac = MacModel.adder(2, 2)
-        b = np.eye(3)
-    else:
-        sources = (np.full(3, 1 / 3), np.full(3, 1 / 3))
-        mac = MacModel.adder(3, 3)
-        b = _TERNARY_B if name == "fig5a" else _SQUARE_B
+    row = _PRESETS[name]
+    attacks = {row.honest: AttackSpec()} | {
+        label: AttackSpec(phi, row.gate) for label, phi in row.maps.items()
+    }
     return {
-        label: Scenario(
-            p1=sources[0],
-            p2=sources[1],
-            mac=mac,
-            b=b,
-            attack=attack,
-            n=n,
-            mu=mu,
-            delta=delta,
-            trials=DESK_TRIALS,
-            master_seed=_MASTER_SEED,
-        )
-        for label, attack in _preset_attacks(name).items()
+        label: Scenario(*row.channel, attack, row.n, row.mu, row.delta, DESK_TRIALS, _MASTER_SEED)
+        for label, attack in attacks.items()
     }
 
 
 def preset(name: str) -> Scenario:
     """The headline scenario of a named preset (its main malicious curve)."""
-    return preset_curves(name)[_PRESET_HEADLINE[name]]
+    return preset_curves(name)[_PRESETS[name].headline]

@@ -95,10 +95,11 @@ class LpProblem:
             if mat is None:
                 continue
             mat = np.asarray(mat, dtype=float)
-            mat = mat.reshape(-1, n) if mat.size else mat.reshape(0, n)
+            if mat.size == 0:
+                mat = mat.reshape(0, n)
             vec = np.asarray(vec, dtype=float).ravel()
             if mat.ndim != 2 or mat.shape[1] != n:
-                raise ValueError(f"{name} must have {n} columns")
+                raise ValueError(f"{name} must be 2-D with {n} columns")
             if vec.size != mat.shape[0]:
                 raise ValueError(f"{name} rhs length {vec.size} != {mat.shape[0]} rows")
             if not (np.isfinite(mat).all() and np.isfinite(vec).all()):
@@ -178,44 +179,35 @@ class _StandardForm:
 
     def __init__(self, p: LpProblem):
         n = p.objective.size
-        col = 0
-        records = []  # per original var: ('id'|'neg'|'split', indices, shift)
-        extra_rows = []  # box constraints: (std index, cap)
-        for lo, hi in p.bounds:
-            if lo is None and hi is None:
-                records.append(("split", (col, col + 1), 0.0))
-                col += 2
-            elif lo is not None and hi is None:
-                records.append(("id", (col,), float(lo)))
-                col += 1
-            elif lo is None:
-                records.append(("neg", (col,), float(hi)))
-                col += 1
-            else:
-                records.append(("id", (col,), float(lo)))
-                extra_rows.append((col, float(hi) - float(lo)))
-                col += 1
-        n_std = col
-        s = np.zeros((n, n_std))
+        variables, signs = [], []  # per standard-form column: its variable and sign
         t = np.zeros(n)
-        for i, (kind, idx, shift) in enumerate(records):
-            t[i] = shift
-            if kind == "split":
-                s[i, idx[0]] = 1.0
-                s[i, idx[1]] = -1.0
-            elif kind == "id":
-                s[i, idx[0]] = 1.0
-            else:  # neg: x = hi - x_std
-                s[i, idx[0]] = -1.0
+        box_cols, caps = [], []  # per two-sided bound: its column and cap
+        for i, (lo, hi) in enumerate(p.bounds):
+            if lo is None and hi is None:  # free: x = x_std+ - x_std-
+                variables += [i, i]
+                signs += [1.0, -1.0]
+            elif lo is None:  # x = hi - x_std
+                variables.append(i)
+                signs.append(-1.0)
+                t[i] = hi
+            else:  # x = lo + x_std, with x_std <= hi - lo when hi is set
+                if hi is not None:
+                    box_cols.append(len(variables))
+                    caps.append(float(hi) - float(lo))
+                variables.append(i)
+                signs.append(1.0)
+                t[i] = lo
+        n_std = len(variables)
+        s = np.zeros((n, n_std))
+        s[variables, np.arange(n_std)] = signs
 
-        blocks = [(m, m @ s, m @ t) for m in (p.a_eq, p.a_ub) if m is not None]
-        box = np.zeros((len(extra_rows), n_std))
-        self.caps = np.zeros(len(extra_rows))
-        for r, (j, c) in enumerate(extra_rows):
+        blocks = [(m @ s, m @ t) for m in (p.a_eq, p.a_ub) if m is not None]
+        box = np.zeros((len(caps), n_std))
+        for r, j in enumerate(box_cols):
             box[r, j] = 1.0
-            self.caps[r] = c
-        mat = np.vstack([std for _, std, _ in blocks] + [box])
-        self.shift = np.concatenate([shift for _, _, shift in blocks] + [np.zeros(box.shape[0])])
+        self.caps = np.array(caps, dtype=float)
+        mat = np.vstack([std for std, _ in blocks] + [box])
+        self.shift = np.concatenate([shift for _, shift in blocks] + [np.zeros(len(caps))])
 
         # equilibrate structural rows to unit max-abs (before slacks join, so a
         # unit slack cannot mask a badly scaled row): pivot tolerances then act

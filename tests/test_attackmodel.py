@@ -17,24 +17,24 @@ def _u_trace(pmf, n, seed):
 def test_identity_attack_is_noop():
     u = np.array([0, 2, 1, 1, 0, 2])
     v = attackmodel.apply_attack(
-        AttackSpec.identity(), u, np.random.default_rng(1)
+        AttackSpec(), u, np.random.default_rng(1)
     )
     np.testing.assert_array_equal(v, u)
 
 
 def test_attack_spec_validation(motivating_phis):
     with pytest.raises(ValueError):
-        AttackSpec.iid(np.array([[0.5, 0.5], [0.4, 0.5]]))
+        AttackSpec(np.array([[0.5, 0.5], [0.4, 0.5]]))
     with pytest.raises(ValueError):
-        AttackSpec.gated(motivating_phis[2], "sometimes")
+        AttackSpec(motivating_phis[2], "sometimes")
 
 
 def test_attack_kind_is_read_off_the_fields(motivating_phis):
     phi = motivating_phis[2]
-    assert AttackSpec().kind == AttackSpec.identity().kind == "identity"
-    assert AttackSpec(phi=phi).kind == AttackSpec.iid(phi).kind == "iid"
+    assert AttackSpec().kind == "identity"
+    assert AttackSpec(phi=phi).kind == AttackSpec(phi).kind == "iid"
     assert AttackSpec(phi=phi, gate_parity="odd").kind == "gated"
-    assert AttackSpec.gated(phi, "even").kind == "gated"
+    assert AttackSpec(phi, "even").kind == "gated"
     # a kind that contradicts the fields can no longer be stated
     with pytest.raises(ValueError, match="a gated attack needs an attack matrix phi"):
         AttackSpec(gate_parity="even")
@@ -47,7 +47,7 @@ def test_iid_phi4_changed_fraction(motivating_phis):
     # and p(u=0) + p(u=2) = 1/2 under uniform binary sources -> 0.005
     u = _u_trace(np.array([0.25, 0.5, 0.25]), 100_000, seed=12)
     v = attackmodel.apply_attack(
-        AttackSpec.iid(motivating_phis[4]), u, np.random.default_rng(13)
+        AttackSpec(motivating_phis[4]), u, np.random.default_rng(13)
     )
     fraction = float((v != u).mean())
     assert fraction == pytest.approx(0.005, abs=0.003)
@@ -56,7 +56,7 @@ def test_iid_phi4_changed_fraction(motivating_phis):
 def test_gated_attack_activity_rate(motivating_phis):
     # parity of the symbol-index sum is asymptotically fair, so the even gate
     # fires in about half the trials; inactive blocks pass through unchanged
-    spec = AttackSpec.gated(motivating_phis[2], "even")
+    spec = AttackSpec(motivating_phis[2], "even")
     active = 0
     for trial in range(400):
         u = _u_trace(np.array([0.25, 0.5, 0.25]), 2000, seed=1000 + trial)
@@ -73,10 +73,10 @@ def test_gated_attack_activity_rate(motivating_phis):
 def test_gated_odd_parity_complements_even(motivating_phis):
     u = np.array([0, 1, 1])  # index sum 2, even
     even = attackmodel.apply_attack(
-        AttackSpec.gated(motivating_phis[4], "even"), u, np.random.default_rng(2)
+        AttackSpec(motivating_phis[4], "even"), u, np.random.default_rng(2)
     )
     odd = attackmodel.apply_attack(
-        AttackSpec.gated(motivating_phis[4], "odd"), u, np.random.default_rng(2)
+        AttackSpec(motivating_phis[4], "odd"), u, np.random.default_rng(2)
     )
     np.testing.assert_array_equal(odd, u)  # gate closed
     assert even.shape == u.shape  # gate open: block went through the iid map
@@ -164,7 +164,7 @@ def test_iid_attack_channel_converges(motivating_phis):
     for trial in range(100):
         u = _u_trace(np.array([0.25, 0.5, 0.25]), 100_000, seed=7000 + trial)
         v = attackmodel.apply_attack(
-            AttackSpec.iid(phi), u, np.random.default_rng(9000 + trial)
+            AttackSpec(phi), u, np.random.default_rng(9000 + trial)
         )
         ac = attackmodel.extract_attack_channel(u, v, u_size=3)
         if stochcore.l1_norm(ac.phi_n - phi) < 0.05:
@@ -173,7 +173,7 @@ def test_iid_attack_channel_converges(motivating_phis):
 
 
 def test_gated_inactive_block_extracts_exact_identity(motivating_phis):
-    spec = AttackSpec.gated(motivating_phis[2], "even")
+    spec = AttackSpec(motivating_phis[2], "even")
     u = np.array([0, 0, 1, 1, 1])  # index sum 3, odd: gate stays closed
     v = attackmodel.apply_attack(spec, u, np.random.default_rng(88))
     ac = attackmodel.extract_attack_channel(u, v, u_size=3)
@@ -187,7 +187,7 @@ def test_counter_example_changed_fraction_matches_matrix(counter_phi2):
     expected = float(pmf @ (1.0 - np.diag(counter_phi2)))
     u = _u_trace(pmf, 200_000, seed=41)
     v = attackmodel.apply_attack(
-        AttackSpec.iid(counter_phi2), u, np.random.default_rng(43)
+        AttackSpec(counter_phi2), u, np.random.default_rng(43)
     )
     fraction = float((v != u).mean())
     assert fraction == pytest.approx(expected, abs=0.01)

@@ -171,7 +171,9 @@ def test_inverse_cdf_kernel_matches_argmax_oracle():
             np.full(draws.size, j) for j in range(matrix.shape[1])
         ] + [rng.integers(0, matrix.shape[1], draws.size)]:
             np.testing.assert_array_equal(
-                channelmodel.sample_columns(matrix, columns, draws),
+                channelmodel.sample_trace(
+                    matrix, draws.size, _ScriptedGenerator(draws), lambda block: columns[block]
+                ),
                 _argmax_oracle(matrix, columns, draws),
                 err_msg=label,
             )
@@ -182,11 +184,15 @@ def test_inverse_cdf_kernel_matches_argmax_oracle():
     expected = [0, 1, 1, 2, 2]
     columns = np.zeros(draws.size, dtype=int)
     np.testing.assert_array_equal(
-        channelmodel.sample_columns(quarters, columns, draws), expected
+        channelmodel.sample_trace(
+            quarters, draws.size, _ScriptedGenerator(draws), lambda block: columns[block]
+        ),
+        expected,
     )
     # columns=None samples one pmf
     np.testing.assert_array_equal(
-        channelmodel.sample_columns(quarters[:, 0], None, draws), expected
+        channelmodel.sample_trace(quarters[:, 0], draws.size, _ScriptedGenerator(draws)),
+        expected,
     )
     mac = MacModel.adder(3, 1)
     x1, x2, _ = channelmodel.simulate_uplink(
@@ -280,7 +286,7 @@ def test_blocked_sampler_matches_argmax_oracle_across_blocks(n):
     phi = np.array([[0.5, -5e-10, 0.3], [-5e-10, 0.6 + 5e-10, 0.3], [0.5 + 5e-10, 0.4, 0.4]])
     parity = ("even", "odd")[int(u.sum()) % 2]
     draws = draws_for(phi)
-    v = attackmodel.apply_attack(AttackSpec.gated(phi, parity), u, _ScriptedGenerator(draws))
+    v = attackmodel.apply_attack(AttackSpec(phi, parity), u, _ScriptedGenerator(draws))
     np.testing.assert_array_equal(v, _argmax_oracle(phi, u, draws))
 
 

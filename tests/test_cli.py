@@ -30,6 +30,7 @@ from relay_sentinel.cli import (
 )
 from relay_sentinel.detector import DetectionReport, run_detection
 from relay_sentinel.harness import preset, preset_curves, trial_traces
+from relay_sentinel.lpkernel import LpFailure
 from relay_sentinel.stochcore import transition_counts
 
 THIRD = 1 / 3
@@ -172,6 +173,21 @@ def test_certify_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["certify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command", ["certify", "detect"])
+def test_lp_failure_is_an_error_line_not_a_traceback(tmp_path, capsys, monkeypatch, command):
+    def breakdown(*args):
+        raise LpFailure("basis matrix singular during refactorization")
+
+    monkeypatch.setattr(cli, "certify", breakdown)
+    monkeypatch.setattr(cli, "run_detection", breakdown)
+    path = write_doc(tmp_path, binary_adder_doc())
+    trace = tmp_path / "trace.csv"
+    trace.write_text("n,x1,y1\n0,0,0\n1,1,2\n")
+    argv = ["certify", path] if command == "certify" else ["detect", path, str(trace)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: basis matrix singular during refactorization\n"
 
 
 # ---------- scenario round-trip ----------
@@ -844,7 +860,7 @@ def test_compact_relay_traces_agree_with_their_int64_casts(size, dtype):
     assert counts[size - 1, size - 1] >= 1 and counts.sum() == u.size
     phi = np.full((size, size), 1.0 / size)
     for parity in ("even", "odd"):
-        spec = AttackSpec.gated(phi, parity)
+        spec = AttackSpec(phi, parity)
         np.testing.assert_array_equal(
             apply_attack(spec, u, np.random.default_rng(1)),
             apply_attack(spec, wide_u, np.random.default_rng(1)),

@@ -16,6 +16,7 @@ import pytest
 from conftest import counter_upsilon
 from relay_sentinel import detector, harness
 from relay_sentinel.attackmodel import AttackSpec, extract_attack_channel
+from relay_sentinel.cli import scenario_hash
 from relay_sentinel.channelmodel import AlphabetReductionError, MacModel
 from relay_sentinel.detector import DetectorConfig, run_detection
 from relay_sentinel.harness import (
@@ -44,7 +45,7 @@ def binary_adder_scenario(**overrides):
         p2=np.array([0.5, 0.5]),
         mac=MacModel.adder(2, 2),
         b=np.eye(3),
-        attack=AttackSpec.identity(),
+        attack=AttackSpec(),
         n=1_000,
         mu=0.2,
         delta=0.065,
@@ -81,7 +82,7 @@ def test_scenario_rejects_bad_ingredients():
     with pytest.raises(ValueError):
         binary_adder_scenario(b=np.eye(4))
     with pytest.raises(ValueError):
-        binary_adder_scenario(attack=AttackSpec.iid(np.eye(4)))
+        binary_adder_scenario(attack=AttackSpec(np.eye(4)))
 
 
 def test_trial_result_validates():
@@ -109,7 +110,7 @@ def test_trial_result_validates():
 
 
 def test_run_trial_scores_the_traces_of_its_trial():
-    scenario = binary_adder_scenario(attack=AttackSpec.iid(preset("fig3a").attack.phi))
+    scenario = binary_adder_scenario(attack=AttackSpec(preset("fig3a").attack.phi))
     for index in range(3):
         traces = trial_traces(scenario, index)
         assert run_trial(scenario, index) == score_trial(scenario, index, *traces)
@@ -159,7 +160,7 @@ def test_run_trial_rejects_bad_index():
 
 def test_run_trial_is_deterministic():
     scenario = binary_adder_scenario(
-        attack=AttackSpec.iid(
+        attack=AttackSpec(
             np.array(
                 [[0.99, 0.005, 0.005], [0.005, 0.99, 0.005], [0.005, 0.005, 0.99]]
             )
@@ -170,7 +171,7 @@ def test_run_trial_is_deterministic():
 
 def test_run_trial_streams_differ_by_index():
     scenario = binary_adder_scenario(
-        attack=AttackSpec.iid(
+        attack=AttackSpec(
             np.array(
                 [[0.99, 0.005, 0.005], [0.005, 0.99, 0.005], [0.005, 0.005, 0.99]]
             )
@@ -186,7 +187,7 @@ def test_run_trial_iid_attack_concentrates(motivating_phis):
     # N=10^5 the per-trace deviation and the changed-symbol fraction
     # concentrate tightly around their generating values.
     scenario = binary_adder_scenario(
-        attack=AttackSpec.iid(motivating_phis[2]), n=100_000, mu=0.05, delta=0.004
+        attack=AttackSpec(motivating_phis[2]), n=100_000, mu=0.05, delta=0.004
     )
     result = run_trial(scenario, 0)
     assert abs(result.truth_stat - 0.06) <= 0.015
@@ -208,7 +209,7 @@ def test_run_experiment_ordering_and_determinism():
 
 
 def test_trial_traces_match_run_trial(motivating_phis):
-    scenario = binary_adder_scenario(attack=AttackSpec.iid(motivating_phis[2]), n=800)
+    scenario = binary_adder_scenario(attack=AttackSpec(motivating_phis[2]), n=800)
     x1, y1, u, v = trial_traces(scenario, 3)
     result = run_trial(scenario, 3)
     assert x1.shape == y1.shape == u.shape == v.shape == (800,)
@@ -311,7 +312,7 @@ def test_preset_channels(higher_b, counter_b):
     assert np.allclose(fig5b.b, counter_b)
 
 
-def test_preset_attacks(motivating_phis, higher_phis):
+def test_preset_headline_attacks(motivating_phis, higher_phis):
     assert preset("fig3b").attack.kind == "iid"
     assert np.allclose(preset("fig3b").attack.phi, motivating_phis[2])
     fig3d = preset("fig3d")
@@ -357,6 +358,87 @@ def test_preset_curves_families(motivating_phis, higher_phis):
 
     with pytest.raises(ValueError):
         preset_curves("fig4x")
+
+
+# every preset curve's scenario_hash, honest curve first, and the headline label
+_PRESET_TRAFFIC = {
+    "fig3a": (
+        "phi2",
+        {
+            "phi1": "3b77d1ef2860d9d4a1b057a7c138df17dfe05835f18748a28fadceab403836b7",
+            "phi2": "054035a9adf983fd2c217acfa5a4eb658378e6ba3b1838676fa7697068c7937a",
+            "phi3": "5253e9816b71d022a6574e19aebb682ed9fd4639490d0da4abb320400197e6fa",
+            "phi4": "ad48b74feec58c14caa9c2bbbaf3b68bb45b9790c842946fbc298e1ed672f645",
+        },
+    ),
+    "fig3b": (
+        "phi2",
+        {
+            "phi1": "4a35513e7569b04d31e1b19419649c4feee79026ee3adea82fe28f0932c9bcba",
+            "phi2": "fe882bc6620c2012d87c296f6b6cebc0341ee129ab66423906c4de15dddebc9d",
+            "phi3": "eb5dee15917f565eddec2f1fb2fa390bcdd62b8f189d965c58d2d772e3fb3c3e",
+            "phi4": "6db4a81782f5ad94c5cd5a1d230e13efa559e68155c462efe0d8ca6d3b31c6dc",
+        },
+    ),
+    "fig3c": (
+        "phi2",
+        {
+            "phi1": "20389811dc7b933ec4bfea9ae6d1e87cc7c9ba889a2d93db487600e7a51a6375",
+            "phi2": "3ca99a558c08a3775a54b51e42f4249c5597a3c0287bfa67bcf281f6353a95c2",
+            "phi3": "f541ee484033cf456e2c51c9fcb8da01238550935ed99a26e52b93fb7ff2c67d",
+            "phi4": "fd36c45362cf5029ba6144bfbcee7aac7c2843ebf7647bb91ada9f9b47c1e812",
+        },
+    ),
+    "fig3d": (
+        "phi4",
+        {
+            "phi1": "9b7b2c141bc8a8e1d865b979085c126cecc35e1564afff30ea2e43a3fb2a3ad7",
+            "phi2": "9d44c8d0ed1f8aba99bb4184096f489c35c068d924faf1e11f651f4e0a1a6567",
+            "phi3": "a2cfca47e4a9e751374e0bae2e780a5884ae020acbfb963ac022f79fd77d6279",
+            "phi4": "b4c55d5f09d607cb45e38df3d47392cc7af571bf461f78e754b0000d90965757",
+        },
+    ),
+    "fig5a": (
+        "phi2",
+        {
+            "phi1": "fb71d2b20bf28feec4cbfe3f7c56b458b7130ab85f8cfe96e1b7ea2009f214d4",
+            "phi2": "7d81c07afe564056663b4ec04de4ac61c8b10a4d82929672f0322a458fddc04d",
+            "phi3": "eabf552b30eed0e4cedae2bbe75dd3ec3996b6f0ef198fccfd97fa884e4522e2",
+            "phi4": "878e0f971abb27e7e095db6b056596278eb05a61804146b885f600fac0f9751e",
+        },
+    ),
+    "fig5b": (
+        "phi2",
+        {
+            "clean": "acbddb2e7ce197bc2cc911f0ed8f58fa09b499537618dd5ad0a3beeef27967ac",
+            "phi2": "59b26445afc6847ae0325701b61b99f681a84ca5be4cdec0bcf7fe8ac2edd8fe",
+        },
+    ),
+}
+
+
+def test_preset_traffic_is_pinned():
+    # the traffic of every experiment and benchmark workload, as the
+    # canonical documents of its curves hash
+    for name, (headline, hashes) in _PRESET_TRAFFIC.items():
+        curves = preset_curves(name)
+        assert {label: scenario_hash(s) for label, s in curves.items()} == hashes, name
+        assert list(curves) == list(hashes), name
+        assert next(iter(curves.values())).attack.kind == "identity", name
+        assert preset(name) == curves[headline], name
+        assert scenario_hash(preset(name)) == hashes[headline], name
+
+
+def test_preset_arrays_are_read_only():
+    # every curve of every preset holds the preset table's own arrays, so a
+    # write into one would change every later preset_curves call
+    for scenario in (s for name in _PRESET_TRAFFIC for s in preset_curves(name).values()):
+        arrays = [scenario.p1, scenario.p2, scenario.mac.table, scenario.b]
+        if scenario.attack.phi is not None:
+            arrays.append(scenario.attack.phi)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
 
 
 def test_gated_preset_produces_both_modes():
@@ -454,9 +536,9 @@ def test_array_holding_inputs_compare_by_value():
     equal_pairs = [
         (MacModel.adder(2, 2), MacModel.adder(2, 2)),
         (preset("fig3a"), preset("fig3a")),
-        (AttackSpec.iid(phi), AttackSpec.iid(phi.copy())),
-        (AttackSpec.gated(phi, "odd"), AttackSpec.gated(phi.tolist(), "odd")),
-        (AttackSpec.identity(), AttackSpec.identity()),
+        (AttackSpec(phi), AttackSpec(phi.copy())),
+        (AttackSpec(phi, "odd"), AttackSpec(phi.tolist(), "odd")),
+        (AttackSpec(), AttackSpec()),
         (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig([[1, 0], [0, 1]], np.eye(2), 0.1, 0.2)),
         (extract_attack_channel(u, u[::-1], 3), extract_attack_channel(u, u[::-1], 3)),
         (run_detection(config, *traces[:2]), run_detection(config, *traces[:2])),
@@ -474,9 +556,9 @@ def test_array_holding_inputs_compare_by_value():
         (MacModel(np.eye(2), 2, 1), MacModel(swap, 2, 1)),
         (preset("fig3a"), preset("fig3b")),
         (preset("fig3a"), preset_curves("fig3a")["phi3"]),
-        (AttackSpec.iid(phi), AttackSpec.iid(swap)),
-        (AttackSpec.iid(phi), AttackSpec.gated(phi, "even")),
-        (AttackSpec.identity(), AttackSpec.iid(phi)),
+        (AttackSpec(phi), AttackSpec(swap)),
+        (AttackSpec(phi), AttackSpec(phi, "even")),
+        (AttackSpec(), AttackSpec(phi)),
         (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig(np.eye(2), swap, 0.1, 0.2)),
         (DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.2), DetectorConfig(np.eye(2), np.eye(2), 0.1, 0.3)),
         (MacModel.adder(2, 2), "adder"),

@@ -111,6 +111,19 @@ def test_dimension_mismatch_is_contract_error():
         LpProblem(objective=[1.0], bounds=[(2.0, 1.0)])
 
 
+def test_a_block_is_never_reshaped_to_fit():
+    # a (2, 3) block with a 6-variable objective is not one 1 x 6 row
+    with pytest.raises(ValueError, match="a_eq must be 2-D with 6 columns"):
+        LpProblem(objective=np.zeros(6), a_eq=np.ones((2, 3)), b_eq=[1.0])
+    # nor is a (1, 3) block cut down to 2 variables
+    with pytest.raises(ValueError, match="a_ub must be 2-D with 2 columns"):
+        LpProblem(objective=np.zeros(2), a_ub=np.ones((1, 3)), b_ub=[1.0])
+    with pytest.raises(ValueError, match="a_eq must be 2-D with 3 columns"):
+        LpProblem(objective=np.zeros(3), a_eq=np.ones(3), b_eq=[1.0])
+    # only an empty block is reshaped, to no rows
+    assert LpProblem(objective=np.zeros(3), a_eq=[], b_eq=[]).a_eq.shape == (0, 3)
+
+
 def test_determinism_bitwise():
     rng = np.random.default_rng(7)
     c = rng.normal(size=6)

@@ -159,7 +159,7 @@ def _binary_adder_scenario(**changes):
         p2=np.array([0.5, 0.5]),
         mac=MacModel.adder(2, 2),
         b=np.eye(3),
-        attack=AttackSpec.identity(),
+        attack=AttackSpec(),
         n=10,
         mu=0.1,
         delta=0.1,
