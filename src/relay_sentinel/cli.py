@@ -28,8 +28,10 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -240,6 +242,109 @@ def _content_lines(lines, metadata):
             yield line
 
 
+_HEADERS = (("n", "x1", "y1"), ("n", "u", "v"))
+
+# a head line of printable ASCII and tabs: str.splitlines() ends it at its
+# newline and nowhere else, and every ASCII-based encoding decodes it alike
+_PLAIN_LINE = re.compile(rb"([\t -~]*)\n")
+
+# the plain pass parses a body this many bytes at a time, each cut just
+# after a newline, so its temporaries stay in cache; one pass over a whole
+# long body was slower and peaked higher than loadtxt
+_CHUNK_BYTES = 1 << 15
+
+# the widest field the plain pass parses: 10**18 - 1 fits an int64
+_MAX_DIGITS = 18
+_POWERS_OF_TEN = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
+
+_ZERO, _NINE = ord("0"), ord("9")
+
+# the separators of a chunk's plain rows, both below the digits; a row
+# takes at least six bytes, so a chunk holds at most this many
+_ROW_SEPARATORS = np.tile(np.frombuffer(b",,\n", np.uint8), _CHUNK_BYTES // 6)
+
+
+def _header(line):
+    """The stripped comma-separated parts of a header line; None stays None."""
+    return None if line is None else tuple(part.strip() for part in line.split(","))
+
+
+def _plain_trace(data):
+    """(metadata, header, columns) of a trace in the plain form, or None.
+
+    The plain form is what ``simulate --emit-trace`` writes: plain lines
+    (`_PLAIN_LINE`) up to the header, then one or more ``n,a,b`` rows of
+    at most `_MAX_DIGITS` ASCII digits per field, each ending in a newline.
+    Any other file, or a plain one whose ``n`` is not 0, 1, 2, ..., is
+    None, for the line-by-line reader to read or reject.
+    """
+    metadata, start, header = {}, 0, None
+    while header is None:
+        line = _PLAIN_LINE.match(data, start)
+        if line is None:
+            return None
+        start = line.end()
+        header = _header(next(_content_lines([line[1].decode()], metadata), None))
+    rows = data.count(b"\n", start)
+    if header not in _HEADERS or not rows:
+        return None
+    first, second = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    done = 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _CHUNK_BYTES) + 1
+        if not stop:  # a line longer than a chunk, or one with no newline
+            return None
+        fields = _plain_fields(np.frombuffer(data, np.uint8, stop - start, start))
+        if fields is None:
+            return None
+        index, a, b = fields
+        if not np.array_equal(index, np.arange(done, done + index.size)):
+            return None
+        first[done : done + index.size], second[done : done + index.size] = a, b
+        done += index.size
+        start = stop
+    return metadata, header, (first, second)
+
+
+def _plain_fields(chunk):
+    """The three fields of a chunk of plain rows as integer columns, or None."""
+    separators = np.flatnonzero(chunk < _ZERO)
+    if separators.size % 3 or chunk.max() > _NINE:
+        return None
+    if not np.array_equal(chunk[separators], _ROW_SEPARATORS[: separators.size]):
+        return None
+    # each field runs from just after the separator before it
+    widths = separators - np.concatenate(([0], separators[:-1] + 1))
+    if widths.min() < 1 or widths.max() > _MAX_DIGITS:
+        return None
+    digits = chunk - _ZERO
+    digits *= chunk >= _ZERO  # a separator reads as the digit 0
+    return [
+        _field_values(digits, ends, width)
+        for ends, width in zip(separators.reshape(-1, 3).T, widths.reshape(-1, 3).T)
+    ]
+
+
+def _field_values(digits, ends, widths):
+    """The fields that end before ``ends``, ``widths`` digits each, by Horner's rule.
+
+    Every field is read over the widest one's places; a narrower field's
+    extra places hold its separator (0) and the digits before it, which
+    the remainder by its own power of ten drops.
+    """
+    width = widths.max()
+    if width == 1:
+        return digits[ends - 1]
+    values = np.zeros(ends.size, np.int64)
+    place = ends - width
+    for _ in range(width):
+        values *= 10
+        # a place before the chunk clips to its first byte, and is dropped
+        values += digits.take(place, mode="clip")
+        place += 1
+    return values if widths.min() == width else values % _POWERS_OF_TEN[widths]
+
+
 def _integer_rows(lines):
     """The lines parsed as comma-separated int64 fields, or None if one is not.
 
@@ -256,36 +361,23 @@ def _integer_rows(lines):
             return None
 
 
-def read_trace(path):
-    """(metadata, header tuple, (first column, second column)) of a trace CSV."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ScenarioFileError(f"{path}: {exc.strerror or exc}") from None
+def _filtered_trace(text):
+    """(metadata, header, columns) of any trace text, read line by line.
+
+    The ``#`` and blank lines are filtered out, then the rows are parsed by
+    loadtxt. loadtxt strips U+001F from around a field, which int() never
+    did, so a row that still holds one after the filter is rejected.
+    """
     metadata = {}
     rest = iter(text.splitlines())
     # the generator stops at the header, so ``rest`` then holds the body
-    header = next(_content_lines(rest, metadata), None)
-    if header is not None:
-        header = tuple(part.strip() for part in header.split(","))
-    if header not in (("n", "x1", "y1"), ("n", "u", "v")):
+    header = _header(next(_content_lines(rest, metadata), None))
+    if header not in _HEADERS:
         raise ScenarioFileError("trace: header must be 'n,x1,y1' or 'n,u,v'")
-    body = list(rest)
-    # Plain rows parse in one loadtxt pass.  A ``#`` or whitespace-only line
-    # fails that pass, and the body is then filtered line by line first.
-    # The pass needs a first line that is not empty, as loadtxt warns on a
-    # body with no data.  loadtxt strips U+001F from around a field, which
-    # int() never did, so such a body is filtered, and any U+001F left
-    # inside a row rejects it.
-    data = None
-    if body and body[0] and "\x1f" not in text:
-        data = _integer_rows(body)
-    if data is None:
-        body = list(_content_lines(body, metadata))
-        if not body:
-            raise ScenarioFileError("trace: no data rows")
-        if not any("\x1f" in line for line in body):
-            data = _integer_rows(body)
+    body = list(_content_lines(rest, metadata))
+    if not body:
+        raise ScenarioFileError("trace: no data rows")
+    data = None if any("\x1f" in line for line in body) else _integer_rows(body)
     if data is None:
         raise ScenarioFileError("trace: rows must be comma-separated integers")
     if data.shape[1] != 3:
@@ -295,6 +387,21 @@ def read_trace(path):
     if (data[:, 1:] < 0).any():
         raise ScenarioFileError("trace: symbol indices must be non-negative")
     return metadata, header, (data[:, 1], data[:, 2])
+
+
+def read_trace(path):
+    """(metadata, header tuple, (first column, second column)) of a trace CSV.
+
+    A trace in the plain form is parsed as bytes, chunk by chunk; any other
+    is decoded as ``Path.read_text`` decodes it and read line by line.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ScenarioFileError(f"{path}: {exc.strerror or exc}") from None
+    # the line-by-line reader decodes as Path.read_text: the locale's
+    # encoding, with universal newlines
+    return _plain_trace(data) or _filtered_trace(io.TextIOWrapper(io.BytesIO(data)).read())
 
 
 def _write_csv(path, metadata, header, body):

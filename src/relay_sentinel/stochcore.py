@@ -107,6 +107,8 @@ def _probabilities(value, name: str, ndim: int, expected: str) -> np.ndarray:
     """value as a float array of the given rank, every entry a non-negative number.
 
     Non-numeric, NaN and infinite entries are rejected before any sum is taken.
+    The array is a read-only copy, so no later write by the caller or the
+    callee changes a validated input.
     """
     try:
         arr = np.asarray(value)
@@ -116,7 +118,8 @@ def _probabilities(value, name: str, ndim: int, expected: str) -> np.ndarray:
         raise ValueError(f"{name}: expected {expected}")
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name}: entries must be numbers")
-    arr = arr.astype(float, copy=False)
+    arr = arr.astype(float)
+    arr.setflags(write=False)
     if not np.isfinite(arr).all():
         _reject(name, arr, ~np.isfinite(arr), "is not finite")
     if arr.min() < -DEFAULT_TOL:
@@ -131,7 +134,7 @@ def _reject(name: str, arr: np.ndarray, mask: np.ndarray, problem: str):
 
 
 def validate_pmf(p, name: str = "p") -> np.ndarray:
-    """p as a 1-D float array, or ValueError naming ``name`` and the bad entry."""
+    """p as a read-only 1-D float copy, or ValueError naming ``name`` and the bad entry."""
     p = _probabilities(p, name, 1, "a non-empty list of probabilities")
     total = p.sum()
     if abs(total - 1.0) > DEFAULT_TOL:
@@ -140,7 +143,7 @@ def validate_pmf(p, name: str = "p") -> np.ndarray:
 
 
 def validate_column_stochastic(m, name: str) -> np.ndarray:
-    """m as a 2-D float array, or ValueError naming ``name`` and the bad entry.
+    """m as a read-only 2-D float copy, or ValueError naming ``name`` and the bad entry.
 
     A column that does not sum to 1 is named as ``{name}[.][j]``.
     """

@@ -696,6 +696,24 @@ NAMED_TRACES = {
     "no_header": ("rejected", "# x1_size = 2\n\n"),
     "gapped": ("rejected", "n,x1,y1\n0,1,2\n2,0,0\n"),
     "duplicate_key": ("read", "# a = 1\n# a = 2 = 3\n#novalue\nn,x1,y1\n0,1,2\n"),
+    "leading_zeros": ("read", "n,x1,y1\n00,01,1\n"),
+    "no_final_newline": ("read", "n,x1,y1\n0,1,2\n1,0,0"),
+    "unterminated_digit": ("rejected", "n,x1,y1\n0,1,2\n1"),
+    # row 5 001 follows row 4 999, in the body's second 32 KiB chunk
+    "gap_after_first_chunk": (
+        "rejected",
+        "n,x1,y1\n" + "".join(f"{i},0,1\n" for i in range(5_000)) + "5001,0,1\n",
+    ),
+    "comma_first": ("rejected", "n,x1,y1\n,1,2\n"),
+    "nineteen_digit_index": ("read", "n,x1,y1\n" + "0" * 19 + ",1,2\n"),
+    # one 18-digit x1 among one-digit ones, each read over 18 places
+    "eighteen_digit_field": (
+        "read",
+        "n,x1,y1\n" + "".join(f"{i},{10**18 - 1 if i == 7 else 5},1\n" for i in range(40)),
+    ),
+    "space_inside_a_field": ("rejected", "n,x1,y1\n0,1 2\n"),
+    "ragged_in_threes": ("rejected", "n,x1,y1\n0,1\n1,0,0,0\n"),
+    "form_feed_in_a_comment": ("read", "# k = v\x0c# j = w\nn,x1,y1\n0,1,2\n"),
 }
 
 
@@ -703,6 +721,76 @@ NAMED_TRACES = {
 def test_read_trace_matches_the_line_by_line_reader(tmp_path, name):
     expected, text = NAMED_TRACES[name]
     assert _compare_readers(tmp_path / "trace.csv", text) == expected
+
+
+class _LeftThePlainPass(Exception):
+    pass
+
+
+def _refuse_the_line_by_line_reader(monkeypatch):
+    def refuse(text):
+        raise _LeftThePlainPass
+
+    monkeypatch.setattr(cli, "_filtered_trace", refuse)
+
+
+# a name of NAMED_TRACES: whether read_trace parses it as bytes
+@pytest.mark.parametrize(
+    "name, plain",
+    [
+        ("plain", True),
+        ("leading_zeros", True),
+        ("duplicate_key", True),
+        ("padded_header", True),
+        ("relay_header", True),
+        ("eighteen_digit_field", True),
+        ("no_final_newline", False),
+        ("nineteen_digit_index", False),
+        ("gap_after_first_chunk", False),
+        ("comma_first", False),
+        ("crlf", False),
+        ("padded_fields", False),
+        ("signs", False),
+        ("late_comment", False),
+        ("unit_separator_around", False),
+        ("form_feed_in_a_comment", False),
+    ],
+)
+def test_read_trace_parses_only_plain_traces_as_bytes(tmp_path, monkeypatch, name, plain):
+    path = tmp_path / "trace.csv"
+    path.write_text(NAMED_TRACES[name][1], encoding="utf-8", newline="")
+    _refuse_the_line_by_line_reader(monkeypatch)
+    if plain:
+        _, _, (first, second) = read_trace(path)
+        assert first.dtype == second.dtype == np.int64
+    else:
+        with pytest.raises(_LeftThePlainPass):
+            read_trace(path)
+
+
+# every preset at its own N, and fig3b across the index digit-width edges;
+# a body of N >= 10 000 rows spans more than two 32 KiB chunks
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, None) for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b")]
+    + [("fig3b", n) for n in (1, 9_999, 10_000, 10_001, 100_000)],
+)
+def test_emitted_traces_are_parsed_as_bytes(tmp_path, monkeypatch, name, n):
+    scenario = preset(name) if n is None else dataclasses.replace(preset(name), n=n)
+    traces = trial_traces(scenario, 0)
+    cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, traces)
+    _refuse_the_line_by_line_reader(monkeypatch)
+    for side, columns in (("source", traces[:2]), ("relay", traces[2:])):
+        path = tmp_path / f"trace_0000_{side}.csv"
+        if scenario.n >= 10_000:
+            assert path.stat().st_size > 2 * cli._CHUNK_BYTES
+        meta, header, read = read_trace(path)
+        old_meta, old_header, old_read = _old_read_trace(path)
+        assert meta == old_meta and header == old_header
+        for column, trace, old_column in zip(read, columns, old_read):
+            assert column.dtype == old_column.dtype == np.int64
+            np.testing.assert_array_equal(column, trace.astype(np.int64))
+            np.testing.assert_array_equal(column, old_column)
 
 
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -783,18 +871,22 @@ def test_read_trace_rejects_underscores_non_ascii_digits_floats_and_overflow(tmp
 
 
 def test_read_trace_fails_closed_when_loadtxt_truncates_a_float(tmp_path, monkeypatch):
-    # NumPy 1.23-1.26 read "1.5" into an integer column as 1 and only warned
+    # NumPy 1.23-1.26 read "1.5" into an integer column as 1 and only warned;
+    # the space keeps the row out of the plain form, so loadtxt parses it
     loadtxt = np.loadtxt
+    calls = []
 
     def truncating_loadtxt(*args, **kwargs):
+        calls.append(args)
         warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
         return loadtxt(*args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
     path = tmp_path / "trace.csv"
-    path.write_text("n,x1,y1\n0,1,1\n")
+    path.write_text("n,x1,y1\n0, 1,1\n")
     with pytest.raises(ScenarioFileError, match=NOT_INTEGERS):
         read_trace(path)
+    assert len(calls) == 1
 
 
 def test_detect_reports_an_overflowing_field(tmp_path, capsys):
@@ -928,6 +1020,23 @@ def test_writing_a_long_trace_pair_stays_under_one_mib(tmp_path):
     _, _, (u, v) = read_trace(tmp_path / "trace_0001_relay.csv")
     np.testing.assert_array_equal(u, traces[2])
     np.testing.assert_array_equal(v, traces[3])
+
+
+def test_reading_a_long_trace_stays_under_five_mib(tmp_path):
+    # the file's bytes, the two int64 columns and one chunk's temporaries;
+    # loadtxt's pass over the whole body put this peak at about 10.4 MiB
+    scenario = preset("fig5a")
+    traces = trial_traces(scenario, 0)
+    cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, traces)
+    tracemalloc.start()
+    try:
+        _, _, (x1, y1) = read_trace(tmp_path / "trace_0000_source.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak
+    np.testing.assert_array_equal(x1, traces[0])
+    np.testing.assert_array_equal(y1, traces[1])
 
 
 # ---------- reproduce ----------

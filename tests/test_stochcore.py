@@ -288,6 +288,34 @@ def test_every_entry_point_names_an_alphabet_mismatch_alike(entry, motivating_a)
         entry(motivating_a, np.eye(4))
 
 
+_ADDER_A = [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "build, inputs",
+    [
+        (lambda p1, b: _binary_adder_scenario(p1=p1, b=b), {"p1": [0.5, 0.5], "b": np.eye(3)}),
+        (AttackSpec, {"phi": [[0.0, 1.0], [1.0, 0.0]]}),
+        (lambda table: MacModel(table, 2, 2), {"table": MacModel.adder(2, 2).table}),
+        (lambda a, b: DetectorConfig(a, b, 0.1, 0.1), {"a": _ADDER_A, "b": np.eye(3)}),
+    ],
+    ids=["Scenario", "AttackSpec", "MacModel", "DetectorConfig"],
+)
+def test_validated_arrays_are_owned_and_read_only(build, inputs):
+    # a later write into the caller's array must leave the frozen, validated
+    # object as it was
+    arrays = {name: np.array(value, dtype=float) for name, value in inputs.items()}
+    validated = build(**arrays)
+    for name, array in arrays.items():
+        kept = np.array(inputs[name], dtype=float)
+        array[0] = 7.0
+        np.testing.assert_array_equal(getattr(validated, name), kept)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(validated, name)[0] = 7.0
+    if isinstance(validated, Scenario):
+        assert validated.detector_config.b is validated.b
+
+
 def test_transition_counts_hand_counted():
     # counts[i, j] = #(observed = i, given = j), as int64
     counts = stochcore.transition_counts([0, 1, 0, 2, 0], [1, 1, 0, 0, 1], 3, 2, ("x", "y"))
