@@ -217,6 +217,8 @@ def _read_json(path):
         text = Path(path).read_text()
     except OSError as exc:
         raise ScenarioFileError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:  # its message gives the byte offset
+        raise ScenarioFileError(f"{path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -401,7 +403,10 @@ def read_trace(path):
         raise ScenarioFileError(f"{path}: {exc.strerror or exc}") from None
     # the line-by-line reader decodes as Path.read_text: the locale's
     # encoding, with universal newlines
-    return _plain_trace(data) or _filtered_trace(io.TextIOWrapper(io.BytesIO(data)).read())
+    try:
+        return _plain_trace(data) or _filtered_trace(io.TextIOWrapper(io.BytesIO(data)).read())
+    except UnicodeDecodeError as exc:  # its message gives the byte offset
+        raise ScenarioFileError(f"{path}: {exc}") from None
 
 
 def _write_csv(path, metadata, header, body):

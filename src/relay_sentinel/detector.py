@@ -15,13 +15,13 @@ Pi_B gamma_tilde Pi_A = B phi A needs no variables of its own:
 gamma_tilde = B phi A always qualifies, because Pi_B B = B and A Pi_A = A.
 
 Only the target rows' right-hand side depends on the histogram. So the
-estimator is compiled once per (A, B, mu) content: the constant blocks,
-validated once, and an lpkernel.Restart of the noiseless problem
-gamma_hat = B A, factored at its optimal basis, from which every solve
-restarts.
-That restart depends on (A, B, mu) alone and no solve modifies it, so a
-result still depends only on its traces. The noiseless optimum's statistic
-is the clean-data floor D0 every report carries.
+estimator is compiled once per (A, B, mu) content into an lpkernel.Restart
+of the noiseless problem gamma_hat = B A, factored at its optimal basis,
+and that optimum's statistic, the clean-data floor D0 every report
+carries. A trial's LP is the restart's problem with its target rows
+replaced, and it restarts from that basis. The restart depends on
+(A, B, mu) alone and no solve modifies it, so a result still depends only
+on its traces.
 
 Row-major vectorization is used throughout, with the identity
 vec(B X A) = kron(B, A.T) @ vec(X).
@@ -29,7 +29,7 @@ vec(B X A) = kron(B, A.T) @ vec(X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -126,29 +126,19 @@ def conditional_histogram(
 _COMPILED_MEMO = 16
 
 
-@dataclass(frozen=True)
-class _Estimator:
-    """The estimator LP of one (A, B, mu), with the target rows left open.
+def _with_target(program: LpProblem, target: np.ndarray) -> LpProblem:
+    """program with the +-target rows of its b_ub set to target (Pi_B gamma_hat Pi_A).
 
-    ``program`` holds zeros in the 2 |Y1||X1| target rows of its b_ub;
-    ``restart`` is the Restart of the noiseless problem and
-    ``noiseless_floor`` is its optimum's statistic D0.
+    The sibling shares program's matrices, so a Restart of program answers it.
     """
-
-    program: LpProblem
-    restart: lpkernel.Restart | None
-    noiseless_floor: float
-
-    def problem(self, target: np.ndarray) -> LpProblem:
-        """The LP for one projected histogram Pi_B gamma_hat Pi_A (row-major)."""
-        n_g = target.size
-        b_ub = self.program.b_ub.copy()
-        b_ub[:n_g] = target
-        b_ub[n_g : 2 * n_g] = -target
-        return self.program.with_rhs(b_ub=b_ub)
+    n_g = target.size
+    b_ub = program.b_ub.copy()
+    b_ub[:n_g] = target
+    b_ub[n_g : 2 * n_g] = -target
+    return program.with_rhs(b_ub=b_ub)
 
 
-def _compiled(a: np.ndarray, b: np.ndarray, mu: float) -> _Estimator:
+def _compiled(a: np.ndarray, b: np.ndarray, mu: float) -> tuple[lpkernel.Restart, float]:
     """The compiled estimator of (A, B, mu), memoized by content."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -156,7 +146,8 @@ def _compiled(a: np.ndarray, b: np.ndarray, mu: float) -> _Estimator:
 
 
 @lru_cache(maxsize=_COMPILED_MEMO)
-def _compile(a_shape, a_data, b_shape, b_data, mu) -> _Estimator:
+def _compile(a_shape, a_data, b_shape, b_data, mu) -> tuple[lpkernel.Restart, float]:
+    """(restart, D0): the noiseless problem's Restart and its optimum's statistic."""
     # numlinalg and lpkernel are called through their own modules here, so
     # the one-off compilation never counts as a per-trial projector or LP
     a = np.frombuffer(a_data).reshape(a_shape)
@@ -178,25 +169,23 @@ def _compile(a_shape, a_data, b_shape, b_data, mu) -> _Estimator:
     b_ub = np.zeros(2 * n_g + 1)
     b_ub[-1] = mu
     program = LpProblem(objective=objective, a_eq=a_eq, b_eq=np.ones(u), a_ub=a_ub, b_ub=b_ub)
-    for block in (program.objective, program.a_eq, program.b_eq, program.a_ub, program.b_ub):
-        block.setflags(write=False)
-
-    open_rows = _Estimator(program, None, 0.0)
     pi_b = numlinalg.column_space_projector(b)
     pi_a = numlinalg.row_space_projector(a)
-    restart = lpkernel.Restart(open_rows.problem((pi_b @ (b @ a) @ pi_a).ravel()))
+    noiseless = _with_target(program, (pi_b @ (b @ a) @ pi_a).ravel())
+    for name in ("objective", "a_eq", "b_eq", "a_ub", "b_ub"):
+        getattr(noiseless, name).setflags(write=False)
+    restart = lpkernel.Restart(noiseless)
     outcome = restart.optimum
     if outcome.status is not LpStatus.OPTIMAL:  # Phi = I is always feasible
         raise LpFailure(f"noiseless estimator LP ended with status {outcome.status}")
-    floor = decision_statistic(outcome.solution[:n_phi].reshape(u, u))
-    return replace(open_rows, restart=restart, noiseless_floor=floor)
+    return restart, decision_statistic(outcome.solution[:n_phi].reshape(u, u))
 
 
-def _estimate(estimator: _Estimator, gamma_hat, a, b):
+def _estimate(restart: lpkernel.Restart, gamma_hat, a, b):
     """(phi_hat, feasible, outcome) of one histogram; the identity if G_mu is empty."""
     pi_b = column_space_projector(b)
     pi_a = row_space_projector(a)
-    outcome = solve_lp(estimator.problem((pi_b @ gamma_hat @ pi_a).ravel()), estimator.restart)
+    outcome = solve_lp(_with_target(restart.problem, (pi_b @ gamma_hat @ pi_a).ravel()), restart)
     u = a.shape[0]
     if outcome.status is LpStatus.INFEASIBLE:
         return np.eye(u), False, outcome
@@ -222,7 +211,7 @@ def estimate_attack(
         raise ValueError(
             f"gamma_hat has shape {gamma_hat.shape}, expected {(b.shape[0], a.shape[1])}"
         )
-    phi_hat, feasible, _ = _estimate(_compiled(a, b, mu), gamma_hat, a, b)
+    phi_hat, feasible, _ = _estimate(_compiled(a, b, mu)[0], gamma_hat, a, b)
     return phi_hat, feasible
 
 
@@ -287,8 +276,8 @@ def run_detection(
     y1_size = config.b.shape[0]
     gamma_hat, unseen = conditional_histogram(x1_trace, y1_trace, x1_size, y1_size)
     a, b = config.a, config.b
-    estimator = _compiled(a, b, config.mu)
-    phi_hat, feasible, outcome = _estimate(estimator, gamma_hat, a, b)
+    restart, noiseless_floor = _compiled(a, b, config.mu)
+    phi_hat, feasible, outcome = _estimate(restart, gamma_hat, a, b)
     if feasible:
         pi_b = column_space_projector(b)
         pi_a = row_space_projector(a)
@@ -305,7 +294,7 @@ def run_detection(
         verdict=detect(statistic, config.delta),
         unseen_x1_columns=unseen,
         residual=residual,
-        noiseless_floor=estimator.noiseless_floor,
+        noiseless_floor=noiseless_floor,
         lp_path=outcome.path,
         lp_pivots=outcome.pivots,
     )

@@ -56,8 +56,9 @@ _MASTER_SEED = 20240501
 class Scenario:
     """One fully specified experiment: channels, manipulation, detector.
 
-    ``detector_config`` is built once from the other fields, and it
-    validates B, mu and delta; the counts are checked by ``validate_count``.
+    ``detector_config`` is built once from the other fields: it validates
+    A, B, mu and delta, and the scenario holds its very B, mu and delta.
+    The counts are checked by ``validate_count``.
     """
 
     p1: np.ndarray
@@ -86,14 +87,15 @@ class Scenario:
         validate_count(self.trials, "trials")
         validate_count(self.master_seed, "master_seed", minimum=0)
         config = DetectorConfig(
-            a=self.uplink_matrix(), b=self.b, mu=self.mu, delta=self.delta
+            a=marginalize_mac(self.mac, self.p2), b=self.b, mu=self.mu, delta=self.delta
         )
-        object.__setattr__(self, "b", config.b)
+        for name in ("b", "mu", "delta"):
+            object.__setattr__(self, name, getattr(config, name))
         object.__setattr__(self, "detector_config", config)
 
     def uplink_matrix(self) -> np.ndarray:
-        """Observation matrix A seen from source 1 (u given x1)."""
-        return marginalize_mac(self.mac, self.p2)
+        """Observation matrix A seen from source 1 (u given x1), read-only."""
+        return self.detector_config.a
 
 
 @dataclass(frozen=True)
@@ -314,11 +316,6 @@ _PRESETS = {
     "fig5a": _Preset(100_000, 0.05, 0.07, _TERNARY, "phi1", _TERNARY_PHI, None, "phi2"),
     "fig5b": _Preset(100_000, 0.05, 0.07, _SQUARE, "clean", {"phi2": _SQUARE_PHI2}, None, "phi2"),
 }
-
-# every preset scenario holds these very arrays, so none may be written to
-for _row in _PRESETS.values():
-    for _array in (*_row.channel[:2], _row.channel[2].table, _row.channel[3], *_row.maps.values()):
-        _array.setflags(write=False)
 
 
 def preset_curves(name: str) -> dict[str, Scenario]:

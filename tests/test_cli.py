@@ -175,6 +175,27 @@ def test_certify_malformed_json(tmp_path, capsys):
     assert main(["certify", str(path)]) == 1
 
 
+@pytest.mark.parametrize("command", ["certify", "simulate", "detect-channel", "detect-trace"])
+def test_an_undecodable_file_is_named_with_the_offending_byte(tmp_path, capsys, command):
+    doc_path = write_doc(tmp_path, binary_adder_doc())
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"n,x1,y1\n0,0,0\n1,1,2\n")
+    bad = tmp_path / "bad.bin"
+    if command == "detect-trace":
+        bad.write_bytes("# note = caf\u00e9\nn,x1,y1\n0,0,0\n".encode("latin-1"))
+        argv, offset = ["detect", doc_path, str(bad)], 12
+    else:
+        bad.write_bytes(b'{"sim": \xff}')
+        argv, offset = {
+            "certify": ["certify", str(bad)],
+            "simulate": ["simulate", str(bad), "-o", str(tmp_path / "out.csv")],
+            "detect-channel": ["detect", str(bad), str(trace)],
+        }[command], 8
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and f"in position {offset}:" in err, err
+
+
 @pytest.mark.parametrize("command", ["certify", "detect"])
 def test_lp_failure_is_an_error_line_not_a_traceback(tmp_path, capsys, monkeypatch, command):
     def breakdown(*args):

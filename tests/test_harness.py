@@ -7,6 +7,7 @@ the changed-symbol fraction near 0.01; CDF/error-rate/KS helpers are
 checked against tiny hand-computed samples.
 """
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -142,6 +143,21 @@ def test_run_trial_uses_the_scenarios_detector_config(monkeypatch):
     run_trial(scenario, 1)
     assert len(seen) == 2
     assert all(config is scenario.detector_config for config in seen)
+
+
+def test_scenario_holds_its_detector_configs_a_b_mu_and_delta():
+    scenario = preset("fig3a")
+    as_int, as_float = (dataclasses.replace(scenario, mu=mu) for mu in (1, 1.0))
+    assert scenario_hash(as_int) == scenario_hash(as_float)
+    odd = dataclasses.replace(scenario, mu=np.float32(0.25), delta=1)
+    assert scenario_hash(odd) == scenario_hash(dataclasses.replace(scenario, mu=0.25, delta=1.0))
+    assert type(odd.mu) is type(odd.delta) is float
+    config = odd.detector_config
+    assert odd.b is config.b and odd.mu is config.mu and odd.delta is config.delta
+    a = odd.uplink_matrix()
+    assert a is config.a
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 0.5
 
 
 def test_scenario_with_unreachable_relay_symbol_fails_when_built():
@@ -294,9 +310,14 @@ def test_preset_parameters():
         assert scenario.delta == pytest.approx(delta), name
         assert scenario.trials == DESK_TRIALS
         seeds.add(scenario.master_seed)
+        # every curve, not just the headline, runs DESK_TRIALS on that seed
+        curves = preset_curves(name).values()
+        assert {s.trials for s in curves} == {DESK_TRIALS}, name
+        seeds |= {s.master_seed for s in curves}
     assert len(seeds) == 1  # one shared master seed across presets
-    with pytest.raises(ValueError):
-        preset("fig9z")
+    for lookup in (preset, preset_curves):
+        with pytest.raises(ValueError, match="unknown preset"):
+            lookup("fig9z")
 
 
 def test_preset_channels(higher_b, counter_b):
@@ -355,6 +376,15 @@ def test_preset_curves_families(motivating_phis, higher_phis):
     assert list(counter) == ["clean", "phi2"]
     assert counter["clean"].attack.kind == "identity"
     assert np.allclose(counter["phi2"].attack.phi, np.eye(5) - counter_upsilon(1.0))
+
+    # every map of every preset against its reference; only fig3d gates
+    references = dict.fromkeys(("fig3a", "fig3b", "fig3c", "fig3d"), motivating_phis)
+    references |= {"fig5a": higher_phis, "fig5b": {2: np.eye(5) - counter_upsilon(1.0)}}
+    for name, reference in references.items():
+        for label, scenario in list(preset_curves(name).items())[1:]:
+            phi = reference[int(label.removeprefix("phi"))]
+            assert np.allclose(scenario.attack.phi, phi), (name, label)
+            assert scenario.attack.gate_parity == ("even" if name == "fig3d" else None)
 
     with pytest.raises(ValueError):
         preset_curves("fig4x")
@@ -430,8 +460,7 @@ def test_preset_traffic_is_pinned():
 
 
 def test_preset_arrays_are_read_only():
-    # every curve of every preset holds the preset table's own arrays, so a
-    # write into one would change every later preset_curves call
+    # every curve holds its own validated copies, which no write can change
     for scenario in (s for name in _PRESET_TRAFFIC for s in preset_curves(name).values()):
         arrays = [scenario.p1, scenario.p2, scenario.mac.table, scenario.b]
         if scenario.attack.phi is not None:
