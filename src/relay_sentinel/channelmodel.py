@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .stochcore import (
+    DEFAULT_TOL,
     pair_index,
     symbol_dtype,
     trace_blocks,
@@ -53,8 +54,9 @@ class MacModel:
     """Multiple-access channel p(u | x1, x2) in flattened-table form.
 
     ``deterministic`` is derived from the table, validated at construction:
-    it marks point-mass columns (adders), for which simulation computes u
-    directly and consumes no random draws for it.
+    it marks a table whose every entry is within ``DEFAULT_TOL`` of 0 or 1
+    (adders), for which simulation computes u directly and consumes no
+    random draws for it.
     """
 
     table: np.ndarray
@@ -70,7 +72,8 @@ class MacModel:
         if table.shape[1] != columns:
             raise ValueError(f"table has {table.shape[1]} columns, expected {columns}")
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "deterministic", bool(np.isclose(table, np.round(table)).all()))
+        deterministic = np.abs(table - np.round(table)).max() <= DEFAULT_TOL
+        object.__setattr__(self, "deterministic", bool(deterministic))
 
     @property
     def u_size(self) -> int:

@@ -525,18 +525,19 @@ def _cmd_certify(args):
 
 
 def _with_overrides(scenario, args):
-    """The scenario with the RELAY_SENTINEL_SEED master seed and --trials applied."""
+    """The scenario with the RELAY_SENTINEL_SEED master seed and --trials applied.
+
+    Each is read as a trace field is: optional surrounding whitespace and
+    sign, then ASCII digits. A count check names the variable or the flag.
+    """
     overrides = {}
-    raw = os.environ.get("RELAY_SENTINEL_SEED")
-    if raw is not None:
-        try:
-            overrides["master_seed"] = int(raw)
-        except ValueError:
-            raise ScenarioFileError(
-                f"RELAY_SENTINEL_SEED must be an integer, got {raw!r}"
-            ) from None
-    if args.trials is not None:
-        overrides["trials"] = args.trials
+    for field, name, raw, minimum in (
+        ("master_seed", "RELAY_SENTINEL_SEED", os.environ.get("RELAY_SENTINEL_SEED"), 0),
+        ("trials", "--trials", args.trials, 1),
+    ):
+        if raw is not None:
+            value = int(raw) if re.fullmatch(r"\s*[+-]?[0-9]+\s*", raw) else raw
+            overrides[field] = validate_count(value, name, minimum)
     return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
@@ -544,10 +545,7 @@ def _scenario_for_simulate(args):
     if (args.scenario_file is None) == (args.preset is None):
         raise _UsageError("provide exactly one of a scenario file or --preset")
     if args.preset is not None:
-        try:
-            scenario = preset(args.preset)
-        except ValueError as exc:
-            raise ScenarioFileError(str(exc)) from None
+        scenario = preset(args.preset)
     else:
         scenario = scenario_from_document(_read_json(args.scenario_file))
     return _with_overrides(scenario, args)
@@ -623,11 +621,7 @@ def _cmd_detect(args):
 
 
 def _cmd_reproduce(args):
-    try:
-        curves = preset_curves(args.figure)
-    except ValueError as exc:
-        raise ScenarioFileError(str(exc)) from None
-    curves = {label: _with_overrides(s, args) for label, s in curves.items()}
+    curves = {label: _with_overrides(s, args) for label, s in preset_curves(args.figure).items()}
     os.makedirs(args.output_dir, exist_ok=True)
 
     statistics = {}
@@ -694,7 +688,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     runs = argparse.ArgumentParser(add_help=False)  # options of every seeded run
-    runs.add_argument("--trials", type=int, help=f"override the trial count (presets run {DESK_TRIALS})")
+    runs.add_argument("--trials", help=f"override the trial count (presets run {DESK_TRIALS})")
 
     certify_parser = sub.add_parser(
         "certify", help="decide whether a channel admits undetectable manipulation"

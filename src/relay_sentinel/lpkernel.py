@@ -38,6 +38,8 @@ package has at most a few hundred variables, so a dense tableau is adequate.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -70,8 +72,9 @@ class LpFailure(RuntimeError):
 class LpProblem:
     """minimize objective @ x subject to a_eq x = b_eq, a_ub x <= b_ub, bounds.
 
-    bounds is one (lower, upper) pair per variable; None means unbounded on
-    that side. Default bounds are (0, None) for every variable.
+    bounds is one (lower, upper) pair per variable, each a finite real or
+    None, which means unbounded on that side. Default bounds are (0, None)
+    for every variable.
     """
 
     objective: np.ndarray
@@ -114,9 +117,16 @@ class LpProblem:
             bounds = tuple((lo, hi) for lo, hi in self.bounds)
             if len(bounds) != n:
                 raise ValueError(f"expected {n} bound pairs, got {len(bounds)}")
-            for lo, hi in bounds:
+            for j, (lo, hi) in enumerate(bounds):
+                for side, value in (("lower", lo), ("upper", hi)):
+                    if value is not None and (
+                        isinstance(value, bool)
+                        or not isinstance(value, numbers.Real)
+                        or not math.isfinite(value)
+                    ):
+                        raise ValueError(f"bound {j}: {side} {value!r} must be finite or None")
                 if lo is not None and hi is not None and lo > hi:
-                    raise ValueError(f"bound lower {lo} exceeds upper {hi}")
+                    raise ValueError(f"bound {j}: lower {lo} exceeds upper {hi}")
         object.__setattr__(self, "bounds", bounds)
 
     def with_rhs(self, b_eq=None, b_ub=None) -> LpProblem:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lpkernel import LpProblem, LpStatus, solve_lp
-from .numlinalg import left_nullspace_basis, rank, rref
+from .numlinalg import DEFAULT_RANK_TOL, left_nullspace_basis, rank, rref
 from .stochcore import l1_norm, validate_channel, validate_column_stochastic, value_eq
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
 # LP optima this close to zero count as zero (observed separation between
 # the two verdict classes is many orders of magnitude wider)
 _ZERO_GATE = 1e-6
-# zero threshold for null-space sign patterns
-_PATTERN_TOL = 1e-10
 # relative tolerance for the row-proportionality ratio
 _RATIO_RTOL = 1e-8
 
@@ -139,13 +137,9 @@ def check_algorithm1(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
 def _deviation_polytope(a: np.ndarray, b: np.ndarray):
     """Equality rows and bounds shared by the per-diagonal witness LPs."""
     size_u = a.shape[0]
-    n_vars = size_u * size_u
-    # vec_r(B Y A) = kron(B, A.T) @ vec_r(Y)
-    zero_rows = np.kron(b, a.T)
-    balance_rows = np.zeros((size_u, n_vars))
-    for col in range(size_u):
-        balance_rows[col, col::size_u] = 1.0
-    a_eq = np.vstack([zero_rows, balance_rows])
+    # vec_r(B Y A) = kron(B, A.T) @ vec_r(Y), and Y's column sums are
+    # kron(1, I) @ vec_r(Y)
+    a_eq = np.vstack([np.kron(b, a.T), np.kron(np.ones((1, size_u)), np.eye(size_u))])
     b_eq = np.zeros(a_eq.shape[0])
     bounds = tuple(
         (None, 1.0) if j == m else (None, 0.0)
@@ -201,9 +195,9 @@ def witness_to_attack(upsilon: np.ndarray) -> np.ndarray:
 
 
 def _positively_proportional(u: np.ndarray, v: np.ndarray) -> bool:
-    """u == c * v elementwise for a single c > 0, up to _RATIO_RTOL."""
-    support_u = np.abs(u) > _PATTERN_TOL
-    support_v = np.abs(v) > _PATTERN_TOL
+    """u == c * v for one c > 0, up to _RATIO_RTOL; entries <= DEFAULT_RANK_TOL are 0."""
+    support_u = np.abs(u) > DEFAULT_RANK_TOL
+    support_v = np.abs(v) > DEFAULT_RANK_TOL
     if not support_u.any() or not np.array_equal(support_u, support_v):
         return False
     ratios = u[support_u] / v[support_u]
@@ -245,7 +239,7 @@ def dpv_search_algorithm2(a: np.ndarray) -> str:
     tail = tail[:, order]
     for i in range(n):
         row = tail[i]
-        support = np.abs(row) > _PATTERN_TOL
+        support = np.abs(row) > DEFAULT_RANK_TOL
         if support.sum() == 1 and row[support][0] < 0.0:
             return "found"
     for i in range(n):

@@ -94,7 +94,7 @@ def _normalize_sign_rows(basis: np.ndarray) -> np.ndarray:
         norm = np.abs(out[i]).sum()
         if norm > 0:
             out[i] /= norm
-        nz = np.nonzero(np.abs(out[i]) > 1e-12)[0]
+        nz = np.nonzero(np.abs(out[i]) > DEFAULT_RANK_TOL)[0]
         if nz.size and out[i, nz[0]] < 0:
             out[i] = -out[i]
     return out

@@ -32,7 +32,6 @@ __all__ = [
     "DEFAULT_TOL",
     "ChannelConstants",
     "l1_norm",
-    "is_column_stochastic",
     "validate_pmf",
     "validate_column_stochastic",
     "validate_channel",
@@ -91,16 +90,6 @@ class ChannelConstants:
 def l1_norm(m: np.ndarray) -> float:
     """Sum of absolute values of all entries (works for vectors too)."""
     return float(np.abs(np.asarray(m, dtype=float)).sum())
-
-
-def is_column_stochastic(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Entries within [0, 1] and every column summing to 1, all within tol."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.size == 0:
-        return False
-    if (m < -tol).any() or (m > 1.0 + tol).any():
-        return False
-    return bool(np.abs(m.sum(axis=0) - 1.0).max() <= tol)
 
 
 def _probabilities(value, name: str, ndim: int, expected: str) -> np.ndarray:

@@ -7,6 +7,8 @@ transcription error on either side fails loudly.
 import numpy as np
 import pytest
 
+from relay_sentinel.stochcore import DEFAULT_TOL
+
 
 @pytest.fixture
 def motivating_a():
@@ -157,6 +159,19 @@ def ternary_floor_upsilon():
             [0.0, 0.0, 0.0, 30.0, -105.0],
         ]
     )
+
+
+# ---------- assertion helpers ----------
+
+
+def is_column_stochastic(m, tol: float = DEFAULT_TOL) -> bool:
+    """Entries within [0, 1] and every column summing to 1, all within tol."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.size == 0:
+        return False
+    if (m < -tol).any() or (m > 1.0 + tol).any():
+        return False
+    return bool(np.abs(m.sum(axis=0) - 1.0).max() <= tol)
 
 
 # ---------- acceptance-criterion reporting ----------

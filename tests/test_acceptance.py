@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conftest import record_criterion
+from conftest import is_column_stochastic, record_criterion
 from test_lpkernel import _vertex_oracle
 from test_manipulability import _random_channel
 
@@ -43,7 +43,7 @@ from relay_sentinel import (
 from relay_sentinel import cli
 from relay_sentinel.lpkernel import LpProblem, LpStatus, solve_lp
 from relay_sentinel.numlinalg import column_space_projector, row_space_projector
-from relay_sentinel.stochcore import channel_constants, is_column_stochastic, l1_norm
+from relay_sentinel.stochcore import channel_constants, l1_norm
 
 # ---------- shared detection runs ----------
 #

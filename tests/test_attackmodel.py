@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import is_column_stochastic
 from relay_sentinel import attackmodel, stochcore
 from relay_sentinel.attackmodel import AttackSpec
 
@@ -155,7 +156,7 @@ def test_extract_always_column_stochastic():
         u = rng.integers(0, size, n)
         v = rng.integers(0, size, n)
         ac = attackmodel.extract_attack_channel(u, v, u_size=size)
-        assert stochcore.is_column_stochastic(ac.phi_n, 1e-12)
+        assert is_column_stochastic(ac.phi_n, 1e-12)
 
 
 def test_iid_attack_channel_converges(motivating_phis):

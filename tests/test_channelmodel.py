@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import is_column_stochastic
 from relay_sentinel import attackmodel, channelmodel, stochcore
 from relay_sentinel.attackmodel import AttackSpec
 from relay_sentinel.channelmodel import AlphabetReductionError, MacModel
@@ -40,6 +41,23 @@ def test_table_mac_checks_its_table_and_derives_determinism():
         MacModel(np.eye(2), -1, -2)
     with pytest.raises(ValueError, match="x1_size must be an integer >= 1, got True"):
         MacModel(np.eye(2), True, 2)
+
+
+def test_determinism_is_judged_at_default_tol():
+    # an entry within DEFAULT_TOL (1e-9) of 0 or 1 is a point mass; 5e-9 of
+    # mass counts for the validators, so the column is sampled, not dropped
+    n = 1000
+    stream = np.random.default_rng(7).random(3 * n + 1)
+    for mass, deterministic in ((5e-9, False), (5e-10, True)):
+        mac = MacModel(np.array([[1.0, 1.0 - mass], [0.0, mass]]), 2, 1)
+        assert mac.deterministic is deterministic
+        rng = np.random.default_rng(7)
+        channelmodel.simulate_uplink(mac, [0.5, 0.5], [1.0], n, rng)
+        # x1 and x2 take n draws each, and a sampled u another n
+        assert rng.random() == stream[2 * n if deterministic else 3 * n]
+    for x1_size in range(1, 6):
+        for x2_size in range(1, 6):
+            assert MacModel.adder(x1_size, x2_size).deterministic
 
 
 def test_marginalize_binary_adder(motivating_a):
@@ -80,7 +98,7 @@ def test_gamma_from_higher_order_column(higher_a, higher_b):
 
 def test_gamma_from_stochastic(motivating_a, motivating_phis):
     gamma = channelmodel.gamma_from(motivating_a, np.eye(3), motivating_phis[4])
-    assert stochcore.is_column_stochastic(gamma, 1e-9)
+    assert is_column_stochastic(gamma, 1e-9)
 
 
 def test_stationary_u_pmf_binary_adder():
@@ -158,7 +176,7 @@ def test_inverse_cdf_kernel_matches_argmax_oracle():
         ]
     )
     # the last column sums to 1 - 5e-10: draws above that stay in its last row
-    assert stochcore.is_column_stochastic(dips)
+    assert is_column_stochastic(dips)
     matrices = {
         "dirichlet": rng.dirichlet(np.ones(4), size=5).T,
         "point masses": np.eye(4)[:, [2, 0, 3, 3, 1]],
@@ -397,7 +415,7 @@ def test_marginalize_random_tables_stochastic():
             a = channelmodel.marginalize_mac(mac, p2)
         except AlphabetReductionError:
             continue
-        assert stochcore.is_column_stochastic(a, 1e-9)
+        assert is_column_stochastic(a, 1e-9)
 
 
 def test_gamma_random_triples_stochastic():
@@ -409,6 +427,6 @@ def test_gamma_random_triples_stochastic():
         a = rng.dirichlet(np.ones(u), size=x1).T
         b = rng.dirichlet(np.ones(y1), size=u).T
         phi = rng.dirichlet(np.ones(u), size=u).T
-        assert stochcore.is_column_stochastic(
+        assert is_column_stochastic(
             channelmodel.gamma_from(a, b, phi), 1e-9
         )

@@ -440,6 +440,47 @@ def test_simulate_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):
     assert "RELAY_SENTINEL_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text, shown",
+    [
+        ("--trials", "1_0", "'1_0'"),
+        ("--trials", "\u0663", "'\u0663'"),  # an Arabic-Indic 3
+        ("--trials", "0", "0"),
+        ("RELAY_SENTINEL_SEED", "1_000", "'1_000'"),
+        ("RELAY_SENTINEL_SEED", "\u0663", "'\u0663'"),
+        ("RELAY_SENTINEL_SEED", "-1", "-1"),
+    ],
+)
+def test_text_integers_follow_the_trace_field_rule(tmp_path, monkeypatch, capsys, name, text, shown):
+    # int() read 1_0 as 10 and an Arabic-Indic 3 as 3, and a value out of
+    # range was named as the Scenario field (trials, master_seed)
+    out = tmp_path / "o.csv"
+    argv = ["simulate", "--preset", "fig3a", "-o", str(out)]
+    if name == "--trials":
+        argv += ["--trials", text]
+    else:
+        monkeypatch.setenv(name, text)
+    assert main(argv) == 1
+    minimum = 1 if name == "--trials" else 0
+    assert capsys.readouterr().err == f"error: {name} must be an integer >= {minimum}, got {shown}\n"
+    assert not out.exists()
+
+
+def test_text_integers_take_surrounding_whitespace_and_a_sign(tmp_path, monkeypatch):
+    monkeypatch.setenv("RELAY_SENTINEL_SEED", " +007\t")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--preset", "fig3a", "--trials", " +2 ", "-o", str(out)]) == 0
+    meta, rest = read_csv_lines(out)
+    assert "# master_seed = 7" in meta and "# trials = 2" in meta
+    assert len(rest) == 1 + 2
+
+
+@pytest.mark.parametrize("command", [["simulate", "--preset", "nope"], ["reproduce", "nope"]])
+def test_an_unknown_preset_is_one_error_line(tmp_path, capsys, command):
+    assert main(command + ["-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: unknown preset 'nope'\n"
+
+
 def test_simulate_requires_exactly_one_source(tmp_path, capsys):
     out = str(tmp_path / "o.csv")
     assert main(["simulate", "-o", out]) == 1

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import is_column_stochastic
 from relay_sentinel import channelmodel, detector, lpkernel, numlinalg, stochcore
 from relay_sentinel.channelmodel import MacModel
 from relay_sentinel.detector import DetectorConfig
@@ -109,7 +110,7 @@ def test_estimate_attack_counter_example_exact(higher_a, counter_b):
     assert feasible
     # I - Upsilon(1) is feasible with statistic 6; the optimum can only exceed it
     assert detector.decision_statistic(phi_hat) >= 6.0 - 1e-6
-    assert stochcore.is_column_stochastic(phi_hat, 1e-8)
+    assert is_column_stochastic(phi_hat, 1e-8)
 
 
 def test_decision_statistic_and_verdict():
@@ -261,7 +262,7 @@ def test_g_mu_membership_of_returned_estimate():
         mu = float(rng.uniform(0.05, 0.4))
         phi_hat, feasible = detector.estimate_attack(gamma_hat, a, b, mu)
         if feasible:
-            assert stochcore.is_column_stochastic(phi_hat, 1e-8)
+            assert is_column_stochastic(phi_hat, 1e-8)
             assert detector.g_mu_residual(phi_hat, gamma_hat, a, b) <= mu + 1e-6
 
 
@@ -275,7 +276,7 @@ def test_clean_data_floor_binary_adder(motivating_a, binary_floor_upsilon):
     binding = 0  # traces on which the floor is positive
     for mu in (0.01, 0.05, 0.1):
         witness = np.eye(3) + mu * binary_floor_upsilon
-        assert stochcore.is_column_stochastic(witness, 1e-12)
+        assert is_column_stochastic(witness, 1e-12)
         assert detector.g_mu_residual(
             witness, motivating_a, motivating_a, np.eye(3)
         ) == pytest.approx(mu, abs=1e-12)

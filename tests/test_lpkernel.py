@@ -111,6 +111,25 @@ def test_dimension_mismatch_is_contract_error():
         LpProblem(objective=[1.0], bounds=[(2.0, 1.0)])
 
 
+def test_a_bound_is_a_finite_real_or_none():
+    # an infinite lower bound used to solve to x = -inf, and the other four
+    # failed inside the simplex with "argmax of an empty sequence"
+    inf, nan = float("inf"), float("nan")
+    cases = {
+        (-inf, None): "lower -inf",
+        (0.0, inf): "upper inf",
+        (nan, None): "lower nan",
+        (0.0, nan): "upper nan",
+        (-inf, inf): "lower -inf",
+    }
+    for bound, shown in cases.items():
+        with pytest.raises(ValueError, match=f"^bound 1: {shown} must be finite or None$"):
+            LpProblem(objective=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[5.0], bounds=[(0.0, None), bound])
+    # a crossed pair names its variable too
+    with pytest.raises(ValueError, match="^bound 1: lower 2.0 exceeds upper 1.0$"):
+        LpProblem(objective=[1.0, 1.0], bounds=[(0.0, None), (2.0, 1.0)])
+
+
 def test_a_block_is_never_reshaped_to_fit():
     # a (2, 3) block with a 6-variable objective is not one 1 x 6 row
     with pytest.raises(ValueError, match="a_eq must be 2-D with 6 columns"):

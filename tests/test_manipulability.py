@@ -18,7 +18,7 @@ from relay_sentinel.manipulability import (
     ManipulabilityVerdict,
 )
 
-from conftest import counter_upsilon
+from conftest import counter_upsilon, is_column_stochastic
 
 
 # ---------- check_algorithm1 ----------
@@ -146,7 +146,7 @@ def test_witness_to_attack_counter_full(counter_upsilon_1, counter_phi2):
     # e3, column 2 to e4, column 4 to e2, columns 0 and 3 stay identity.
     phi = manipulability.witness_to_attack(counter_upsilon_1)
     assert np.array_equal(phi, counter_phi2)
-    assert stochcore.is_column_stochastic(phi, 1e-12)
+    assert is_column_stochastic(phi, 1e-12)
     expected_cols = {1: 3, 2: 4, 4: 2}
     for col, target in expected_cols.items():
         assert np.array_equal(phi[:, col], np.eye(5)[:, target])
@@ -270,7 +270,7 @@ def test_certify_counter_example(higher_a, counter_b):
     _assert_valid_witness(verdict.witness, higher_a, counter_b)
     phi = verdict.induced_attack
     assert phi is not None
-    assert stochcore.is_column_stochastic(phi, 1e-9)
+    assert is_column_stochastic(phi, 1e-9)
     assert stochcore.l1_norm(phi - np.eye(5)) > 0.0
     # the induced attack is observation-equivalent to an honest relay
     assert stochcore.l1_norm(counter_b @ phi @ higher_a - counter_b @ higher_a) <= 1e-6
@@ -320,7 +320,7 @@ def test_property_lp_verdict_matches_witness_search():
             continue
         _assert_valid_witness(upsilon, a, b)
         phi = manipulability.witness_to_attack(upsilon)
-        assert stochcore.is_column_stochastic(phi, 1e-9)
+        assert is_column_stochastic(phi, 1e-9)
         assert stochcore.l1_norm(phi - np.eye(size_u)) > 0.0
         assert stochcore.l1_norm(b @ phi @ a - b @ a) <= 1e-6
     # the sweep must exercise both outcomes to mean anything
