@@ -172,8 +172,6 @@ def _compile(a_shape, a_data, b_shape, b_data, mu) -> tuple[lpkernel.Restart, fl
     pi_b = numlinalg.column_space_projector(b)
     pi_a = numlinalg.row_space_projector(a)
     noiseless = _with_target(program, (pi_b @ (b @ a) @ pi_a).ravel())
-    for name in ("objective", "a_eq", "b_eq", "a_ub", "b_ub"):
-        getattr(noiseless, name).setflags(write=False)
     restart = lpkernel.Restart(noiseless)
     outcome = restart.optimum
     if outcome.status is not LpStatus.OPTIMAL:  # Phi = I is always feasible

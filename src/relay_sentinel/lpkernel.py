@@ -15,7 +15,13 @@ objective (Chvatal, Linear Programming, 1983, ch. 8), so its result is
 memoized by that data: programs that differ only in their objective, such
 as the per-symbol witness LPs of one channel, run it once. A phase 1
 taken from the memo still counts its pivots, so every outcome is the one
-a fresh solve gives.
+a fresh solve gives. A cold solve factors each basis once. Phase 1 starts
+at the artificial identity basis, where the tableau is the sign-normalized
+[A | I | b] itself, so it starts without a solve. The memo holds phase 1's
+feasibility, its final basis, its pivots and the tableau it ends on, which
+was refactorized from pristine data to confirm that stop. Phase 2 starts
+from a copy of that tableau at the same basis (ch. 8 again) and computes
+only its own objective row.
 
 An optimal outcome carries its basis. A Restart solves a program once,
 cold, and factors it at its own optimal basis; solve_lp then answers every
@@ -74,7 +80,8 @@ class LpProblem:
 
     bounds is one (lower, upper) pair per variable, each a finite real or
     None, which means unbounded on that side. Default bounds are (0, None)
-    for every variable.
+    for every variable. The program holds read-only copies of the arrays it
+    is given, so writing to the caller's arrays afterwards does not change it.
     """
 
     objective: np.ndarray
@@ -87,7 +94,8 @@ class LpProblem:
     __eq__ = value_eq
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float).ravel()
+        c = np.array(self.objective, dtype=float).ravel()
+        c.setflags(write=False)
         object.__setattr__(self, "objective", c)
         n = c.size
         for name in ("a_eq", "a_ub"):
@@ -97,16 +105,18 @@ class LpProblem:
                 raise ValueError(f"{name} and its rhs must be given together")
             if mat is None:
                 continue
-            mat = np.asarray(mat, dtype=float)
+            mat = np.array(mat, dtype=float)
             if mat.size == 0:
                 mat = mat.reshape(0, n)
-            vec = np.asarray(vec, dtype=float).ravel()
+            vec = np.array(vec, dtype=float).ravel()
             if mat.ndim != 2 or mat.shape[1] != n:
                 raise ValueError(f"{name} must be 2-D with {n} columns")
             if vec.size != mat.shape[0]:
                 raise ValueError(f"{name} rhs length {vec.size} != {mat.shape[0]} rows")
             if not (np.isfinite(mat).all() and np.isfinite(vec).all()):
                 raise ValueError(f"{name} must be finite")
+            mat.setflags(write=False)
+            vec.setflags(write=False)
             object.__setattr__(self, name, mat)
             object.__setattr__(self, "b" + name[1:], vec)
         if not np.isfinite(c).all():
@@ -117,14 +127,22 @@ class LpProblem:
             bounds = tuple((lo, hi) for lo, hi in self.bounds)
             if len(bounds) != n:
                 raise ValueError(f"expected {n} bound pairs, got {len(bounds)}")
+            # bounds repeat a few objects (a witness LP's are None, 0.0 and
+            # 1.0), so each distinct one is judged once and a bad one is
+            # looked up only to name its variable
+            values = {id(value): value for pair in bounds for value in pair if value is not None}
+            bad = {
+                key
+                for key, value in values.items()
+                if isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            }
             for j, (lo, hi) in enumerate(bounds):
-                for side, value in (("lower", lo), ("upper", hi)):
-                    if value is not None and (
-                        isinstance(value, bool)
-                        or not isinstance(value, numbers.Real)
-                        or not math.isfinite(value)
-                    ):
-                        raise ValueError(f"bound {j}: {side} {value!r} must be finite or None")
+                if bad:
+                    for side, value in (("lower", lo), ("upper", hi)):
+                        if id(value) in bad:
+                            raise ValueError(f"bound {j}: {side} {value!r} must be finite or None")
                 if lo is not None and hi is not None and lo > hi:
                     raise ValueError(f"bound {j}: lower {lo} exceeds upper {hi}")
         object.__setattr__(self, "bounds", bounds)
@@ -133,7 +151,8 @@ class LpProblem:
         """This program with new right-hand sides.
 
         The sibling shares this program's matrices, objective and bounds,
-        which are not validated again; only the new vectors are checked.
+        which are not validated again; only the new vectors are checked, and
+        stored as read-only copies.
         """
         sibling = object.__new__(LpProblem)
         sibling.__dict__.update(self.__dict__)
@@ -141,11 +160,12 @@ class LpProblem:
             if vec is None:
                 continue
             rows = getattr(self, "a" + name[1:])
-            vec = np.asarray(vec, dtype=float).ravel()
+            vec = np.array(vec, dtype=float).ravel()
             if rows is None or vec.size != rows.shape[0]:
                 raise ValueError(f"{name} does not match the program's rows")
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} must be finite")
+            vec.setflags(write=False)
             object.__setattr__(sibling, name, vec)
         return sibling
 
@@ -261,10 +281,6 @@ def _tableau_for_basis(ext, rhs, c_vec, basis):
     Incremental pivoting accumulates roundoff (each pivot divides by the
     pivot element); rebuilding from the original matrix resets that drift.
     """
-    if basis.size == 0:
-        tab = np.empty((0, ext.shape[1] + 1))
-        obj = np.concatenate([c_vec, [0.0]])
-        return tab, obj
     bmat = ext[:, basis]
     try:
         inv_ext = np.linalg.solve(bmat, ext)
@@ -274,11 +290,20 @@ def _tableau_for_basis(ext, rhs, c_vec, basis):
     tab = np.empty((ext.shape[0], ext.shape[1] + 1))
     tab[:, :-1] = inv_ext
     tab[:, -1] = inv_rhs
+    return tab, _objective_row(inv_ext, inv_rhs, c_vec, basis)
+
+
+def _objective_row(inv_ext, inv_rhs, c_vec, basis):
+    """Reduced costs and minus the objective value at `basis`, given B^-1 [ext | rhs].
+
+    The blocks must be C-contiguous: a strided view may take another BLAS
+    path and round differently, and every phase start must round alike.
+    """
     cb = c_vec[basis]
-    obj = np.empty(ext.shape[1] + 1)
+    obj = np.empty(inv_ext.shape[1] + 1)
     obj[:-1] = c_vec - cb @ inv_ext
     obj[-1] = -float(cb @ inv_rhs)
-    return tab, obj
+    return obj
 
 
 # refactorize this often even without a stop signal
@@ -287,8 +312,11 @@ _REFRESH_PERIOD = 64
 _STALL_LIMIT = 40
 
 
-def _simplex(ext, rhs, c_vec, basis, max_iter, pin_start):
+def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
     """Iterate to optimality from `basis`; returns (status, tab, basis, pivots).
+
+    `start` is the (tab, obj) of `basis`, exact from pristine data; it is
+    pivoted in place.
 
     Pivot choice is Dantzig's rule (most negative reduced cost) with the
     largest pivot element among ratio-test ties — fast and numerically
@@ -305,37 +333,39 @@ def _simplex(ext, rhs, c_vec, basis, max_iter, pin_start):
     cannot cycle, and sound unbounded certificates are preserved (a ray may
     never grow an artificial).
     """
-    tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
+    tab, obj = start
     n_enter = ext.shape[1] - ext.shape[0]
+    if n_enter == 0:  # a program without variables: no column can enter
+        return "optimal", tab, basis, 0
+    pinning = pin_start < ext.shape[1]  # phase 2; in phase 1 nothing is pinned
     since_refresh = 0
     stall = 0
     bland = False
     pivots = 0
     for _ in range(max_iter):
         reduced = obj[:n_enter]
-        entering = np.nonzero(reduced < -_FEAS_TOL)[0]
-        if entering.size == 0:
+        # Bland's entering column is the first eligible one, Dantzig's the
+        # first most negative reduced cost, eligible only below -_FEAS_TOL
+        j = int(np.argmax(reduced < -_FEAS_TOL) if bland else np.argmin(reduced))
+        if not reduced[j] < -_FEAS_TOL:
             if since_refresh == 0:
                 return "optimal", tab, basis, pivots
             tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
             since_refresh = 0
             continue
-        if bland:
-            j = int(entering[0])
-        else:
-            j = int(entering[np.argmin(reduced[entering])])
         col = tab[:, j]
-        pos = col > _PIVOT_TOL
-        pinned = (basis >= pin_start) & (np.abs(col) > _PIVOT_TOL)
-        if not pos.any() and not pinned.any():
+        blocking = col > _PIVOT_TOL
+        ratios = np.divide(tab[:, -1], col, out=np.full(col.size, np.inf), where=blocking)
+        if pinning:
+            pinned = (basis >= pin_start) & (np.abs(col) > _PIVOT_TOL)
+            ratios[pinned] = 0.0
+            blocking |= pinned
+        if not blocking.any():
             if since_refresh == 0:
                 return "unbounded", tab, basis, pivots
             tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
             since_refresh = 0
             continue
-        ratios = np.full(col.size, np.inf)
-        ratios[pos] = tab[pos, -1] / col[pos]
-        ratios[pinned] = 0.0
         rmin = ratios.min()
         # sign-safe window: rmin itself is always inside even when tiny
         # negative ratios appear from post-pivot rhs noise
@@ -558,18 +588,21 @@ def _solve_cold(p: LpProblem, form: _StandardForm, spent: int) -> LpOutcome:
     full = form.full.copy()
     full[rhs < 0] *= -1.0
     rhs = np.abs(rhs)
-    feasible, basis, pivots1 = _phase_one(full.shape, full.tobytes(), rhs.tobytes())
+    feasible, basis, pivots1, tab = _phase_one(full.shape, full.tobytes(), rhs.tobytes())
     if not feasible:
         return LpOutcome(status=LpStatus.INFEASIBLE, pivots=spent + pivots1)
 
-    # phase 2: original objective; lingering artificial columns stay in the
-    # working basis (pinned at zero) so it remains well-conditioned even
-    # when the caller supplied redundant equality rows
+    # phase 2: original objective, from phase 1's final tableau, which is
+    # that basis factored from pristine data: only the objective row is new.
+    # Lingering artificial columns stay in the working basis (pinned at
+    # zero) so it remains well-conditioned even when the caller supplied
+    # redundant equality rows
     m, n_real = full.shape
     ext = np.hstack([full, np.eye(m)])
     c2 = np.concatenate([form.cost, np.zeros(m)])
+    obj = _objective_row(np.ascontiguousarray(tab[:, :-1]), tab[:, -1].copy(), c2, basis)
     status, tab, basis, pivots2 = _simplex(
-        ext, rhs, c2, basis.copy(), _max_iter(full.shape), pin_start=n_real
+        ext, rhs, c2, basis.copy(), (tab.copy(), obj), _max_iter(full.shape), pin_start=n_real
     )
     pivots = spent + pivots1 + pivots2
     if status == "unbounded":
@@ -588,13 +621,18 @@ _PHASE_ONE_MEMO = 8
 
 
 @lru_cache(maxsize=_PHASE_ONE_MEMO)
-def _phase_one(shape: tuple, full_data: bytes, rhs_data: bytes) -> tuple[bool, np.ndarray, int]:
-    """(feasible, basis, pivots) of phase 1 on {x >= 0 : full x = rhs}, rhs >= 0.
+def _phase_one(
+    shape: tuple, full_data: bytes, rhs_data: bytes
+) -> tuple[bool, np.ndarray, int, np.ndarray]:
+    """(feasible, basis, pivots, tableau) of phase 1 on {x >= 0 : full x = rhs}, rhs >= 0.
 
-    Phase 1 starts from the artificial identity basis and minimizes the
-    artificial sum, so it reads only the constraints and the right-hand
-    side: memoized by their content, it runs once per constraint set, not
-    once per objective. The basis is read-only; phase 2 pivots on a copy.
+    Phase 1 starts from the artificial identity basis, whose tableau is
+    [full | I | rhs] itself, and minimizes the artificial sum, so it reads
+    only the constraints and the right-hand side: memoized by their
+    content, it runs once per constraint set, not once per objective. The
+    tableau is the final basis's, refactorized from pristine data, and
+    phase 2 starts from it. Basis and tableau are read-only; phase 2 pivots
+    on copies.
     """
     m, n_real = shape
     rhs = np.frombuffer(rhs_data)
@@ -602,12 +640,17 @@ def _phase_one(shape: tuple, full_data: bytes, rhs_data: bytes) -> tuple[bool, n
     c1 = np.zeros(n_real + m)
     c1[n_real:] = 1.0
     basis = np.arange(n_real, n_real + m)
+    tab = np.empty((m, n_real + m + 1))
+    tab[:, :-1] = ext
+    tab[:, -1] = rhs
+    start = tab, _objective_row(ext, rhs, c1, basis)
     status, tab, basis, pivots = _simplex(
-        ext, rhs, c1, basis, _max_iter(shape), pin_start=n_real + m
+        ext, rhs, c1, basis, start, _max_iter(shape), pin_start=n_real + m
     )
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
         raise LpFailure("phase 1 reported unbounded")
     phase1 = float(c1[basis] @ np.maximum(tab[:, -1], 0.0))
     infeasible = phase1 > _FEAS_TOL * max(1.0, float(rhs.max(initial=0.0)))
     basis.setflags(write=False)
-    return not infeasible, basis, pivots
+    tab.setflags(write=False)
+    return not infeasible, basis, pivots, tab

@@ -11,8 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
-from relay_sentinel import lpkernel
+from relay_sentinel import lpkernel, manipulability
 from relay_sentinel.lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
+
+from test_manipulability import _sweep_channels, _witness_programs
 
 
 # ---------- hand oracles ----------
@@ -73,6 +75,12 @@ def test_free_variable_minimax():
     assert abs(out.value + 1.0) < 1e-8
 
 
+def test_program_without_variables():
+    # no column can enter, so both phases stop at once
+    out = solve_lp(LpProblem(objective=[]))
+    assert (out.status, out.value, out.pivots, out.basis.size) == (LpStatus.OPTIMAL, 0.0, 0, 0)
+
+
 def test_equality_constraint():
     # minimize x + 2y subject to x + y = 1, x,y >= 0 -> x=1, value 1
     p = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
@@ -128,6 +136,33 @@ def test_a_bound_is_a_finite_real_or_none():
     # a crossed pair names its variable too
     with pytest.raises(ValueError, match="^bound 1: lower 2.0 exceeds upper 1.0$"):
         LpProblem(objective=[1.0, 1.0], bounds=[(0.0, None), (2.0, 1.0)])
+
+
+def test_a_program_owns_read_only_copies_of_its_arrays():
+    # a program that aliased its caller's matrix let a Restart match a
+    # changed program by identity and answer it with a stale optimum
+    a = np.array([[1.0, 1.0]])
+    b = np.array([1.0])
+    c = np.array([-1.0, -2.0])
+    p = LpProblem(c, a_ub=a, b_ub=b)
+    restart = lpkernel.Restart(p)
+    a[0, 1], b[0], c[0] = 4.0, 7.0, 5.0
+    assert p.a_ub.tolist() == [[1.0, 1.0]] and p.b_ub.tolist() == [1.0]
+    assert p.objective.tolist() == [-1.0, -2.0]
+    sibling = p.with_rhs(b_ub=[2.0])
+    assert solve_lp(sibling, restart).value == solve_lp(sibling).value == -4.0
+    changed = LpProblem([-1.0, -2.0], a_ub=a, b_ub=[2.0])
+    assert solve_lp(changed).value == -2.0
+    with pytest.raises(ValueError, match="different program"):
+        solve_lp(changed, restart)
+    rhs = np.array([3.0])
+    sibling = p.with_rhs(b_ub=rhs)
+    rhs[0] = 0.0
+    assert sibling.b_ub.tolist() == [3.0]
+    for arr in (p.objective, p.a_ub, p.b_ub, sibling.b_ub):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert not LpProblem([1.0, 1.0], a_eq=[], b_eq=[]).a_eq.flags.writeable
 
 
 def test_a_block_is_never_reshaped_to_fit():
@@ -332,8 +367,10 @@ def _families(count=60):
 
 
 def _outcome_key(out):
+    """Every field of an outcome, arrays as their bytes."""
     solution = None if out.solution is None else out.solution.tobytes()
-    return out.status, out.path, out.pivots, solution
+    basis = None if out.basis is None else out.basis.tobytes()
+    return out.status, out.path, out.pivots, solution, out.value, basis
 
 
 def test_warm_start_from_sibling_basis_matches_cold():
@@ -565,17 +602,93 @@ def test_infeasible_phase_one_is_remembered_with_its_pivots():
 
 def test_remembered_phase_one_basis_is_read_only(monkeypatch):
     memo = lpkernel._phase_one
-    bases = []
+    results = []
 
     def recording(*key):
-        feasible, basis, pivots = memo(*key)
-        bases.append(basis)
-        return feasible, basis, pivots
+        result = memo(*key)
+        results.append(result)
+        return result
 
     monkeypatch.setattr(lpkernel, "_phase_one", recording)
     p = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
     first, again = solve_lp(p), solve_lp(p)
-    assert first == again and bases[0] is bases[1]
-    assert not bases[0].flags.writeable
+    assert first == again and results[0] is results[1]
+    _, basis, _, tableau = results[0]
+    assert not basis.flags.writeable and not tableau.flags.writeable
     with pytest.raises(ValueError):
-        bases[0][0] = 0
+        basis[0] = 0
+    with pytest.raises(ValueError):
+        tableau[0, 0] = 0.0
+
+
+# ---------- one factorization per basis ----------
+
+
+def _refactorizing(honest_simplex):
+    """The slow reference: each phase ignores its given start and factors its basis afresh."""
+
+    def simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
+        start = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+        return honest_simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start)
+
+    return simplex
+
+
+def test_phases_start_where_a_fresh_factorization_would(
+    monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    # phase 1 starts from [full | I | rhs] without a solve and phase 2 from
+    # phase 1's last tableau; the reference factors both starts, and every
+    # outcome (Algorithm 1's LP and each witness LP) must match it bit for bit
+    channels = [(motivating_a, motivating_b), (higher_a, higher_b), (higher_a, counter_b)]
+    channels += _sweep_channels(200, 20261018)
+    honest_solve = manipulability.solve_lp
+
+    def outcomes(a, b):
+        made = []
+
+        def recording(p):
+            made.append(honest_solve(p))
+            return made[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(manipulability, "solve_lp", recording)
+            manipulability.check_algorithm1(a, b)
+        return [_outcome_key(out) for out in made + [solve_lp(p) for p in _witness_programs(a, b)]]
+
+    statuses = collections.Counter()
+    for a, b in channels:
+        lpkernel._phase_one.cache_clear()
+        fast = outcomes(a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpkernel, "_simplex", _refactorizing(lpkernel._simplex))
+            patch.setattr(lpkernel, "_phase_one", lpkernel._phase_one.__wrapped__)
+            assert outcomes(a, b) == fast
+        statuses.update(key[0] for key in fast)
+    assert statuses[LpStatus.OPTIMAL] == sum(statuses.values()) >= 5 * len(channels)
+
+
+def test_a_cold_solve_factors_each_phase_once_at_its_end(monkeypatch, higher_a, higher_b):
+    # fig5a's first witness LP: phase 1 and phase 2 each refactorize only to
+    # confirm their stop decision, never at the artificial start basis or
+    # where phase 1 handed over (4 factorizations when each start had one)
+    p = _witness_programs(higher_a, higher_b)[0]
+    honest = lpkernel._tableau_for_basis
+    bases = []
+
+    def counting(ext, rhs, c_vec, basis):
+        bases.append(basis.copy())
+        return honest(ext, rhs, c_vec, basis)
+
+    monkeypatch.setattr(lpkernel, "_tableau_for_basis", counting)
+    lpkernel._phase_one.cache_clear()
+    out = solve_lp(p)
+    assert (out.status, out.pivots) == (LpStatus.OPTIMAL, 22)
+    m, n_real = lpkernel._StandardForm(p).full.shape
+    assert len(bases) == 2
+    assert not any(np.array_equal(basis, np.arange(n_real, n_real + m)) for basis in bases)
+    assert np.array_equal(bases[-1], out.basis)
+    # the witness LP of the next symbol reuses phase 1 and factors only its own end
+    bases.clear()
+    solve_lp(_witness_programs(higher_a, higher_b)[1])
+    assert len(bases) == 1
