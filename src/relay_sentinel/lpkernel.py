@@ -8,7 +8,9 @@ is refactorized from pristine data periodically and before any stop
 decision, so accumulated roundoff cannot manufacture a verdict. Free
 variables are split into positive/negative parts at the solver boundary.
 Results are deterministic: identical inputs produce bitwise-identical
-outcomes.
+outcomes. The pivot loops call ndarray methods and ufunc reductions, not
+NumPy's Python-level wrappers: at this size dispatch, not arithmetic, is
+the cost.
 
 Phase 1 reads only the constraints and the right-hand side, never the
 objective (Chvatal, Linear Programming, 1983, ch. 8), so its result is
@@ -243,9 +245,8 @@ class _StandardForm:
         # unit slack cannot mask a badly scaled row): pivot tolerances then act
         # uniformly regardless of the magnitudes the caller happened to use
         scale = np.abs(mat).max(axis=1, initial=0.0)
-        live = scale > 0.0
-        mat[live] /= scale[live, None]
-        self.divisor = np.where(live, scale, 1.0)
+        self.divisor = np.where(scale > 0.0, scale, 1.0)
+        mat /= self.divisor[:, None]  # x / 1.0 is x to the bit, signed zeros included
 
         # append one slack per inequality row
         m = mat.shape[0]
@@ -267,11 +268,12 @@ class _StandardForm:
 
 
 def _pivot(tab, obj, basis, row, col):
-    tab[row] /= tab[row, col]
+    prow = tab[row]
+    prow /= prow[col]
     factor = tab[:, col].copy()
     factor[row] = 0.0
-    tab -= np.outer(factor, tab[row])
-    obj -= obj[col] * tab[row]
+    tab -= factor[:, None] * prow  # np.outer's products, without its dispatch
+    obj -= obj[col] * prow
     basis[row] = col
 
 
@@ -280,6 +282,8 @@ def _tableau_for_basis(ext, rhs, c_vec, basis):
 
     Incremental pivoting accumulates roundoff (each pivot divides by the
     pivot element); rebuilding from the original matrix resets that drift.
+    Two solves, not one over [ext | rhs]: LAPACK rounds the extra column
+    differently, and every outcome would move.
     """
     bmat = ext[:, basis]
     try:
@@ -338,6 +342,7 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
     if n_enter == 0:  # a program without variables: no column can enter
         return "optimal", tab, basis, 0
     pinning = pin_start < ext.shape[1]  # phase 2; in phase 1 nothing is pinned
+    ratios = np.empty(ext.shape[0])
     since_refresh = 0
     stall = 0
     bland = False
@@ -346,7 +351,7 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
         reduced = obj[:n_enter]
         # Bland's entering column is the first eligible one, Dantzig's the
         # first most negative reduced cost, eligible only below -_FEAS_TOL
-        j = int(np.argmax(reduced < -_FEAS_TOL) if bland else np.argmin(reduced))
+        j = int((reduced < -_FEAS_TOL).argmax() if bland else reduced.argmin())
         if not reduced[j] < -_FEAS_TOL:
             if since_refresh == 0:
                 return "optimal", tab, basis, pivots
@@ -355,25 +360,28 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
             continue
         col = tab[:, j]
         blocking = col > _PIVOT_TOL
-        ratios = np.divide(tab[:, -1], col, out=np.full(col.size, np.inf), where=blocking)
+        ratios.fill(np.inf)
+        np.divide(tab[:, -1], col, out=ratios, where=blocking)
         if pinning:
             pinned = (basis >= pin_start) & (np.abs(col) > _PIVOT_TOL)
             ratios[pinned] = 0.0
             blocking |= pinned
-        if not blocking.any():
+        rmin = np.minimum.reduce(ratios, initial=np.inf)
+        if rmin == np.inf and not np.logical_or.reduce(blocking):  # blocking ratios are finite
             if since_refresh == 0:
                 return "unbounded", tab, basis, pivots
             tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
             since_refresh = 0
             continue
-        rmin = ratios.min()
         # sign-safe window: rmin itself is always inside even when tiny
         # negative ratios appear from post-pivot rhs noise
-        ties = np.nonzero(ratios <= rmin + 1e-10 * (1.0 + abs(rmin)))[0]
-        if bland:
-            row = int(ties[np.argmin(basis[ties])])
+        ties = (ratios <= rmin + 1e-10 * (1.0 + abs(rmin))).nonzero()[0]
+        if ties.size == 1:  # the usual case, and the row either tie-break picks
+            row = int(ties[0])
+        elif bland:
+            row = int(ties[basis[ties].argmin()])
         else:
-            row = int(ties[np.argmax(np.abs(col[ties]))])
+            row = int(ties[np.abs(col[ties]).argmax()])
         before = obj[-1]
         _pivot(tab, obj, basis, row, j)
         pivots += 1
@@ -453,14 +461,14 @@ def _dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
     pivots = 0
     for _ in range(n_real + ext.shape[0]):
         values = tab[:, -1]
-        if _primal_feasible(values, basis, n_real):
+        excess = np.where(basis >= n_real, np.abs(values), -values)
+        row = int(excess.argmax())
+        if excess[row] <= _PRIMAL_TOL:  # _primal_feasible, from the same excess
             values = _verified_optimum(ext, rhs, c_vec, basis, n_real)
             return ("dual" if values is not None else None), values, pivots
-        excess = np.where(basis >= n_real, np.abs(values), -values)
-        row = int(np.argmax(excess))
         # entries whose column, entering, moves the leaving value toward zero
         entries = tab[row, :n_real] * np.sign(values[row])
-        cand = np.flatnonzero(entries > _PIVOT_TOL)
+        cand = (entries > _PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
             try:
                 y = _farkas_ray(ext, rhs, basis, row)
@@ -469,9 +477,10 @@ def _dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
             verified = _is_farkas(y, ext[:, :n_real], rhs)
             return ("farkas" if verified else None), None, pivots
         ratios = obj[cand] / entries[cand]
-        rmin = ratios.min()
+        rmin = np.minimum.reduce(ratios)
         ties = cand[ratios <= rmin + 1e-10 * (1.0 + abs(rmin))]
-        _pivot(tab, obj, basis, row, int(ties[np.argmax(entries[ties])]))
+        col = ties[0] if ties.size == 1 else ties[entries[ties].argmax()]
+        _pivot(tab, obj, basis, row, int(col))
         pivots += 1
         if pivots % _REFRESH_PERIOD == 0:
             try:

@@ -11,7 +11,9 @@ import itertools
 import numpy as np
 import pytest
 
-from relay_sentinel import lpkernel, manipulability
+from relay_sentinel import detector, lpkernel, manipulability
+from relay_sentinel.detector import DetectorConfig
+from relay_sentinel.harness import preset_curves, trial_traces
 from relay_sentinel.lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
 
 from test_manipulability import _sweep_channels, _witness_programs
@@ -266,8 +268,8 @@ def _vertex_oracle(c, a_eq, b_eq, a_ub, b_ub, bounds):
     return best
 
 
-def test_random_lps_match_vertex_oracle():
-    # 200 random feasible bounded programs, <= 5 variables
+def _random_lps():
+    """200 random feasible bounded programs, <= 5 variables, with their data."""
     rng = np.random.default_rng(20240817)
     for trial in range(200):
         n = int(rng.integers(2, 6))
@@ -284,6 +286,11 @@ def test_random_lps_match_vertex_oracle():
             a_eq = rng.normal(size=(1, n))
             b_eq = a_eq @ x0
         p = LpProblem(objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+        yield trial, p, (c, a_eq, b_eq, a_ub, b_ub, bounds)
+
+
+def test_random_lps_match_vertex_oracle():
+    for trial, p, (c, a_eq, b_eq, a_ub, b_ub, bounds) in _random_lps():
         out = solve_lp(p)
         assert out.status is LpStatus.OPTIMAL, f"trial {trial} not optimal"
         oracle = _vertex_oracle(c, a_eq, b_eq, a_ub, b_ub, bounds)
@@ -291,7 +298,7 @@ def test_random_lps_match_vertex_oracle():
         assert abs(out.value - oracle) < 1e-6, f"trial {trial}: {out.value} vs {oracle}"
         # optimal point satisfies all constraints within the feasibility tolerance
         assert (a_ub @ out.solution <= b_ub + 1e-8).all()
-        if with_eq:
+        if a_eq is not None:
             assert np.abs(a_eq @ out.solution - b_eq).max() < 1e-8
         for xj, (lo, hi) in zip(out.solution, bounds):
             assert lo - 1e-8 <= xj <= hi + 1e-8
@@ -634,36 +641,42 @@ def _refactorizing(honest_simplex):
     return simplex
 
 
+def _certify_programs(monkeypatch, a, b):
+    """Algorithm 1's LP and the witness LPs of channel (A, B), as certify builds them."""
+    made = []
+
+    def recording(p):
+        made.append(p)
+        return solve_lp(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(manipulability, "solve_lp", recording)
+        manipulability.check_algorithm1(a, b)
+    return made + _witness_programs(a, b)
+
+
+def _reference_channels(motivating_a, motivating_b, higher_a, higher_b, counter_b):
+    """The three reference channels and 200 channels drawn as the certify benchmark draws them."""
+    channels = [(motivating_a, motivating_b), (higher_a, higher_b), (higher_a, counter_b)]
+    return channels + _sweep_channels(200, 20261018)
+
+
 def test_phases_start_where_a_fresh_factorization_would(
     monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
 ):
     # phase 1 starts from [full | I | rhs] without a solve and phase 2 from
     # phase 1's last tableau; the reference factors both starts, and every
     # outcome (Algorithm 1's LP and each witness LP) must match it bit for bit
-    channels = [(motivating_a, motivating_b), (higher_a, higher_b), (higher_a, counter_b)]
-    channels += _sweep_channels(200, 20261018)
-    honest_solve = manipulability.solve_lp
-
-    def outcomes(a, b):
-        made = []
-
-        def recording(p):
-            made.append(honest_solve(p))
-            return made[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(manipulability, "solve_lp", recording)
-            manipulability.check_algorithm1(a, b)
-        return [_outcome_key(out) for out in made + [solve_lp(p) for p in _witness_programs(a, b)]]
-
+    channels = _reference_channels(motivating_a, motivating_b, higher_a, higher_b, counter_b)
     statuses = collections.Counter()
     for a, b in channels:
+        programs = _certify_programs(monkeypatch, a, b)
         lpkernel._phase_one.cache_clear()
-        fast = outcomes(a, b)
+        fast = [_outcome_key(solve_lp(p)) for p in programs]
         with monkeypatch.context() as patch:
             patch.setattr(lpkernel, "_simplex", _refactorizing(lpkernel._simplex))
             patch.setattr(lpkernel, "_phase_one", lpkernel._phase_one.__wrapped__)
-            assert outcomes(a, b) == fast
+            assert [_outcome_key(solve_lp(p)) for p in programs] == fast
         statuses.update(key[0] for key in fast)
     assert statuses[LpStatus.OPTIMAL] == sum(statuses.values()) >= 5 * len(channels)
 
@@ -692,3 +705,197 @@ def test_a_cold_solve_factors_each_phase_once_at_its_end(monkeypatch, higher_a, 
     bases.clear()
     solve_lp(_witness_programs(higher_a, higher_b)[1])
     assert len(bases) == 1
+
+
+# ---------- the pivot loops checked against their plain NumPy form ----------
+
+
+def _plain_pivot(tab, obj, basis, row, col):
+    tab[row] /= tab[row, col]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    tab -= np.outer(factor, tab[row])
+    obj -= obj[col] * tab[row]
+    basis[row] = col
+
+
+def _plain_simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
+    """lpkernel._simplex written with NumPy's wrappers and one ratio array per pivot."""
+    tab, obj = start
+    n_enter = ext.shape[1] - ext.shape[0]
+    if n_enter == 0:
+        return "optimal", tab, basis, 0
+    pinning = pin_start < ext.shape[1]
+    since_refresh = 0
+    stall = 0
+    bland = False
+    pivots = 0
+    for _ in range(max_iter):
+        reduced = obj[:n_enter]
+        j = int(np.argmax(reduced < -lpkernel._FEAS_TOL) if bland else np.argmin(reduced))
+        if not reduced[j] < -lpkernel._FEAS_TOL:
+            if since_refresh == 0:
+                return "optimal", tab, basis, pivots
+            tab, obj = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+            since_refresh = 0
+            continue
+        col = tab[:, j]
+        blocking = col > lpkernel._PIVOT_TOL
+        ratios = np.divide(tab[:, -1], col, out=np.full(col.size, np.inf), where=blocking)
+        if pinning:
+            pinned = (basis >= pin_start) & (np.abs(col) > lpkernel._PIVOT_TOL)
+            ratios[pinned] = 0.0
+            blocking |= pinned
+        if not blocking.any():
+            if since_refresh == 0:
+                return "unbounded", tab, basis, pivots
+            tab, obj = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+            since_refresh = 0
+            continue
+        rmin = ratios.min()
+        ties = np.nonzero(ratios <= rmin + 1e-10 * (1.0 + abs(rmin)))[0]
+        if bland:
+            row = int(ties[np.argmin(basis[ties])])
+        else:
+            row = int(ties[np.argmax(np.abs(col[ties]))])
+        before = obj[-1]
+        _plain_pivot(tab, obj, basis, row, j)
+        pivots += 1
+        since_refresh += 1
+        if since_refresh >= lpkernel._REFRESH_PERIOD:
+            tab, obj = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+            since_refresh = 0
+        if obj[-1] > before + 1e-12 * max(1.0, abs(before)):
+            stall = 0
+            bland = False
+        else:
+            stall += 1
+            if stall > lpkernel._STALL_LIMIT:
+                bland = True
+    raise LpFailure("simplex pivot budget exhausted (numerical breakdown)")
+
+
+def _plain_dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
+    """lpkernel._dual_simplex written with NumPy's wrappers."""
+    pivots = 0
+    for _ in range(n_real + ext.shape[0]):
+        values = tab[:, -1]
+        if lpkernel._primal_feasible(values, basis, n_real):
+            values = lpkernel._verified_optimum(ext, rhs, c_vec, basis, n_real)
+            return ("dual" if values is not None else None), values, pivots
+        excess = np.where(basis >= n_real, np.abs(values), -values)
+        row = int(np.argmax(excess))
+        entries = tab[row, :n_real] * np.sign(values[row])
+        cand = np.flatnonzero(entries > lpkernel._PIVOT_TOL)
+        if cand.size == 0:
+            try:
+                y = lpkernel._farkas_ray(ext, rhs, basis, row)
+            except np.linalg.LinAlgError:
+                return None, None, pivots
+            verified = lpkernel._is_farkas(y, ext[:, :n_real], rhs)
+            return ("farkas" if verified else None), None, pivots
+        ratios = obj[cand] / entries[cand]
+        rmin = ratios.min()
+        ties = cand[ratios <= rmin + 1e-10 * (1.0 + abs(rmin))]
+        _plain_pivot(tab, obj, basis, row, int(ties[np.argmax(entries[ties])]))
+        pivots += 1
+        if pivots % lpkernel._REFRESH_PERIOD == 0:
+            try:
+                tab, obj = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+            except LpFailure:
+                return None, None, pivots
+            if (obj[:n_real] < -lpkernel._FEAS_TOL).any():
+                return None, None, pivots
+    return None, None, pivots
+
+
+def _both_loops(monkeypatch, solve):
+    """(solve() with lpkernel's loops, solve() with the plain ones), phase 1 run afresh."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lpkernel, "_phase_one", lpkernel._phase_one.__wrapped__)
+        fast = solve()
+        patch.setattr(lpkernel, "_pivot", _plain_pivot)
+        patch.setattr(lpkernel, "_simplex", _plain_simplex)
+        patch.setattr(lpkernel, "_dual_simplex", _plain_dual_simplex)
+        return fast, solve()
+
+
+def test_pivot_loops_decide_as_their_plain_form(
+    monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    # the loops trade NumPy's Python-level wrappers for ndarray methods and
+    # ufunc reductions, and take a lone ratio-test tie directly: every
+    # outcome must be the plain form's bit for bit, on certify's programs,
+    # on small random programs and on restart siblings (dual simplex): the
+    # random families, and fig5b's estimator LPs, whose dual ratio tests tie
+    channels = _reference_channels(motivating_a, motivating_b, higher_a, higher_b, counter_b)
+    programs = [p for a, b in channels for p in _certify_programs(monkeypatch, a, b)]
+    programs += [p for _, p, _ in _random_lps()]
+    fast, plain = _both_loops(monkeypatch, lambda: [_outcome_key(solve_lp(p)) for p in programs])
+    assert fast == plain and len(fast) >= 5 * len(channels) + 200
+    siblings = []  # (program, restart)
+    for base, _, family in _families():
+        restart = lpkernel.Restart(base)
+        siblings += [(p, restart) for p in family]
+
+    def recording(p, restart):
+        siblings.append((p, restart))
+        return solve_lp(p, restart)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(detector, "solve_lp", recording)
+        for scenario in preset_curves("fig5b").values():
+            config = DetectorConfig(
+                a=scenario.uplink_matrix(), b=scenario.b, mu=scenario.mu, delta=scenario.delta
+            )
+            for trial in range(10):
+                detector.run_detection(config, *trial_traces(scenario, trial)[:2])
+    fast, plain = _both_loops(
+        monkeypatch, lambda: [_outcome_key(solve_lp(p, restart)) for p, restart in siblings]
+    )
+    assert fast == plain
+    assert collections.Counter(key[1] for key in fast)["dual"] >= 100
+
+
+def test_every_pivot_goes_through_pivot(monkeypatch, higher_a, higher_b):
+    # _pivot is the one pivot of the cold loop and of the dual loop, so a
+    # test that replaces it (as the tableau-drift test does) reaches both
+    honest = lpkernel._pivot
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        honest(*args)
+
+    monkeypatch.setattr(lpkernel, "_pivot", counting)
+    lpkernel._phase_one.cache_clear()
+    cold = solve_lp(_witness_programs(higher_a, higher_b)[0])
+    assert (cold.path, cold.pivots, len(calls)) == ("cold", 22, 22)
+    scenario = preset_curves("fig5b")["clean"]
+    config = DetectorConfig(
+        a=scenario.uplink_matrix(), b=scenario.b, mu=scenario.mu, delta=scenario.delta
+    )
+    detector._compiled(config.a, config.b, config.mu)  # the restart's own cold solve
+    paths = collections.Counter()
+    for trial in range(10):
+        calls.clear()
+        report = detector.run_detection(config, *trial_traces(scenario, trial)[:2])
+        assert len(calls) == report.lp_pivots
+        paths[report.lp_path] += 1
+    assert paths["dual"] >= 5, paths
+
+
+def test_standard_form_rows_are_the_product_with_s(monkeypatch, higher_a, higher_b):
+    # _StandardForm's rows are m @ s (s maps each standard-form column to its
+    # variable with sign +-1), each scaled to unit max-abs, byte for byte: a
+    # witness LP's columns all carry sign -1, so its zero entries test signed
+    # zeros, and Algorithm 1's free variables split into +- column pairs
+    programs = _certify_programs(monkeypatch, higher_a, higher_b)
+    for p in programs[:2]:  # Algorithm 1's LP and the first witness LP
+        form = lpkernel._StandardForm(p)
+        assert form.caps.size == 0  # no two-sided bound, so no box rows
+        mat = np.vstack([m @ form.s for m in (p.a_eq, p.a_ub) if m is not None])
+        scale = np.abs(mat).max(axis=1, initial=0.0)
+        live = scale > 0.0
+        mat[live] /= scale[live, None]
+        assert form.full[:, : mat.shape[1]].tobytes() == mat.tobytes()
