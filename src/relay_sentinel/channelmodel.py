@@ -24,12 +24,14 @@ import numpy as np
 
 from .stochcore import (
     DEFAULT_TOL,
+    AlphabetReductionError,
     pair_index,
     symbol_dtype,
     trace_blocks,
     validate_column_stochastic,
     validate_count,
-    validate_pmf,
+    validate_source,
+    validate_uplink,
     value_eq,
 )
 
@@ -43,10 +45,6 @@ __all__ = [
     "simulate_uplink",
     "simulate_downlink",
 ]
-
-
-class AlphabetReductionError(ValueError):
-    """A relay-input symbol is unreachable; prune U and rebuild the models."""
 
 
 @dataclass(frozen=True)
@@ -96,19 +94,12 @@ def marginalize_mac(mac: MacModel, p2: np.ndarray) -> np.ndarray:
     Raises AlphabetReductionError if some u symbol has zero probability under
     every x1 (the caller should prune that symbol from U).
     """
-    p2 = validate_pmf(p2, "p2")
-    if p2.size != mac.x2_size:
-        raise ValueError("p2 length does not match the MAC's x2 alphabet")
+    p2 = validate_source(p2, "p2", mac.x2_size)
     a = np.zeros((mac.u_size, mac.x1_size))
     for j in range(mac.x1_size):
         cols = mac.table[:, j * mac.x2_size : (j + 1) * mac.x2_size]
         a[:, j] = cols @ p2
-    dead = np.nonzero(a.sum(axis=1) <= 0.0)[0]
-    if dead.size:
-        raise AlphabetReductionError(
-            f"relay-input symbols {dead.tolist()} are unreachable; prune U"
-        )
-    return a
+    return validate_uplink(a)
 
 
 def gamma_from(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -124,8 +115,8 @@ def stationary_u_pmf(mac: MacModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
     Point-mass sources are accepted here; strict positivity of p(x1) only
     matters to the detection pipeline, which checks it separately.
     """
-    p1 = validate_pmf(p1, "p1")
-    p2 = validate_pmf(p2, "p2")
+    p1 = validate_source(p1, "p1", mac.x1_size)
+    p2 = validate_source(p2, "p2", mac.x2_size)
     pair = np.outer(p1, p2).ravel()
     return mac.table @ pair
 
@@ -192,8 +183,8 @@ def simulate_uplink(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw N i.i.d. source symbols and the induced relay inputs."""
     validate_count(n, "n")
-    p1 = validate_pmf(p1, "p1")
-    p2 = validate_pmf(p2, "p2")
+    p1 = validate_source(p1, "p1", mac.x1_size)
+    p2 = validate_source(p2, "p2", mac.x2_size)
     x1 = sample_trace(p1, n, rng)
     x2 = sample_trace(p2, n, rng)
 

@@ -127,7 +127,7 @@ def load_channel(doc):
             f" ({mac.u_size})"
         )
     try:
-        a = validate_column_stochastic(marginalize_mac(mac, p2), "A")
+        a = marginalize_mac(mac, p2)
     except ValueError as exc:
         keys = "sources.p2 and mac.table" if mac_type == "table" else "sources.p2"
         raise ScenarioFileError(f"{keys}: uplink matrix A: {exc}") from None
@@ -527,8 +527,8 @@ def _cmd_certify(args):
 def _with_overrides(scenario, args):
     """The scenario with the RELAY_SENTINEL_SEED master seed and --trials applied.
 
-    Each is read as a trace field is: optional surrounding whitespace and
-    sign, then ASCII digits. A count check names the variable or the flag.
+    Each is read as a trace field is: optional surrounding ASCII whitespace
+    and sign, then ASCII digits. A count check names the variable or the flag.
     """
     overrides = {}
     for field, name, raw, minimum in (
@@ -536,7 +536,7 @@ def _with_overrides(scenario, args):
         ("trials", "--trials", args.trials, 1),
     ):
         if raw is not None:
-            value = int(raw) if re.fullmatch(r"\s*[+-]?[0-9]+\s*", raw) else raw
+            value = int(raw) if re.fullmatch(r"\s*[+-]?[0-9]+\s*", raw, re.ASCII) else raw
             overrides[field] = validate_count(value, name, minimum)
     return dataclasses.replace(scenario, **overrides) if overrides else scenario
 

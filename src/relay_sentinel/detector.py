@@ -218,9 +218,9 @@ def g_mu_residual(
 ) -> float:
     """Smallest projected-l1 histogram slack that admits phi_hat into G_mu.
 
-    Solves min l1(Pi_B (gamma_tilde - gamma_hat) Pi_A) over column-stochastic
-    gamma_tilde with B phi_hat A = Pi_B gamma_tilde Pi_A; returns +inf when
-    no gamma_tilde reproduces phi_hat at all.
+    Every column-stochastic gamma_tilde with Pi_B gamma_tilde Pi_A = B phi_hat A
+    has the slack l1(B phi_hat A - Pi_B gamma_hat Pi_A), so a zero-objective
+    LP over gamma_tilde only decides whether one exists; +inf when none does.
     """
     phi_hat = np.asarray(phi_hat, dtype=float)
     gamma_hat = np.asarray(gamma_hat, dtype=float)
@@ -229,36 +229,22 @@ def g_mu_residual(
     y1, x1 = b.shape[0], a.shape[1]
     pi_b = column_space_projector(b)
     pi_a = row_space_projector(a)
-    n_g = y1 * x1
-    project = np.kron(pi_b, pi_a.T)
-    target = (pi_b @ gamma_hat @ pi_a).ravel()
-    reach = (b @ phi_hat @ a).ravel()
-
-    objective = np.concatenate([np.zeros(n_g), np.ones(n_g)])
-    a_eq = np.zeros((x1 + n_g, 2 * n_g))
-    b_eq = np.concatenate([np.ones(x1), reach])
-    a_eq[:x1, :n_g] = np.kron(np.ones((1, y1)), np.eye(x1))
-    a_eq[x1:, :n_g] = project
-    a_ub = np.zeros((2 * n_g, 2 * n_g))
-    a_ub[:n_g, :n_g] = project
-    a_ub[:n_g, n_g:] = -np.eye(n_g)
-    a_ub[n_g:, :n_g] = -project
-    a_ub[n_g:, n_g:] = -np.eye(n_g)
-    b_ub = np.concatenate([target, -target])
-
-    outcome = solve_lp(
-        LpProblem(objective=objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-    )
+    reach = b @ phi_hat @ a
+    # gamma_tilde's column sums, then vec(Pi_B gamma_tilde Pi_A)
+    a_eq = np.vstack([np.kron(np.ones((1, y1)), np.eye(x1)), np.kron(pi_b, pi_a.T)])
+    b_eq = np.concatenate([np.ones(x1), reach.ravel()])
+    outcome = solve_lp(LpProblem(objective=np.zeros(y1 * x1), a_eq=a_eq, b_eq=b_eq))
     if outcome.status is LpStatus.INFEASIBLE:
         return float("inf")
     if outcome.status is not LpStatus.OPTIMAL:
         raise LpFailure(f"membership LP ended with status {outcome.status}")
-    return float(outcome.value)
+    return l1_norm(reach - pi_b @ gamma_hat @ pi_a)
 
 
 def decision_statistic(phi_hat: np.ndarray) -> float:
     """l1 distance of the estimated attack channel from the identity."""
-    return l1_norm(np.asarray(phi_hat, dtype=float) - np.eye(phi_hat.shape[0]))
+    phi_hat = np.asarray(phi_hat, dtype=float)
+    return l1_norm(phi_hat - np.eye(phi_hat.shape[0]))
 
 
 def detect(statistic: float, delta: float) -> str:

@@ -29,7 +29,7 @@ from .attackmodel import (
 )
 from .channelmodel import MacModel, marginalize_mac, simulate_downlink, simulate_uplink
 from .detector import DetectorConfig, run_detection
-from .stochcore import validate_count, validate_pmf, value_eq
+from .stochcore import validate_count, validate_source, value_eq
 
 __all__ = [
     "DESK_TRIALS",
@@ -58,7 +58,7 @@ class Scenario:
 
     ``detector_config`` is built once from the other fields: it validates
     A, B, mu and delta, and the scenario holds its very B, mu and delta.
-    The counts are checked by ``validate_count``.
+    ``validate_source`` and ``validate_count`` check the sources and counts.
     """
 
     p1: np.ndarray
@@ -76,11 +76,9 @@ class Scenario:
     __eq__ = value_eq
 
     def __post_init__(self):
-        object.__setattr__(self, "p1", validate_pmf(self.p1, "p1"))
-        object.__setattr__(self, "p2", validate_pmf(self.p2, "p2"))
-        if self.p1.size != self.mac.x1_size:
-            raise ValueError("p1 length does not match the first source alphabet")
-        # marginalize_mac checks p2 against the MAC, and phi is square
+        object.__setattr__(self, "p1", validate_source(self.p1, "p1", self.mac.x1_size))
+        object.__setattr__(self, "p2", validate_source(self.p2, "p2", self.mac.x2_size))
+        # phi is square
         if self.attack.phi is not None and self.attack.phi.shape[0] != self.mac.u_size:
             raise ValueError("attack map size does not match the relay alphabet")
         validate_count(self.n, "n")

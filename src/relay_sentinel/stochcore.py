@@ -8,11 +8,12 @@ Conventions used throughout the package:
 - all indices are zero-based;
 - `validate_pmf` and `validate_column_stochastic` are the only judges of
   whether an input is a probability object, always at ``DEFAULT_TOL``;
-  `validate_channel`, `validate_positive` and `validate_count` alone decide
-  the channel pair, the real parameters (mu, delta) and the counts. A bool
-  is never a number or a count here;
+  `validate_source`, `validate_uplink`, `validate_channel`, `validate_positive`
+  and `validate_count` alone decide a source's alphabet, the reachable relay
+  symbols, the channel pair, the real parameters (mu, delta) and the counts.
+  A bool is never a number or a count here;
 - `transition_counts` alone counts a pair of symbol traces and decides the
-  trace rules: equal non-zero lengths, every symbol inside its alphabet;
+  trace rules: 1-D, equal non-zero lengths, every symbol inside its alphabet;
 - symbol traces are stored in the smallest unsigned dtype of their alphabet
   (`symbol_dtype`), and every per-symbol pass walks them in `trace_blocks`,
   so no temporary grows with the trace length. `pair_index` alone widens a
@@ -30,10 +31,13 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
+    "AlphabetReductionError",
     "ChannelConstants",
     "l1_norm",
     "validate_pmf",
     "validate_column_stochastic",
+    "validate_source",
+    "validate_uplink",
     "validate_channel",
     "validate_positive",
     "validate_count",
@@ -51,6 +55,10 @@ DEFAULT_TOL = 1e-9
 # and comparisons (about 100 KB) stay in cache and under glibc's 128 KiB
 # heap-trim threshold, so a long trial takes no page faults (8 192 does)
 BLOCK_SIZE = 4096
+
+
+class AlphabetReductionError(ValueError):
+    """A relay-input symbol is unreachable; prune U and rebuild the models."""
 
 
 def value_eq(self, other) -> bool:
@@ -145,9 +153,27 @@ def validate_column_stochastic(m, name: str) -> np.ndarray:
     return m
 
 
-def validate_channel(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) as column-stochastic float arrays that agree on the relay alphabet."""
+def validate_source(p, name: str, size: int) -> np.ndarray:
+    """p as `validate_pmf` returns it, or ValueError unless it has ``size`` entries."""
+    p = validate_pmf(p, name)
+    if p.size != size:
+        raise ValueError(f"{name}: has {p.size} entries for an alphabet of {size} symbols")
+    return p
+
+
+def validate_uplink(a) -> np.ndarray:
+    """A by `validate_column_stochastic`; AlphabetReductionError names its rows without mass."""
     a = validate_column_stochastic(a, "A")
+    dead = a.sum(axis=1) <= 0.0
+    if dead.any():
+        symbols = dead.nonzero()[0].tolist()
+        raise AlphabetReductionError(f"relay-input symbols {symbols} are unreachable; prune U")
+    return a
+
+
+def validate_channel(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) by `validate_uplink` and `validate_column_stochastic`, on one relay alphabet."""
+    a = validate_uplink(a)
     b = validate_column_stochastic(b, "B")
     if b.shape[1] != a.shape[0]:
         raise ValueError("A and B disagree on the relay alphabet size")
@@ -201,13 +227,15 @@ def transition_counts(
 ) -> np.ndarray:
     """counts[i, j] = #(observed = i, given = j) over two paired symbol traces.
 
-    ``names`` labels (given, observed) in the messages. Traces of different
-    or zero length, traces that are not integer arrays (bool and float
-    included), and symbols outside {0, ..., size - 1}, are rejected, never
-    folded into another cell.
+    ``names`` labels (given, observed) in the messages. Traces that are not
+    one-dimensional, of different or zero length, or not integer arrays
+    (bool and float included), and symbols outside {0, ..., size - 1}, are
+    rejected, never folded into another cell.
     """
-    given = np.asarray(given)
-    observed = np.asarray(observed)
+    given, observed = np.asarray(given), np.asarray(observed)
+    for name, trace in zip(names, (given, observed)):
+        if trace.ndim != 1:
+            raise ValueError(f"{name} trace must be one-dimensional, got shape {trace.shape}")
     if given.size != observed.size:
         raise ValueError("trace lengths differ")
     if given.size == 0:
@@ -231,13 +259,10 @@ def transition_counts(
 
 
 def channel_constants(a: np.ndarray, y1_size: int) -> ChannelConstants:
-    """Floor constants for an uplink channel matrix with no all-zero row."""
-    a = np.asarray(a, dtype=float)
+    """Floor constants for an uplink channel matrix (checked by `validate_uplink`)."""
+    a = validate_uplink(a)
     u_size, x1_size = a.shape
-    row_sums = a.sum(axis=1)
-    a_big_min = float(row_sums.min())
-    if a_big_min <= 0.0:
-        raise ValueError("channel matrix has an all-zero row")
+    a_big_min = float(a.sum(axis=1).min())
     a_min = a_big_min / (u_size * (x1_size + a_big_min))
     b_min = 1.0 / (u_size * (y1_size + 1))
     return ChannelConstants(a_big_min=a_big_min, a_min=a_min, b_min=b_min)

@@ -449,6 +449,9 @@ def test_simulate_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):
         ("RELAY_SENTINEL_SEED", "1_000", "'1_000'"),
         ("RELAY_SENTINEL_SEED", "\u0663", "'\u0663'"),
         ("RELAY_SENTINEL_SEED", "-1", "-1"),
+        # \s matches U+001C-U+001F, which int() does not strip
+        ("--trials", "1\x1c", "'1\\x1c'"),
+        ("RELAY_SENTINEL_SEED", "5\x1f", "'5\\x1f'"),
     ],
 )
 def test_text_integers_follow_the_trace_field_rule(tmp_path, monkeypatch, capsys, name, text, shown):

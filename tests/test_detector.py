@@ -68,6 +68,20 @@ def test_out_of_alphabet_symbols_rejected(motivating_a, x1, y1, message):
         detector.run_detection(config, x1, y1)
 
 
+@pytest.mark.parametrize(
+    "x1, message",
+    [
+        (np.zeros((5, 2), int), r"^x1 trace must be one-dimensional, got shape \(5, 2\)$"),
+        (np.int64(0), r"^x1 trace must be one-dimensional, got shape \(\)$"),
+    ],
+    ids=["2-D", "0-D"],
+)
+def test_run_detection_names_a_trace_that_is_not_one_dimensional(x1, message):
+    config = preset("fig3a").detector_config
+    with pytest.raises(ValueError, match=message):
+        detector.run_detection(config, x1, np.zeros(np.size(x1), int))
+
+
 def test_float_trace_is_rejected_by_name():
     # a float trace used to leak NumPy's TypeError from np.bincount
     config = preset("fig3a").detector_config
@@ -115,6 +129,9 @@ def test_estimate_attack_counter_example_exact(higher_a, counter_b):
 
 def test_decision_statistic_and_verdict():
     assert detector.decision_statistic(np.eye(4)) == 0.0
+    # phi_hat.shape was read before the conversion: AttributeError on a list
+    assert detector.decision_statistic([[1, 0], [0, 1]]) == 0.0
+    assert detector.decision_statistic([[0.5, 0.0], [0.5, 1.0]]) == 1.0
     assert detector.detect(0.0, 0.065) == "clean"
     assert detector.detect(0.07, 0.065) == "malicious"
     assert detector.detect(0.065, 0.065) == "clean"  # strict inequality
@@ -250,6 +267,73 @@ def test_feasibility_guarantee_clean_run(motivating_a):
     assert residual <= 0.2  # identity attack is a member of G_0.2 here
     _, feasible = detector.estimate_attack(gamma_hat, motivating_a, np.eye(3), 0.2)
     assert feasible
+
+
+def test_g_mu_residual_is_infinite_when_no_histogram_reproduces_phi_hat():
+    # B = I3 and A of full column rank make Pi_B and Pi_A identities, so
+    # gamma_tilde would have to equal B phi_hat A, which has the entry -0.1
+    a = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.0]])
+    phi_hat = np.array([[1.2, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.2, 0.0, 1.0]])
+    assert (phi_hat @ a)[2, 0] == pytest.approx(-0.1, abs=1e-15)
+    assert detector.g_mu_residual(phi_hat, a, a, np.eye(3)) == np.inf
+
+
+def _epigraph_g_mu_residual(phi_hat, gamma_hat, a, b):
+    """The membership slack as one LP over (gamma_tilde, t): minimize sum(t)
+    subject to gamma_tilde's column sums, Pi_B gamma_tilde Pi_A = B phi_hat A
+    and |Pi_B gamma_tilde Pi_A - Pi_B gamma_hat Pi_A| <= t entrywise."""
+    y1, x1 = b.shape[0], a.shape[1]
+    pi_b = numlinalg.column_space_projector(b)
+    pi_a = numlinalg.row_space_projector(a)
+    n_g = y1 * x1
+    project = np.kron(pi_b, pi_a.T)
+    target = (pi_b @ gamma_hat @ pi_a).ravel()
+    a_eq = np.zeros((x1 + n_g, 2 * n_g))
+    a_eq[:x1, :n_g] = np.kron(np.ones((1, y1)), np.eye(x1))
+    a_eq[x1:, :n_g] = project
+    a_ub = np.zeros((2 * n_g, 2 * n_g))
+    a_ub[:n_g, :n_g] = project
+    a_ub[n_g:, :n_g] = -project
+    a_ub[:, n_g:] = -np.vstack([np.eye(n_g), np.eye(n_g)])
+    outcome = lpkernel.solve_lp(
+        lpkernel.LpProblem(
+            objective=np.concatenate([np.zeros(n_g), np.ones(n_g)]),
+            a_eq=a_eq,
+            b_eq=np.concatenate([np.ones(x1), (b @ phi_hat @ a).ravel()]),
+            a_ub=a_ub,
+            b_ub=np.concatenate([target, -target]),
+        )
+    )
+    if outcome.status is lpkernel.LpStatus.INFEASIBLE:
+        return np.inf
+    assert outcome.status is lpkernel.LpStatus.OPTIMAL
+    return float(outcome.value)
+
+
+def test_g_mu_residual_matches_the_epigraph_lp():
+    # every gamma_tilde with Pi_B gamma_tilde Pi_A = B phi_hat A has the
+    # same slack, so the LP only decides that one exists. Square channels
+    # have identity projectors; |Y1| = 3 > |U| and |X1| = 3 > |U| do not.
+    # The grid reaches past the simplex, so some candidates have no
+    # gamma_tilde at all.
+    rng = np.random.default_rng(20260818)
+    grid = np.linspace(-0.2, 1.2, 8)
+    decisions = collections.Counter()
+    for y1_size, x1_size in ((2, 2), (2, 2), (2, 2), (3, 2), (2, 3), (3, 3)):
+        a = rng.dirichlet(np.ones(2), size=x1_size).T
+        b = rng.dirichlet(np.ones(y1_size), size=2).T
+        gamma_hat = b @ rng.dirichlet(np.ones(2), size=2).T @ a
+        mu = 0.2
+        for c0 in grid:
+            for c1 in grid:
+                candidate = np.array([[c0, c1], [1.0 - c0, 1.0 - c1]])
+                slack = detector.g_mu_residual(candidate, gamma_hat, a, b)
+                oracle = _epigraph_g_mu_residual(candidate, gamma_hat, a, b)
+                assert (slack <= mu + 1e-6) == (oracle <= mu + 1e-6)
+                assert slack == oracle or abs(slack - oracle) <= 1e-12
+                decisions["none" if slack == np.inf else slack <= mu + 1e-6] += 1
+    assert sum(decisions.values()) == 384
+    assert decisions[True] and decisions[False] and decisions["none"]
 
 
 def test_g_mu_membership_of_returned_estimate():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import is_column_stochastic
+import relay_sentinel
 from relay_sentinel import (
     AttackSpec,
     DetectorConfig,
@@ -18,6 +19,7 @@ from relay_sentinel import (
     certify,
     channelmodel,
     check_algorithm1,
+    dpv_search_algorithm2,
     estimate_attack,
     find_witness,
     stochcore,
@@ -289,6 +291,97 @@ def test_every_entry_point_names_an_alphabet_mismatch_alike(entry, motivating_a)
         entry(motivating_a, np.eye(4))
 
 
+# no x1 produces relay symbol 2
+_UNREACHABLE_A = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda a: certify(a, np.eye(3)),
+        lambda a: certify(a, [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]),
+        lambda a: check_algorithm1(a, np.eye(3)),
+        lambda a: find_witness(a, np.eye(3)),
+        lambda a: DetectorConfig(a, np.eye(3), 0.1, 0.1),
+        lambda a: estimate_attack(a, a, np.eye(3), 0.1),
+        dpv_search_algorithm2,
+        lambda a: stochcore.channel_constants(a, 3),
+        lambda a: stochcore.validate_channel(a, np.eye(3)),
+    ],
+    ids=[
+        "certify-square-B",
+        "certify-wide-B",
+        "check_algorithm1",
+        "find_witness",
+        "DetectorConfig",
+        "estimate_attack",
+        "dpv_search_algorithm2",
+        "channel_constants",
+        "validate_channel",
+    ],
+)
+def test_every_entry_point_rejects_an_unreachable_relay_symbol(entry):
+    # certify(A, I3) raised a plain ValueError from the null-space search;
+    # with the 2 x 3 B it said manipulable, by a witness that moves only
+    # symbol 2; DetectorConfig took A and called x1 = [0, 1, 0, 1],
+    # y1 = [0, 1, 1, 1] malicious at D = D0 = 2.2
+    message = r"^relay-input symbols \[2\] are unreachable; prune U$"
+    with pytest.raises(stochcore.AlphabetReductionError, match=message):
+        entry(_UNREACHABLE_A)
+
+
+def test_validate_uplink_returns_what_validate_column_stochastic_returns(motivating_a):
+    a = stochcore.validate_uplink(motivating_a.tolist())
+    np.testing.assert_array_equal(a, stochcore.validate_column_stochastic(motivating_a, "A"))
+    assert not a.flags.writeable
+    with pytest.raises(ValueError, match=r"^A\[\.\]\[0\]: column sums to 1.5"):
+        stochcore.validate_uplink(np.full((3, 2), 0.5))
+    with pytest.raises(stochcore.AlphabetReductionError, match=r"symbols \[0, 2\] are"):
+        stochcore.validate_uplink([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    assert channelmodel.AlphabetReductionError is stochcore.AlphabetReductionError
+    assert relay_sentinel.AlphabetReductionError is stochcore.AlphabetReductionError
+
+
+def _uplink_with(p1, p2):
+    return channelmodel.simulate_uplink(MacModel.adder(2, 2), p1, p2, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda p: _binary_adder_scenario(p1=p), "p1"),
+        (lambda p: _binary_adder_scenario(p2=p), "p2"),
+        (lambda p: _uplink_with(p, [1.0, 0.0]), "p1"),
+        (lambda p: _uplink_with([1.0, 0.0], p), "p2"),
+        (lambda p: channelmodel.marginalize_mac(MacModel.adder(2, 2), p), "p2"),
+        (lambda p: channelmodel.stationary_u_pmf(MacModel.adder(2, 2), p, [1.0, 0.0]), "p1"),
+        (lambda p: stochcore.validate_source(p, "p2", 2), "p2"),
+    ],
+    ids=[
+        "Scenario-p1",
+        "Scenario-p2",
+        "simulate_uplink-p1",
+        "simulate_uplink-p2",
+        "marginalize_mac",
+        "stationary_u_pmf",
+        "validate_source",
+    ],
+)
+def test_every_entry_point_checks_a_source_against_its_alphabet(build, name):
+    # simulate_uplink used to draw x2 = 2 on the binary adder, which has no
+    # such symbol, and map every pair (0, 2) to u = 1
+    with pytest.raises(ValueError, match=rf"^{name}: has 3 entries for an alphabet of 2 symbols$"):
+        build([0.0, 0.0, 1.0])
+
+
+def test_validate_source_checks_the_pmf_first():
+    p = stochcore.validate_source([0.25, 0.75], "p1", 2)
+    np.testing.assert_array_equal(p, [0.25, 0.75])
+    assert p.dtype == float and not p.flags.writeable
+    with pytest.raises(ValueError, match=r"^p1: entries sum to 0.5, expected 1$"):
+        stochcore.validate_source([0.5], "p1", 2)
+
+
 _ADDER_A = [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]
 
 
@@ -324,6 +417,9 @@ def test_transition_counts_hand_counted():
     assert counts.dtype == np.int64
 
 
+_NOT_1D = "trace must be one-dimensional, got shape"
+
+
 @pytest.mark.parametrize(
     "given, observed, message",
     [
@@ -332,10 +428,15 @@ def test_transition_counts_hand_counted():
         ([0, 2], [0, 0], "g symbol 2 is outside the alphabet of size 2"),
         ([0, -1], [0, 0], "g symbol -1 is outside the alphabet of size 2"),
         ([0, 1], [0, 3], "o symbol 3 is outside the alphabet of size 3"),
+        # a trace that is not 1-D used to fail inside NumPy: a broadcast
+        # error, "object too deep for desired array" or an IndexError
+        (np.zeros((5, 2), int), np.zeros(10, int), f"g {_NOT_1D} (5, 2)"),
+        (np.zeros(5, int), np.zeros((5, 1), int), f"o {_NOT_1D} (5, 1)"),
+        (np.int64(0), np.zeros(1, int), f"g {_NOT_1D} ()"),
     ],
 )
 def test_transition_counts_owns_the_trace_rules(given, observed, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         stochcore.transition_counts(given, observed, 2, 3, ("g", "o"))
 
 
