@@ -204,13 +204,19 @@ def estimate_attack(
     """
     a, b = validate_channel(a, b)
     mu = validate_positive(mu, "mu", zero_allowed=True)
+    gamma_hat = _validate_histogram(gamma_hat, a, b)
+    phi_hat, feasible, _ = _estimate(_compiled(a, b, mu)[0], gamma_hat, a, b)
+    return phi_hat, feasible
+
+
+def _validate_histogram(gamma_hat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """gamma_hat as a |Y1| x |X1| column-stochastic read-only copy, or ValueError."""
     gamma_hat = validate_column_stochastic(gamma_hat, "gamma_hat")
     if gamma_hat.shape != (b.shape[0], a.shape[1]):
         raise ValueError(
             f"gamma_hat has shape {gamma_hat.shape}, expected {(b.shape[0], a.shape[1])}"
         )
-    phi_hat, feasible, _ = _estimate(_compiled(a, b, mu)[0], gamma_hat, a, b)
-    return phi_hat, feasible
+    return gamma_hat
 
 
 def g_mu_residual(
@@ -221,11 +227,14 @@ def g_mu_residual(
     Every column-stochastic gamma_tilde with Pi_B gamma_tilde Pi_A = B phi_hat A
     has the slack l1(B phi_hat A - Pi_B gamma_hat Pi_A), so a zero-objective
     LP over gamma_tilde only decides whether one exists; +inf when none does.
+    A, B and gamma_hat are checked as estimate_attack checks them; phi_hat
+    must be |U| x |U| and may leave the simplex (then often +inf).
     """
+    a, b = validate_channel(a, b)
+    gamma_hat = _validate_histogram(gamma_hat, a, b)
     phi_hat = np.asarray(phi_hat, dtype=float)
-    gamma_hat = np.asarray(gamma_hat, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    if phi_hat.shape != (a.shape[0], a.shape[0]):
+        raise ValueError(f"phi_hat has shape {phi_hat.shape}, expected {(a.shape[0], a.shape[0])}")
     y1, x1 = b.shape[0], a.shape[1]
     pi_b = column_space_projector(b)
     pi_a = row_space_projector(a)

@@ -12,25 +12,31 @@ outcomes. The pivot loops call ndarray methods and ufunc reductions, not
 NumPy's Python-level wrappers: at this size dispatch, not arithmetic, is
 the cost.
 
+A program has two kinds of sibling, each sharing everything else with it:
+p.with_objective(c) has a new objective, p.with_rhs(...) new right-hand
+sides. The standard form depends only on the constraints and bounds, so
+it is built once, on the first solve of the program or of any sibling,
+and shared by all of them; each solve computes its own cost row from it.
+
 Phase 1 reads only the constraints and the right-hand side, never the
 objective (Chvatal, Linear Programming, 1983, ch. 8), so its result is
-memoized by that data: programs that differ only in their objective, such
-as the per-symbol witness LPs of one channel, run it once. A phase 1
-taken from the memo still counts its pivots, so every outcome is the one
-a fresh solve gives. A cold solve factors each basis once. Phase 1 starts
-at the artificial identity basis, where the tableau is the sign-normalized
-[A | I | b] itself, so it starts without a solve. The memo holds phase 1's
+memoized by that data: objective siblings, such as the per-symbol witness
+LPs of one channel, run it once. A phase 1 taken from the memo still
+counts its pivots, so every outcome is the one a fresh solve gives. A
+cold solve factors each basis once. Phase 1 starts at the artificial
+identity basis, where the tableau is the sign-normalized [A | I | b]
+itself, so it starts without a solve. The memo holds phase 1's
 feasibility, its final basis, its pivots and the tableau it ends on, which
 was refactorized from pristine data to confirm that stop. Phase 2 starts
 from a copy of that tableau at the same basis (ch. 8 again) and computes
 only its own objective row.
 
 An optimal outcome carries its basis. A Restart solves a program once,
-cold, and factors it at its own optimal basis; solve_lp then answers every
-sibling that differs only in its right-hand sides by dual simplex from
-there: reduced costs do not depend on the right-hand side, so the basis
-stays dual feasible and is typically a few pivots from the new optimum
-(Chvatal, Linear Programming, 1983, ch. 10). A sibling already primal
+cold, and factors it at its own optimal basis; solve_lp then answers each
+with_rhs sibling by dual simplex from there: reduced costs do not depend
+on the right-hand side, so the basis stays dual feasible and is typically
+a few pivots from the new optimum (Chvatal, Linear Programming, 1983,
+ch. 10). A sibling already primal
 feasible at that basis costs one matvec. An optimum is declared only after
 the basic values and reduced costs are recomputed at the final basis from
 pristine data. When the dual ratio test finds no eligible entry, the
@@ -84,6 +90,8 @@ class LpProblem:
     None, which means unbounded on that side. Default bounds are (0, None)
     for every variable. The program holds read-only copies of the arrays it
     is given, so writing to the caller's arrays afterwards does not change it.
+    It and its with_rhs and with_objective siblings share one standard
+    form, built on the first solve of any of them.
     """
 
     objective: np.ndarray
@@ -148,13 +156,22 @@ class LpProblem:
                 if lo is not None and hi is not None and lo > hi:
                     raise ValueError(f"bound {j}: lower {lo} exceeds upper {hi}")
         object.__setattr__(self, "bounds", bounds)
+        # not a field: siblings copy this list, so the form one builds is all of theirs
+        object.__setattr__(self, "_form_cell", [])
+
+    @property
+    def _form(self) -> _StandardForm:
+        """The standard form of this program's constraints and bounds."""
+        if not self._form_cell:
+            self._form_cell.append(_StandardForm(self))
+        return self._form_cell[0]
 
     def with_rhs(self, b_eq=None, b_ub=None) -> LpProblem:
         """This program with new right-hand sides.
 
-        The sibling shares this program's matrices, objective and bounds,
-        which are not validated again; only the new vectors are checked, and
-        stored as read-only copies.
+        The sibling shares this program's matrices, objective, bounds and
+        standard form, which are not validated again; only the new vectors
+        are checked, and stored as read-only copies.
         """
         sibling = object.__new__(LpProblem)
         sibling.__dict__.update(self.__dict__)
@@ -169,6 +186,24 @@ class LpProblem:
                 raise ValueError(f"{name} must be finite")
             vec.setflags(write=False)
             object.__setattr__(sibling, name, vec)
+        return sibling
+
+    def with_objective(self, objective) -> LpProblem:
+        """This program with a new objective.
+
+        The sibling shares this program's constraints, bounds and standard
+        form, which are not validated again; only the new objective is
+        checked, and stored as a read-only copy.
+        """
+        c = np.array(objective, dtype=float).ravel()
+        if c.size != self.objective.size:
+            raise ValueError(f"objective has {c.size} entries for {self.objective.size} variables")
+        if not np.isfinite(c).all():
+            raise ValueError("objective must be finite")
+        c.setflags(write=False)
+        sibling = object.__new__(LpProblem)
+        sibling.__dict__.update(self.__dict__)
+        object.__setattr__(sibling, "objective", c)
         return sibling
 
 
@@ -206,7 +241,9 @@ class _StandardForm:
     two-sided bound, each scaled to unit max-abs; columns are the
     structural variables and then one slack per inequality or box row.
     ``full`` does not depend on the right-hand side, which ``rhs`` maps
-    into the same rows, so no row is sign-flipped here.
+    into the same rows, so no row is sign-flipped here, nor on the
+    objective, which ``cost`` maps onto the columns. The arrays are
+    read-only: the form is shared by a program's siblings.
     """
 
     def __init__(self, p: LpProblem):
@@ -254,14 +291,21 @@ class _StandardForm:
         self.full = np.zeros((m, n_std + m_ub))
         self.full[:, :n_std] = mat
         self.full[m - m_ub :, n_std:] = np.eye(m_ub)
-        self.cost = np.zeros(n_std + m_ub)
-        self.cost[:n_std] = p.objective @ s
         self.s, self.t = s, t
+        for arr in (self.full, self.shift, self.divisor, self.caps, s, t):
+            arr.setflags(write=False)
 
     def rhs(self, p: LpProblem) -> np.ndarray:
         """The scaled standard-form right-hand side of p (or of a sibling)."""
         given = [vec for vec in (p.b_eq, p.b_ub) if vec is not None]
         return (np.concatenate(given + [self.caps]) - self.shift) / self.divisor
+
+    def cost(self, p: LpProblem) -> np.ndarray:
+        """p's objective on the columns, then a zero per row for the artificials."""
+        m, n_real = self.full.shape
+        cost = np.zeros(n_real + m)
+        cost[: self.s.shape[1]] = p.objective @ self.s
+        return cost
 
 
 # ---------- simplex core ----------
@@ -335,13 +379,15 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
     forces a ratio of 0 and ejects the artificial instead, on either pivot
     sign. Such pivots can happen at most once per artificial, so they
     cannot cycle, and sound unbounded certificates are preserved (a ray may
-    never grow an artificial).
+    never grow an artificial). An ejected artificial never re-enters, so
+    once none is left the pinning stops.
     """
     tab, obj = start
     n_enter = ext.shape[1] - ext.shape[0]
     if n_enter == 0:  # a program without variables: no column can enter
         return "optimal", tab, basis, 0
-    pinning = pin_start < ext.shape[1]  # phase 2; in phase 1 nothing is pinned
+    lingering = basis >= pin_start  # rows pinned at zero; none in phase 1
+    pinning = lingering.any()
     ratios = np.empty(ext.shape[0])
     since_refresh = 0
     stall = 0
@@ -363,7 +409,7 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
         ratios.fill(np.inf)
         np.divide(tab[:, -1], col, out=ratios, where=blocking)
         if pinning:
-            pinned = (basis >= pin_start) & (np.abs(col) > _PIVOT_TOL)
+            pinned = lingering & (np.abs(col) > _PIVOT_TOL)
             ratios[pinned] = 0.0
             blocking |= pinned
         rmin = np.minimum.reduce(ratios, initial=np.inf)
@@ -384,6 +430,9 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
             row = int(ties[np.abs(col[ties]).argmax()])
         before = obj[-1]
         _pivot(tab, obj, basis, row, j)
+        if pinning and lingering[row]:  # an artificial left the basis
+            lingering[row] = False
+            pinning = lingering.any()
         pivots += 1
         since_refresh += 1
         if since_refresh >= _REFRESH_PERIOD:
@@ -530,13 +579,13 @@ class Restart:
     """
 
     def __init__(self, p: LpProblem):
-        form = _StandardForm(p)
+        form = p._form
         self.problem, self.form = p, form
         self.optimum = _solve_cold(p, form, 0)
         self.basis = self.optimum.basis
         m, n_real = form.full.shape
         self.ext = np.hstack([form.full, np.eye(m)])
-        self.cost = np.concatenate([form.cost, np.zeros(m)])
+        self.cost = form.cost(p)
         self.inverse = self.tableau = self.reduced = None
         if self.basis is None:
             return
@@ -585,7 +634,7 @@ def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
     been given.
     """
     if restart is None:
-        return _solve_cold(p, _StandardForm(p), 0)
+        return _solve_cold(p, p._form, 0)
     outcome, spent = restart.answer(p)
     return outcome if outcome is not None else _solve_cold(p, restart.form, spent)
 
@@ -608,7 +657,7 @@ def _solve_cold(p: LpProblem, form: _StandardForm, spent: int) -> LpOutcome:
     # redundant equality rows
     m, n_real = full.shape
     ext = np.hstack([full, np.eye(m)])
-    c2 = np.concatenate([form.cost, np.zeros(m)])
+    c2 = form.cost(p)
     obj = _objective_row(np.ascontiguousarray(tab[:, :-1]), tab[:, -1].copy(), c2, basis)
     status, tab, basis, pivots2 = _simplex(
         ext, rhs, c2, basis.copy(), (tab.copy(), obj), _max_iter(full.shape), pin_start=n_real

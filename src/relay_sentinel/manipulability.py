@@ -13,9 +13,11 @@ node. Three cooperating procedures decide this:
 * find_witness: recovers a concrete deviation by maximizing each diagonal
   entry in turn over the deviation polytope (one LP per symbol; the first
   clearly positive optimum wins, so results merge deterministically). The
-  LPs differ only in their objective, so they share one phase 1.
+  polytope is validated once and each LP is its with_objective sibling,
+  so they share one standard form and one phase 1.
 * dpv_search_algorithm2: a solver-free sign-pattern search over the left
-  null space of A, authoritative when B has a trivial right null space.
+  null space of A, authoritative when B has a trivial right null space
+  (rank(B) = |U|, so B has at least |U| rows).
 
 certify() runs the applicable procedures and insists their verdicts agree.
 """
@@ -60,8 +62,8 @@ class ConsistencyFailure(RuntimeError):
 class ManipulabilityVerdict:
     """Combined certification result.
 
-    dpv_found mirrors the null-space search, which runs only on a square
-    full-rank B, or stays None; method is then "Both", else "Algorithm1".
+    dpv_found mirrors the null-space search, which runs only when B has
+    full column rank, or stays None; method is then "Both", else "Algorithm1".
     """
 
     manipulable: bool
@@ -136,10 +138,15 @@ def check_algorithm1(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
 
 def _deviation_polytope(a: np.ndarray, b: np.ndarray):
     """Equality rows and bounds shared by the per-diagonal witness LPs."""
-    size_u = a.shape[0]
-    # vec_r(B Y A) = kron(B, A.T) @ vec_r(Y), and Y's column sums are
-    # kron(1, I) @ vec_r(Y)
-    a_eq = np.vstack([np.kron(b, a.T), np.kron(np.ones((1, size_u)), np.eye(size_u))])
+    size_u, size_x1 = a.shape
+    size_y1 = b.shape[0]
+    # vec_r(B Y A) = kron(B, A.T) @ vec_r(Y): row (y, x), column (j, m) holds
+    # B_yj A_mx. Y's column sums are kron(1, I) @ vec_r(Y): row m holds a 1
+    # in column (j, m) for every j
+    reach = b[:, None, :, None] * a.T[None, :, None, :]
+    a_eq = np.vstack(
+        [reach.reshape(size_y1 * size_x1, size_u * size_u), np.tile(np.eye(size_u), size_u)]
+    )
     b_eq = np.zeros(a_eq.shape[0])
     bounds = tuple(
         (None, 1.0) if j == m else (None, 0.0)
@@ -157,17 +164,17 @@ def find_witness(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     nonnegativity follows from balance plus the off-diagonal signs). The
     first optimum above the zero gate is returned. The zero matrix is
     always feasible and the objective is capped at 1, so any non-optimal
-    solver status raises CertificationFailure.
+    solver status raises CertificationFailure. The polytope is one program
+    and each LP its with_objective sibling.
     """
     a, b = validate_channel(a, b)
     size_u = a.shape[0]
     a_eq, b_eq, bounds = _deviation_polytope(a, b)
+    polytope = LpProblem(np.zeros(size_u * size_u), a_eq=a_eq, b_eq=b_eq, bounds=bounds)
     for k in range(size_u):
         c = np.zeros(size_u * size_u)
         c[k * size_u + k] = -1.0
-        outcome = solve_lp(
-            LpProblem(objective=c, a_eq=a_eq, b_eq=b_eq, bounds=bounds)
-        )
+        outcome = solve_lp(polytope.with_objective(c))
         if outcome.status is not LpStatus.OPTIMAL:
             raise CertificationFailure(
                 f"witness LP for symbol {k} ended {outcome.status.value}; "
@@ -250,9 +257,10 @@ def dpv_search_algorithm2(a: np.ndarray) -> str:
 def certify(a: np.ndarray, b: np.ndarray) -> ManipulabilityVerdict:
     """Full certification of (A, B) with cross-checked verdicts.
 
-    Always runs the LP check and the witness search; when B is square with
-    full rank (trivial right null space) the null-space search runs as
-    well. Any disagreement raises ConsistencyFailure rather than guessing.
+    Always runs the LP check and the witness search; when B has full
+    column rank (trivial right null space) the null-space search runs as
+    well. B then has at least |U| rows, so a shorter B skips the rank.
+    Any disagreement raises ConsistencyFailure rather than guessing.
     """
     a, b = validate_channel(a, b)
     size_u = a.shape[0]
@@ -266,7 +274,7 @@ def certify(a: np.ndarray, b: np.ndarray) -> ManipulabilityVerdict:
         )
     induced = witness_to_attack(upsilon) if upsilon is not None else None
     dpv_found = None
-    if rank(b) == size_u:
+    if b.shape[0] >= size_u and rank(b) == size_u:
         dpv_found = dpv_search_algorithm2(a) == "found"
         if dpv_found != manipulable:
             raise ConsistencyFailure(

@@ -204,18 +204,24 @@ def test_detector_config_validation(motivating_a):
         DetectorConfig(a=motivating_a, b=np.eye(4), mu=0.1, delta=0.065)
 
 
+# faults of A, B and gamma_hat, which estimate_attack and g_mu_residual name alike
+_HISTOGRAM_FAULTS = [
+    ({"a": 2 * np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])}, r"^A\[\.\]\[0\]: column sums to 2"),
+    ({"b": np.full((3, 3), 0.5)}, r"^B\[\.\]\[0\]: column sums to 1.5"),
+    ({"b": np.eye(4)}, "^A and B disagree on the relay alphabet size"),
+    ({"gamma_hat": np.full((3, 2), 0.5)}, r"^gamma_hat\[\.\]\[0\]: column sums to 1.5"),
+    ({"gamma_hat": np.full((2, 2), 0.5)}, r"^gamma_hat has shape \(2, 2\), expected \(3, 2\)"),
+]
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
         ({"mu": -0.1}, "^mu must be nonnegative and finite, got -0.1"),
         ({"mu": np.inf}, "^mu must be nonnegative and finite"),
         ({"mu": np.nan}, "^mu must be nonnegative and finite"),
-        ({"a": 2 * np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])}, r"^A\[\.\]\[0\]: column sums to 2"),
-        ({"b": np.full((3, 3), 0.5)}, r"^B\[\.\]\[0\]: column sums to 1.5"),
-        ({"b": np.eye(4)}, "^A and B disagree on the relay alphabet size"),
-        ({"gamma_hat": np.full((3, 2), 0.5)}, r"^gamma_hat\[\.\]\[0\]: column sums to 1.5"),
-        ({"gamma_hat": np.full((2, 2), 0.5)}, r"^gamma_hat has shape \(2, 2\), expected \(3, 2\)"),
-    ],
+    ]
+    + _HISTOGRAM_FAULTS,
 )
 def test_estimate_attack_rejects_bad_input_by_name(motivating_a, change, message):
     # mu = -0.1 and a column of A summing to 2 used to reach the LP and fail
@@ -223,6 +229,22 @@ def test_estimate_attack_rejects_bad_input_by_name(motivating_a, change, message
     args = {"gamma_hat": motivating_a, "a": motivating_a, "b": np.eye(3), "mu": 0.1, **change}
     with pytest.raises(ValueError, match=message):
         detector.estimate_attack(**args)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    _HISTOGRAM_FAULTS
+    + [
+        ({"phi_hat": np.eye(2)}, r"^phi_hat has shape \(2, 2\), expected \(3, 3\)"),
+        ({"phi_hat": np.ones(3)}, r"^phi_hat has shape \(3,\), expected \(3, 3\)"),
+    ],
+)
+def test_g_mu_residual_rejects_bad_input_by_name(motivating_a, change, message):
+    # A, B and gamma_hat are checked as estimate_attack checks them; phi_hat
+    # only for its shape, since a candidate off the simplex is allowed
+    args = {"phi_hat": np.eye(3), "gamma_hat": motivating_a, "a": motivating_a, "b": np.eye(3)}
+    with pytest.raises(ValueError, match=message):
+        detector.g_mu_residual(**{**args, **change})
 
 
 @pytest.mark.parametrize("field", ["mu", "delta"])
@@ -272,7 +294,7 @@ def test_feasibility_guarantee_clean_run(motivating_a):
 def test_g_mu_residual_is_infinite_when_no_histogram_reproduces_phi_hat():
     # B = I3 and A of full column rank make Pi_B and Pi_A identities, so
     # gamma_tilde would have to equal B phi_hat A, which has the entry -0.1
-    a = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.0]])
+    a = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
     phi_hat = np.array([[1.2, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.2, 0.0, 1.0]])
     assert (phi_hat @ a)[2, 0] == pytest.approx(-0.1, abs=1e-15)
     assert detector.g_mu_residual(phi_hat, a, a, np.eye(3)) == np.inf

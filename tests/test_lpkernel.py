@@ -566,6 +566,79 @@ def test_restart_answers_from_pristine_data_despite_tableau_drift(monkeypatch):
     assert answered >= 50
 
 
+# ---------- objective siblings ----------
+
+
+def test_an_objective_sibling_shares_all_but_its_objective(monkeypatch):
+    built = []
+
+    class Counting(lpkernel._StandardForm):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(lpkernel, "_StandardForm", Counting)
+    p = LpProblem(
+        objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, -1.0]], b_ub=[0.5],
+        bounds=[(0.0, 2.0), (None, 1.0)],
+    )
+    c = np.array([3.0, -1.0])
+    sibling = p.with_objective(c)
+    c[0] = 0.0
+    assert sibling.objective.tolist() == [3.0, -1.0] and not sibling.objective.flags.writeable
+    assert p.objective.tolist() == [1.0, 2.0]
+    for name in ("a_eq", "b_eq", "a_ub", "b_ub", "bounds"):
+        assert getattr(sibling, name) is getattr(p, name)
+    # the sibling solves first and builds the form; the parent and a
+    # right-hand-side sibling made before that solve use the same one
+    moved = p.with_rhs(b_eq=[1.5])
+    assert _outcome_key(solve_lp(sibling)) == _outcome_key(solve_lp(LpProblem(
+        objective=[3.0, -1.0], a_eq=p.a_eq, b_eq=p.b_eq, a_ub=p.a_ub, b_ub=p.b_ub, bounds=p.bounds,
+    )))
+    built.clear()
+    for q in (p, moved, moved.with_objective([0.0, 1.0])):
+        solve_lp(q)
+    assert built == []
+    assert sibling._form is p._form is moved._form
+    assert not sibling._form.full.flags.writeable
+    # a Restart answers right-hand-side siblings only
+    with pytest.raises(ValueError, match="different program"):
+        solve_lp(sibling, lpkernel.Restart(p))
+
+
+def test_an_objective_sibling_checks_only_its_objective():
+    p = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    with pytest.raises(ValueError, match="^objective has 3 entries for 2 variables$"):
+        p.with_objective([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^objective has 1 entries for 2 variables$"):
+        p.with_objective(1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^objective must be finite$"):
+            p.with_objective([1.0, bad])
+    assert p.with_objective([[4.0], [5.0]]).objective.tolist() == [4.0, 5.0]
+
+
+def test_objective_siblings_solve_as_fresh_programs(
+    motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    # find_witness solves its LPs as objective siblings of one program; each
+    # outcome must be that of a program built from scratch, bit for bit, on
+    # the channels of the phase-start oracle below
+    channels = _reference_channels(motivating_a, motivating_b, higher_a, higher_b, counter_b)
+    solved = 0
+    for a, b in channels:
+        fresh = _witness_programs(a, b)
+        a_eq, b_eq, bounds = manipulability._deviation_polytope(a, b)
+        polytope = LpProblem(np.zeros(fresh[0].objective.size), a_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        lpkernel._phase_one.cache_clear()
+        expected = [_outcome_key(solve_lp(p)) for p in fresh]
+        lpkernel._phase_one.cache_clear()
+        siblings = [polytope.with_objective(p.objective) for p in fresh]
+        assert [_outcome_key(solve_lp(p)) for p in siblings] == expected
+        solved += len(fresh)
+    assert solved > 4 * len(channels)  # 823 LPs: |U| is 3 to 5
+
+
 # ---------- phase-1 memo ----------
 
 

@@ -101,6 +101,22 @@ def test_algorithm1_rows_match_the_per_pair_loop(
         assert rows.tobytes() == _loop_algorithm1_rows(a, b).tobytes()
 
 
+def test_deviation_polytope_rows_match_kron(
+    motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    # the rows are built by broadcasting; np.kron is the oracle, byte for byte
+    rng = np.random.default_rng(22)
+    channels = [(motivating_a, motivating_b), (higher_a, higher_b), (higher_a, counter_b)]
+    for size_u, size_x1, size_y1 in ((2, 1, 3), (3, 2, 2), (4, 3, 5), (5, 2, 4), (5, 5, 5)):
+        channels.append(_random_channel(rng, size_u, size_x1, size_y1))
+    for a, b in channels:
+        size_u = a.shape[0]
+        a_eq, b_eq, _ = manipulability._deviation_polytope(a, b)
+        oracle = np.vstack([np.kron(b, a.T), np.kron(np.ones((1, size_u)), np.eye(size_u))])
+        assert a_eq.tobytes() == oracle.tobytes()
+        assert b_eq.tobytes() == np.zeros(oracle.shape[0]).tobytes()
+
+
 # ---------- find_witness ----------
 
 
@@ -276,6 +292,29 @@ def test_certify_counter_example(higher_a, counter_b):
     assert stochcore.l1_norm(counter_b @ phi @ higher_a - counter_b @ higher_a) <= 1e-6
 
 
+def test_null_space_search_runs_exactly_when_b_has_full_column_rank(
+    monkeypatch, motivating_a, higher_a, higher_b
+):
+    # a tall B of full column rank has a trivial right null space as a
+    # square one does, so the search runs; a B with fewer rows than |U|
+    # cannot reach rank |U|, and certify does not compute its rank
+    honest = manipulability.rank
+    ranked = []
+
+    def recording(m):
+        ranked.append(np.shape(m))
+        return honest(m)
+
+    monkeypatch.setattr(manipulability, "rank", recording)
+    tall = np.array([[0.5, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 0.5]])
+    verdict = manipulability.certify(motivating_a, tall)
+    assert (verdict.manipulable, verdict.method, verdict.dpv_found) == (False, "Both", False)
+    assert tall.shape in ranked
+    ranked.clear()
+    assert manipulability.certify(higher_a, higher_b).method == "Algorithm1"
+    assert ranked == []
+
+
 def test_certify_disagreement_with_null_space_search_raises(
     motivating_a, motivating_b, monkeypatch
 ):
@@ -436,6 +475,22 @@ def test_remembered_phase_one_gives_the_fresh_outcomes(
             assert manipulability.certify(a, b) == verdict
         manipulable += verdict.manipulable
     assert 0 < manipulable < len(channels)
+
+
+def test_certify_builds_one_standard_form_per_polytope(monkeypatch, higher_a, higher_b):
+    # the witness LPs are objective siblings of one program, so they share
+    # its standard form: one for Algorithm 1's LP, one for the deviation
+    # polytope, although fig5a's channel runs all five witness LPs
+    built = []
+
+    class Counting(lpkernel._StandardForm):
+        def __init__(self, p):
+            built.append(p.objective.size)
+            super().__init__(p)
+
+    monkeypatch.setattr(lpkernel, "_StandardForm", Counting)
+    assert not manipulability.certify(higher_a, higher_b).manipulable
+    assert built == [2 * 5 + 3 * 4, 5 * 5]  # (lambda, nu, Omega), then Y
 
 
 def test_certify_runs_one_phase_one_per_polytope(higher_a, higher_b):

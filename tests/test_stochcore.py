@@ -22,6 +22,7 @@ from relay_sentinel import (
     dpv_search_algorithm2,
     estimate_attack,
     find_witness,
+    g_mu_residual,
     stochcore,
 )
 
@@ -304,6 +305,7 @@ _UNREACHABLE_A = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.0]])
         lambda a: find_witness(a, np.eye(3)),
         lambda a: DetectorConfig(a, np.eye(3), 0.1, 0.1),
         lambda a: estimate_attack(a, a, np.eye(3), 0.1),
+        lambda a: g_mu_residual(np.eye(3), a, a, np.eye(3)),
         dpv_search_algorithm2,
         lambda a: stochcore.channel_constants(a, 3),
         lambda a: stochcore.validate_channel(a, np.eye(3)),
@@ -315,6 +317,7 @@ _UNREACHABLE_A = np.array([[0.5, 0.0], [0.5, 1.0], [0.0, 0.0]])
         "find_witness",
         "DetectorConfig",
         "estimate_attack",
+        "g_mu_residual",
         "dpv_search_algorithm2",
         "channel_constants",
         "validate_channel",
