@@ -4,10 +4,13 @@ Symbols are zero-based alphabet indices; for adder MACs the index equals the
 integer symbol value. MAC tables flatten the input pair with column index
 ``x1_index * x2_size + x2_index``.
 
-Sampling draw order inside `simulate_uplink` is fixed (x1 block, then x2
-block, then — for non-deterministic MACs only — the u block) so traces are
-reproducible from a seeded generator. Deterministic MACs consume no draws
-for u.
+A trial's draw order is fixed (x1, then x2, then u, then the attack, then
+y1) so traces are reproducible from a seeded generator. A deterministic
+stage (`stochcore.point_masses`), a MAC's u or a broadcast marginal B's y1,
+is looked up and consumes no draws. The attack always draws, even for a
+permutation phi: its draws sit between u and y1, so skipping them would
+shift every later draw and move the pinned stream digests. y1 is the last
+draw of a trial, so a looked-up y1 leaves every trace as it was.
 
 Each stage draws its stream in consecutive ``trace_blocks``: consecutive
 ``rng.random(k)`` calls return exactly the doubles of one ``rng.random(n)``,
@@ -23,9 +26,9 @@ from functools import lru_cache
 import numpy as np
 
 from .stochcore import (
-    DEFAULT_TOL,
     AlphabetReductionError,
     pair_index,
+    point_masses,
     symbol_dtype,
     trace_blocks,
     validate_column_stochastic,
@@ -52,9 +55,8 @@ class MacModel:
     """Multiple-access channel p(u | x1, x2) in flattened-table form.
 
     ``deterministic`` is derived from the table, validated at construction:
-    it marks a table whose every entry is within ``DEFAULT_TOL`` of 0 or 1
-    (adders), for which simulation computes u directly and consumes no
-    random draws for it.
+    it marks a table of point masses (`stochcore.point_masses`, adders), for
+    which simulation looks u up and consumes no random draws for it.
     """
 
     table: np.ndarray
@@ -70,8 +72,7 @@ class MacModel:
         if table.shape[1] != columns:
             raise ValueError(f"table has {table.shape[1]} columns, expected {columns}")
         object.__setattr__(self, "table", table)
-        deterministic = np.abs(table - np.round(table)).max() <= DEFAULT_TOL
-        object.__setattr__(self, "deterministic", bool(deterministic))
+        object.__setattr__(self, "deterministic", point_masses(table) is not None)
 
     @property
     def u_size(self) -> int:
@@ -125,9 +126,10 @@ def stationary_u_pmf(mac: MacModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
 _CDF_MEMO = 64
 
 
-def _cdf_table(matrix) -> tuple[np.ndarray, np.dtype]:
+def _cdf_table(matrix) -> tuple[np.ndarray, np.dtype, np.ndarray | None]:
     """The running-maximum cumulative sum of ``matrix``'s columns, last row
-    left out, and the symbol dtype of its rows.
+    left out, the symbol dtype of its rows, and a matrix's `point_masses`
+    (None for a pmf).
 
     Memoized by content, so it is built once per matrix, not per trial.
     """
@@ -136,19 +138,31 @@ def _cdf_table(matrix) -> tuple[np.ndarray, np.dtype]:
 
 
 @lru_cache(maxsize=_CDF_MEMO)
-def _cdf_table_of(shape: tuple, data: bytes) -> tuple[np.ndarray, np.dtype]:
-    cum = np.cumsum(np.frombuffer(data).reshape(shape), axis=0)
-    rows = np.maximum.accumulate(cum, axis=0)[:-1]
+def _cdf_table_of(shape: tuple, data: bytes) -> tuple[np.ndarray, np.dtype, np.ndarray | None]:
+    matrix = np.frombuffer(data).reshape(shape)
+    rows = np.maximum.accumulate(np.cumsum(matrix, axis=0), axis=0)[:-1]
     rows.setflags(write=False)
-    return rows, symbol_dtype(shape[0])
+    points = point_masses(matrix) if matrix.ndim == 2 else None
+    if points is not None:
+        points.setflags(write=False)
+    return rows, symbol_dtype(shape[0]), points
 
 
 def _inverse_cdf(rows: np.ndarray, columns, draws: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Writes into ``index`` the number of ``rows`` each draw is >= to."""
-    index.fill(0)
+    if not len(rows):  # a one-symbol alphabet
+        index.fill(0)
+        return index
     if columns is not None:
         columns = np.asarray(columns).astype(np.intp, copy=False)
-    for row in rows:
+    first, *rest = rows
+    # the first comparison is written, not added; a uint8 trace takes it as bool
+    np.greater_equal(
+        draws,
+        first if columns is None else first.take(columns),
+        out=index.view(bool) if index.itemsize == 1 else index,
+    )
+    for row in rest:
         index += draws >= (row if columns is None else row.take(columns))
     return index
 
@@ -166,11 +180,26 @@ def sample_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns=N
     leaving out the last row treats it as 1.0, so a float undersum cannot
     push a draw past the alphabet.
     """
-    rows, dtype = _cdf_table(matrix)
+    rows, dtype, _ = _cdf_table(matrix)
     trace = np.empty(n, dtype)
     for block in trace_blocks(n):
         draws = rng.random(block.stop - block.start)
         _inverse_cdf(rows, None if columns is None else columns(block), draws, trace[block])
+    return trace
+
+
+def _channel_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns) -> np.ndarray:
+    """n symbols through the channel ``matrix`` from the columns ``columns(block)``.
+
+    A matrix of point masses is a lookup, block by block, and draws
+    nothing; any other matrix is sampled by `sample_trace`.
+    """
+    points = _cdf_table(matrix)[2]
+    if points is None:
+        return sample_trace(matrix, n, rng, columns)
+    trace = np.empty(n, points.dtype)
+    for block in trace_blocks(n):
+        points.take(columns(block), out=trace[block])
     return trace
 
 
@@ -189,20 +218,18 @@ def simulate_uplink(
     x2 = sample_trace(p2, n, rng)
 
     def pairs(block):
-        return pair_index(x1[block], x2[block], mac.x2_size)
+        return pair_index(x1[block], x2[block], mac.x1_size, mac.x2_size)
 
-    if not mac.deterministic:
-        return x1, x2, sample_trace(mac.table, n, rng, pairs)
-    point_masses = mac.table.argmax(axis=0).astype(symbol_dtype(mac.u_size))
-    u = np.empty(n, dtype=point_masses.dtype)
-    for block in trace_blocks(n):
-        u[block] = point_masses[pairs(block)]
-    return x1, x2, u
+    return x1, x2, _channel_trace(mac.table, n, rng, pairs)
 
 
 def simulate_downlink(
     b: np.ndarray, v_trace: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pass the relay outputs through the memoryless broadcast marginal B."""
+    """Pass the relay outputs through the memoryless broadcast marginal B.
+
+    A B of point masses (B = I on every fig3 preset) is a lookup of each
+    relay output's column and never calls ``rng``; any other B is sampled.
+    """
     v_trace = np.asarray(v_trace)
-    return sample_trace(b, v_trace.size, rng, lambda block: v_trace[block])
+    return _channel_trace(b, v_trace.size, rng, lambda block: v_trace[block])

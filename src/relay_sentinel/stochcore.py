@@ -16,8 +16,10 @@ Conventions used throughout the package:
   trace rules: 1-D, equal non-zero lengths, every symbol inside its alphabet;
 - symbol traces are stored in the smallest unsigned dtype of their alphabet
   (`symbol_dtype`), and every per-symbol pass walks them in `trace_blocks`,
-  so no temporary grows with the trace length. `pair_index` alone widens a
-  pair of symbols to one intp key.
+  so no temporary grows with the trace length. `pair_index` alone turns a
+  pair of symbols into one key, in the smallest unsigned dtype of the pairs;
+- `point_masses` alone decides whether a matrix is deterministic: every
+  entry within ``DEFAULT_TOL`` of 0 or 1.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "validate_positive",
     "validate_count",
     "symbol_dtype",
+    "point_masses",
     "trace_blocks",
     "pair_index",
     "transition_counts",
@@ -207,19 +210,38 @@ def symbol_dtype(size: int) -> np.dtype:
     return np.min_scalar_type(size - 1)
 
 
+def point_masses(matrix) -> np.ndarray | None:
+    """The row of each column's point mass, in `symbol_dtype`, or None.
+
+    A matrix is deterministic when every entry is within ``DEFAULT_TOL`` of
+    0 or 1; a tolerated stray mass beside a column's unit entry is dropped.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if np.abs(matrix - np.round(matrix)).max() > DEFAULT_TOL:
+        return None
+    return matrix.argmax(axis=0).astype(symbol_dtype(matrix.shape[0]))
+
+
 def trace_blocks(n: int) -> list[slice]:
     """Consecutive slices of at most BLOCK_SIZE symbols that cover range(n)."""
     return [slice(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
 
 
-def pair_index(first: np.ndarray, second: np.ndarray, second_size: int) -> np.ndarray:
-    """The flattened pair keys first * second_size + second, as intp.
+def pair_index(
+    first: np.ndarray, second: np.ndarray, first_size: int, second_size: int
+) -> np.ndarray:
+    """The flattened pair keys first * second_size + second, in the smallest
+    unsigned dtype of first_size * second_size keys (``symbol_dtype``).
 
-    Both are widened to intp in the arithmetic itself: in a compact symbol
-    dtype the product wraps silently, and intp += uint64 raises.
+    The symbols must lie inside their alphabets (the caller checks), so
+    every key fits that dtype whatever the inputs' integer dtype: the
+    arithmetic runs in it, cast unsafely from int64 or uint64 columns. A
+    one-symbol first alphabet is all zeros, so a second_size past the dtype
+    may wrap.
     """
-    key = np.multiply(first, second_size, dtype=np.intp)
-    return np.add(key, second, out=key, dtype=np.intp)
+    dtype = symbol_dtype(first_size * second_size)
+    key = np.multiply(first, np.intp(second_size), dtype=dtype, casting="unsafe")
+    return np.add(key, second, out=key, dtype=dtype, casting="unsafe")
 
 
 def transition_counts(
@@ -252,8 +274,7 @@ def transition_counts(
             )
     counts = np.zeros(observed_size * given_size, dtype=np.intp)
     for block in trace_blocks(given.size):
-        # in range, so every integer dtype (uint64 included) fits an intp
-        keys = pair_index(observed[block], given[block], given_size)
+        keys = pair_index(observed[block], given[block], observed_size, given_size)
         counts += np.bincount(keys, minlength=counts.size)
     return counts.reshape(observed_size, given_size)
 

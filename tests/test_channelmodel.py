@@ -55,6 +55,12 @@ def test_determinism_is_judged_at_default_tol():
         channelmodel.simulate_uplink(mac, [0.5, 0.5], [1.0], n, rng)
         # x1 and x2 take n draws each, and a sampled u another n
         assert rng.random() == stream[2 * n if deterministic else 3 * n]
+        # the same two columns as a downlink B: looked up, or n draws
+        rng = np.random.default_rng(7)
+        y1 = channelmodel.simulate_downlink(mac.table, np.arange(n) % 2, rng)
+        assert rng.random() == stream[0 if deterministic else n]
+        if deterministic:  # the stray mass of column 1 is dropped
+            np.testing.assert_array_equal(y1, np.zeros(n))
     for x1_size in range(1, 6):
         for x2_size in range(1, 6):
             assert MacModel.adder(x1_size, x2_size).deterministic
@@ -306,6 +312,54 @@ def test_blocked_sampler_matches_argmax_oracle_across_blocks(n):
     draws = draws_for(phi)
     v = attackmodel.apply_attack(AttackSpec(phi, parity), u, _ScriptedGenerator(draws))
     np.testing.assert_array_equal(v, _argmax_oracle(phi, u, draws))
+
+
+_POINT_MASS_BS = {
+    "identity": np.eye(3),
+    "permutation": np.eye(3)[:, [2, 0, 1]],
+    "many-to-one": np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+    "one row": np.ones((1, 4)),
+}
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_point_mass_downlink_is_a_lookup_that_draws_nothing(n):
+    rng = np.random.default_rng(n)
+    for label, b in _POINT_MASS_BS.items():
+        v = rng.integers(0, b.shape[1], n).astype(np.uint8)
+        draws = rng.permutation(np.resize(_oracle_draws(b), n))
+        # a generator with no blocks fails on its first call
+        y1 = channelmodel.simulate_downlink(b, v, _ScriptedGenerator())
+        sampled = channelmodel.sample_trace(b, n, _ScriptedGenerator(draws), lambda block: v[block])
+        assert y1.dtype == sampled.dtype == stochcore.symbol_dtype(b.shape[0]), label
+        np.testing.assert_array_equal(y1, sampled, err_msg=label)
+        np.testing.assert_array_equal(y1, _argmax_oracle(b, v, draws), err_msg=label)
+
+
+def test_a_permutation_attack_still_draws():
+    # the attack's draws sit between u and y1 in a trial's stream, so even a
+    # point-mass phi is sampled: a lookup would shift y1's draws
+    n = 1000
+    phi = np.eye(3)[:, [1, 2, 0]]
+    u = (np.arange(n) % 3).astype(np.uint8)
+    stream = np.random.default_rng(8).random(n + 1)
+    rng = np.random.default_rng(8)
+    v = attackmodel.apply_attack(AttackSpec(phi), u, rng)
+    np.testing.assert_array_equal(v, (u + 1) % 3)
+    assert rng.random() == stream[n]
+
+
+def test_wide_alphabets_write_the_first_comparison_in_their_own_dtype():
+    # 257 symbols come back as uint16, which takes no bool view
+    rng = np.random.default_rng(257)
+    matrix = rng.dirichlet(np.ones(257), size=3).T
+    columns = rng.integers(0, 3, 2 * _BLOCK + 7)
+    draws = rng.random(columns.size)
+    trace = channelmodel.sample_trace(
+        matrix, columns.size, _ScriptedGenerator(draws), lambda block: columns[block]
+    )
+    assert trace.dtype == np.uint16
+    np.testing.assert_array_equal(trace, _argmax_oracle(matrix, columns, draws))
 
 
 def test_traces_come_in_the_smallest_unsigned_dtype_of_their_alphabet():

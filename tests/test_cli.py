@@ -1051,6 +1051,37 @@ def test_emitted_fig3b_traces_are_pinned_and_detect_repeats_the_statistic(tmp_pa
     assert json.loads(capsys.readouterr().out)["statistic"] == statistic
 
 
+def test_detect_counts_read_int64_columns_as_the_sampled_uint8_traces(tmp_path, capsys):
+    # read_trace hands transition_counts int64 columns, which the compact
+    # pair keys take by an unsafe cast inside their alphabets
+    out, traces = tmp_path / "out.csv", tmp_path / "traces"
+    argv = ["simulate", "--preset", "fig3b", "--trials", "1", "-o", str(out)]
+    assert main(argv + ["--emit-trace", str(traces)]) == 0
+    curve = preset_curves("fig3b")["phi2"]
+    sampled = trial_traces(curve, 0)
+    sizes = {"x1": 2, "y1": 3, "u": 3, "v": 3}
+    for kind, (given, observed) in (("source", sampled[:2]), ("relay", sampled[2:])):
+        _, header, (first, second) = read_trace(traces / f"trace_0000_{kind}.csv")
+        assert first.dtype == second.dtype == np.int64 and given.dtype == np.uint8
+        given_size, observed_size = sizes[header[1]], sizes[header[2]]
+        counts = transition_counts(first, second, given_size, observed_size, header[1:])
+        np.testing.assert_array_equal(
+            counts, transition_counts(given, observed, given_size, observed_size, header[1:])
+        )
+        wide = np.bincount(second * given_size + first, minlength=given_size * observed_size)
+        np.testing.assert_array_equal(counts, wide.reshape(observed_size, given_size))
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(scenario_document(curve)))
+    capsys.readouterr()
+    code = main(["detect", str(scenario), str(traces / "trace_0000_source.csv")])
+    printed = json.loads(capsys.readouterr().out)
+    report = run_detection(curve.detector_config, *sampled[:2])
+    assert code == (2 if report.verdict == "malicious" else 0)
+    assert printed["statistic"] == report.statistic
+    assert printed["gamma_hat"] == report.gamma_hat.tolist()
+
+
 def test_emitted_traces_read_back_as_the_trial_traces(tmp_path):
     out, traces = tmp_path / "out.csv", tmp_path / "traces"
     argv = ["simulate", "--preset", "fig5b", "--trials", "2", "-o", str(out)]

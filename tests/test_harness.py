@@ -539,10 +539,12 @@ def test_sampler_stream_digest():
             assert digest.hexdigest() == _STREAM_DIGESTS[name, label], (name, label)
 
 
-def test_long_trial_memory_stays_under_one_mib():
+@pytest.mark.parametrize("name", ["fig5a", "fig3d"])
+def test_long_trial_memory_stays_under_one_mib(name):
     # traces are uint8 and every per-symbol pass works in blocks; whole-trace
-    # int64 and float64 temporaries put this peak at about 5.4 MiB
-    scenario = preset("fig5a")
+    # int64 and float64 temporaries put this peak at about 5.4 MiB. fig3d's
+    # B = I is a lookup, where a whole-trace take index adds 800 KB
+    scenario = preset(name)
     assert scenario.n == 100_000
     run_trial(scenario, 0)  # builds the cached estimator and sampling tables
     tracemalloc.start()

@@ -413,6 +413,22 @@ def test_validated_arrays_are_owned_and_read_only(build, inputs):
         assert validated.detector_config.b is validated.b
 
 
+@pytest.mark.parametrize(
+    "first_size, second_size, key_dtype",
+    [(16, 16, np.uint8), (17, 16, np.uint16), (1, 256, np.uint8), (2, 3, np.uint8)],
+)
+def test_pair_index_keys_come_in_the_smallest_unsigned_dtype(first_size, second_size, key_dtype):
+    # every pair once: the keys are 0, ..., first_size * second_size - 1
+    first, second = np.divmod(np.arange(first_size * second_size), second_size)
+    expected = first.astype(np.intp) * second_size + second.astype(np.intp)
+    for dtype in (np.uint8, np.uint16, np.int32, np.int64, np.uint64, np.intp):
+        keys = stochcore.pair_index(
+            first.astype(dtype), second.astype(dtype), first_size, second_size
+        )
+        assert keys.dtype == key_dtype, dtype
+        np.testing.assert_array_equal(keys, expected)
+
+
 def test_transition_counts_hand_counted():
     # counts[i, j] = #(observed = i, given = j), as int64
     counts = stochcore.transition_counts([0, 1, 0, 2, 0], [1, 1, 0, 0, 1], 3, 2, ("x", "y"))
