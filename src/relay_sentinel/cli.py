@@ -22,6 +22,9 @@ relay symbol), ``attack`` (``identity`` | ``iid`` | ``gated``), and
 ``sim`` (``N``, ``trials``, ``mu``, ``delta``, ``seed``).  Trace files
 are CSV with header ``n,x1,y1`` (source side) or ``n,u,v`` (relay side),
 zero-based base-10 int64 symbol indices, and ``#``-prefixed metadata lines.
+A trace in the layout ``simulate --emit-trace`` writes for alphabets of at
+most 10 symbols is checked against that layout and parsed as bytes; any
+other trace is read line by line, with the same result.
 """
 
 import argparse
@@ -250,20 +253,7 @@ _HEADERS = (("n", "x1", "y1"), ("n", "u", "v"))
 # newline and nowhere else, and every ASCII-based encoding decodes it alike
 _PLAIN_LINE = re.compile(rb"([\t -~]*)\n")
 
-# the plain pass parses a body this many bytes at a time, each cut just
-# after a newline, so its temporaries stay in cache; one pass over a whole
-# long body was slower and peaked higher than loadtxt
-_CHUNK_BYTES = 1 << 15
-
-# the widest field the plain pass parses: 10**18 - 1 fits an int64
-_MAX_DIGITS = 18
-_POWERS_OF_TEN = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
-
-_ZERO, _NINE = ord("0"), ord("9")
-
-# the separators of a chunk's plain rows, both below the digits; a row
-# takes at least six bytes, so a chunk holds at most this many
-_ROW_SEPARATORS = np.tile(np.frombuffer(b",,\n", np.uint8), _CHUNK_BYTES // 6)
+_ZERO, _COMMA, _NEWLINE = b"0,\n"
 
 
 def _header(line):
@@ -272,13 +262,14 @@ def _header(line):
 
 
 def _plain_trace(data):
-    """(metadata, header, columns) of a trace in the plain form, or None.
+    """(metadata, header, columns) of a trace in the writer's layout, or None.
 
-    The plain form is what ``simulate --emit-trace`` writes: plain lines
-    (`_PLAIN_LINE`) up to the header, then one or more ``n,a,b`` rows of
-    at most `_MAX_DIGITS` ASCII digits per field, each ending in a newline.
-    Any other file, or a plain one whose ``n`` is not 0, 1, 2, ..., is
-    None, for the line-by-line reader to read or reject.
+    The layout is what ``simulate --emit-trace`` writes for alphabets of at
+    most 10 symbols: plain lines (`_PLAIN_LINE`) up to the header, then the
+    rows ``n,a,b`` for n = 0, 1, 2, ..., each a one-digit symbol pair and
+    a newline, so a row whose index has w digits takes w + 5 bytes. Each
+    run of rows of one width inside a trace block is checked as one table;
+    any other file is None, for the line-by-line reader to read or reject.
     """
     metadata, start, header = {}, 0, None
     while header is None:
@@ -287,64 +278,60 @@ def _plain_trace(data):
             return None
         start = line.end()
         header = _header(next(_content_lines([line[1].decode()], metadata), None))
-    rows = data.count(b"\n", start)
+    rows = _plain_row_count(len(data) - start)
     if header not in _HEADERS or not rows:
         return None
+    body = np.frombuffer(data, np.uint8, offset=start)
     first, second = np.empty(rows, np.int64), np.empty(rows, np.int64)
-    done = 0
-    while start < len(data):
-        stop = data.rfind(b"\n", start, start + _CHUNK_BYTES) + 1
-        if not stop:  # a line longer than a chunk, or one with no newline
-            return None
-        fields = _plain_fields(np.frombuffer(data, np.uint8, stop - start, start))
-        if fields is None:
-            return None
-        index, a, b = fields
-        if not np.array_equal(index, np.arange(done, done + index.size)):
-            return None
-        first[done : done + index.size], second[done : done + index.size] = a, b
-        done += index.size
-        start = stop
+    plain, padded = _low_digit_words()
+    offset = 0
+    for block in trace_blocks(rows):
+        row = block.start
+        while row < block.stop:
+            # a run of rows whose indices have one width and share every
+            # digit but the last four
+            lead, low = divmod(row, _LOW_DIGITS)
+            width = len(str(row))
+            stop = min(block.stop, (lead + 1) * _LOW_DIGITS, 10**width)
+            count = stop - row
+            table = body[offset : offset + count * (width + 5)].reshape(count, width + 5)
+            # an index's last four digits as one unaligned word per row; a
+            # shorter index's word also holds the comma and symbol after it
+            if width < 4:
+                words = table[:, :4].view("<u4")[:, 0] & ((1 << 8 * width) - 1)
+                index = words == plain[low : low + count]
+            else:
+                index = table[:, width - 4 : width].view("<u4")[:, 0] == padded[low : low + count]
+            leading = np.frombuffer(str(lead).encode(), np.uint8)  # from 10 000 on
+            # a symbol byte below the digit 0 wraps past 9
+            a, b = table[:, width + 1] - _ZERO, table[:, width + 3] - _ZERO
+            if not (
+                index.all()
+                and (not lead or (table[:, : width - 4] == leading).all())
+                and (table[:, width] == _COMMA).all()
+                and (table[:, width + 2] == _COMMA).all()
+                and (table[:, width + 4] == _NEWLINE).all()
+                and a.max() < 10
+                and b.max() < 10
+            ):
+                return None
+            first[row:stop], second[row:stop] = a, b
+            offset += table.size
+            row = stop
     return metadata, header, (first, second)
 
 
-def _plain_fields(chunk):
-    """The three fields of a chunk of plain rows as integer columns, or None."""
-    separators = np.flatnonzero(chunk < _ZERO)
-    if separators.size % 3 or chunk.max() > _NINE:
-        return None
-    if not np.array_equal(chunk[separators], _ROW_SEPARATORS[: separators.size]):
-        return None
-    # each field runs from just after the separator before it
-    widths = separators - np.concatenate(([0], separators[:-1] + 1))
-    if widths.min() < 1 or widths.max() > _MAX_DIGITS:
-        return None
-    digits = chunk - _ZERO
-    digits *= chunk >= _ZERO  # a separator reads as the digit 0
-    return [
-        _field_values(digits, ends, width)
-        for ends, width in zip(separators.reshape(-1, 3).T, widths.reshape(-1, 3).T)
-    ]
-
-
-def _field_values(digits, ends, widths):
-    """The fields that end before ``ends``, ``widths`` digits each, by Horner's rule.
-
-    Every field is read over the widest one's places; a narrower field's
-    extra places hold its separator (0) and the digits before it, which
-    the remainder by its own power of ten drops.
-    """
-    width = widths.max()
-    if width == 1:
-        return digits[ends - 1]
-    values = np.zeros(ends.size, np.int64)
-    place = ends - width
-    for _ in range(width):
-        values *= 10
-        # a place before the chunk clips to its first byte, and is dropped
-        values += digits.take(place, mode="clip")
-        place += 1
-    return values if widths.min() == width else values % _POWERS_OF_TEN[widths]
+def _plain_row_count(size):
+    """The number of rows 0, 1, 2, ... of w + 5 bytes each that fill ``size`` bytes, or 0."""
+    rows = 0
+    while size > 0:
+        width = len(str(rows)) + 5
+        run = min(size // width, 10 ** (width - 5) - rows)
+        if not run:
+            return 0
+        rows += run
+        size -= run * width
+    return rows
 
 
 def _integer_rows(lines):
@@ -394,7 +381,8 @@ def _filtered_trace(text):
 def read_trace(path):
     """(metadata, header tuple, (first column, second column)) of a trace CSV.
 
-    A trace in the plain form is parsed as bytes, chunk by chunk; any other
+    A trace in the writer's layout with one-digit symbols (`_plain_trace`)
+    is parsed as bytes, one run of equally wide rows at a time; any other
     is decoded as ``Path.read_text`` decodes it and read line by line.
     """
     try:
@@ -441,6 +429,12 @@ def _low_digit_labels():
     """The labels of 0, ..., 9 999: plain, and zero-filled to four digits."""
     numbers = range(_LOW_DIGITS)
     return _labels([f"{i}" for i in numbers]), _labels([f"{i:04d}" for i in numbers])
+
+
+@functools.cache
+def _low_digit_words():
+    """The plain and zero-filled labels of `_low_digit_labels` as little-endian 32-bit words."""
+    return tuple(labels.view("<u4") for labels in _low_digit_labels())
 
 
 def _trace_rows(first, second, first_size, second_size):

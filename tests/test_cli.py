@@ -18,7 +18,7 @@ import pytest
 
 from relay_sentinel import cli
 from relay_sentinel.attackmodel import AttackSpec, apply_attack
-from relay_sentinel.channelmodel import sample_trace
+from relay_sentinel.channelmodel import MacModel, sample_trace
 from relay_sentinel.cli import (
     ScenarioFileError,
     _trace_rows,
@@ -29,9 +29,9 @@ from relay_sentinel.cli import (
     scenario_hash,
 )
 from relay_sentinel.detector import DetectionReport, run_detection
-from relay_sentinel.harness import preset, preset_curves, trial_traces
+from relay_sentinel.harness import Scenario, preset, preset_curves, trial_traces
 from relay_sentinel.lpkernel import LpFailure
-from relay_sentinel.stochcore import transition_counts
+from relay_sentinel.stochcore import trace_blocks, transition_counts
 
 THIRD = 1 / 3
 
@@ -764,7 +764,7 @@ NAMED_TRACES = {
     "leading_zeros": ("read", "n,x1,y1\n00,01,1\n"),
     "no_final_newline": ("read", "n,x1,y1\n0,1,2\n1,0,0"),
     "unterminated_digit": ("rejected", "n,x1,y1\n0,1,2\n1"),
-    # row 5 001 follows row 4 999, in the body's second 32 KiB chunk
+    # row 5 001 follows row 4 999, in the body's second trace block
     "gap_after_first_chunk": (
         "rejected",
         "n,x1,y1\n" + "".join(f"{i},0,1\n" for i in range(5_000)) + "5001,0,1\n",
@@ -777,6 +777,7 @@ NAMED_TRACES = {
         "n,x1,y1\n" + "".join(f"{i},{10**18 - 1 if i == 7 else 5},1\n" for i in range(40)),
     ),
     "space_inside_a_field": ("rejected", "n,x1,y1\n0,1 2\n"),
+    "two_digit_symbol": ("read", "n,x1,y1\n0,1,12\n1,0,0\n"),
     "ragged_in_threes": ("rejected", "n,x1,y1\n0,1\n1,0,0,0\n"),
     "form_feed_in_a_comment": ("read", "# k = v\x0c# j = w\nn,x1,y1\n0,1,2\n"),
 }
@@ -804,11 +805,12 @@ def _refuse_the_line_by_line_reader(monkeypatch):
     "name, plain",
     [
         ("plain", True),
-        ("leading_zeros", True),
+        ("leading_zeros", False),
         ("duplicate_key", True),
         ("padded_header", True),
         ("relay_header", True),
-        ("eighteen_digit_field", True),
+        ("eighteen_digit_field", False),
+        ("two_digit_symbol", False),
         ("no_final_newline", False),
         ("nineteen_digit_index", False),
         ("gap_after_first_chunk", False),
@@ -833,12 +835,16 @@ def test_read_trace_parses_only_plain_traces_as_bytes(tmp_path, monkeypatch, nam
             read_trace(path)
 
 
-# every preset at its own N, and fig3b across the index digit-width edges;
-# a body of N >= 10 000 rows spans more than two 32 KiB chunks
+# every preset at its own N, and fig3b across the edges of the index digit
+# widths and of the trace blocks that cut the body into runs of rows; a
+# body of N >= 10 000 rows spans more than two trace blocks
 @pytest.mark.parametrize(
     "name, n",
     [(name, None) for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b")]
-    + [("fig3b", n) for n in (1, 9_999, 10_000, 10_001, 100_000)],
+    + [
+        ("fig3b", n)
+        for n in (1, 10, 100, 1_000, 4_096, 4_097, 8_193, 9_999, 10_000, 10_001, 20_001, 100_000)
+    ],
 )
 def test_emitted_traces_are_parsed_as_bytes(tmp_path, monkeypatch, name, n):
     scenario = preset(name) if n is None else dataclasses.replace(preset(name), n=n)
@@ -847,15 +853,95 @@ def test_emitted_traces_are_parsed_as_bytes(tmp_path, monkeypatch, name, n):
     _refuse_the_line_by_line_reader(monkeypatch)
     for side, columns in (("source", traces[:2]), ("relay", traces[2:])):
         path = tmp_path / f"trace_0000_{side}.csv"
-        if scenario.n >= 10_000:
-            assert path.stat().st_size > 2 * cli._CHUNK_BYTES
         meta, header, read = read_trace(path)
+        if scenario.n >= 10_000:
+            assert len(trace_blocks(read[0].size)) > 2
         old_meta, old_header, old_read = _old_read_trace(path)
         assert meta == old_meta and header == old_header
         for column, trace, old_column in zip(read, columns, old_read):
             assert column.dtype == old_column.dtype == np.int64
             np.testing.assert_array_equal(column, trace.astype(np.int64))
             np.testing.assert_array_equal(column, old_column)
+
+
+def test_a_fifteen_symbol_trace_pair_is_read_line_by_line(tmp_path, monkeypatch):
+    # an 8 x 8 adder's relay symbols run to 14, so both files hold two-digit
+    # symbols and leave the byte pass whole for the line-by-line reader
+    scenario = Scenario(
+        p1=np.full(8, 1 / 8),
+        p2=np.full(8, 1 / 8),
+        mac=MacModel.adder(8, 8),
+        b=np.eye(15),
+        attack=AttackSpec(),
+        n=10_000,
+        mu=0.05,
+        delta=0.07,
+        trials=1,
+        master_seed=7,
+    )
+    traces = trial_traces(scenario, 0)
+    cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, traces)
+    filtered, calls = cli._filtered_trace, []
+
+    def counted(text):
+        calls.append(len(text))
+        return filtered(text)
+
+    monkeypatch.setattr(cli, "_filtered_trace", counted)
+    for side, columns in (("source", traces[:2]), ("relay", traces[2:])):
+        path = tmp_path / f"trace_0000_{side}.csv"
+        meta, header, read = read_trace(path)
+        old_meta, old_header, old_read = _old_read_trace(path)
+        assert meta == old_meta and header == old_header
+        assert columns[1].max() >= 10
+        for column, trace, old_column in zip(read, columns, old_read):
+            np.testing.assert_array_equal(column, trace.astype(np.int64))
+            np.testing.assert_array_equal(column, old_column)
+    assert len(calls) == 2
+
+
+# rows on both sides of each index width edge, and what a mutation puts in
+_EDGE_ROWS = (9, 10, 99, 100, 999, 1_000)
+_MUTANT_BYTES = "0123456789,\n\r -+#"
+
+
+def test_read_trace_matches_the_line_by_line_reader_on_mutated_width_edges(tmp_path):
+    scenario = dataclasses.replace(preset("fig3b"), n=1_100)
+    cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, trial_traces(scenario, 0))
+    text = (tmp_path / "trace_0000_source.csv").read_text()
+    body = text.index("n,x1,y1\n") + len("n,x1,y1\n")
+    starts = [body] + [body + 1 + i for i, byte in enumerate(text[body:]) if byte == "\n"]
+    rng = np.random.default_rng(20261019)
+    path = tmp_path / "trace.csv"
+    outcomes, drawn = {}, set()
+    for _ in range(600):
+        row = _EDGE_ROWS[int(rng.integers(len(_EDGE_ROWS)))]
+        # any byte of the row, its newline included
+        at = starts[row] + int(rng.integers(starts[row + 1] - starts[row]))
+        kind = ("substitute", "insert", "delete")[int(rng.integers(3))]
+        byte = _MUTANT_BYTES[int(rng.integers(len(_MUTANT_BYTES)))]
+        rest = text[at + 1 :] if kind != "insert" else text[at:]
+        mutant = text[:at] + (byte if kind != "delete" else "") + rest
+        outcome = _compare_readers(path, mutant)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        drawn.add((row, kind))
+    assert len(drawn) == 3 * len(_EDGE_ROWS)
+    assert min(outcomes.get(k, 0) for k in ("read", "rejected")) >= 50, outcomes
+
+
+def test_read_trace_checks_every_index_digit_at_ten_thousand(tmp_path):
+    # past 9 999 the leading index digits are checked as columns and the
+    # last four as one word; a changed digit anywhere in rows 9 999 and
+    # 10 000 leaves a gap that both readers reject
+    scenario = dataclasses.replace(preset("fig3b"), n=10_001)
+    cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, trial_traces(scenario, 0))
+    text = (tmp_path / "trace_0000_source.csv").read_text()
+    for row in (9_999, 10_000):
+        at = text.index(f"\n{row},") + 1
+        for digit in range(len(str(row))):
+            changed = "1" if text[at + digit] != "1" else "2"
+            mutant = text[: at + digit] + changed + text[at + digit + 1 :]
+            assert _compare_readers(tmp_path / "trace.csv", mutant) == "rejected", (row, digit)
 
 
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
