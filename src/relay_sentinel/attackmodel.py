@@ -92,7 +92,7 @@ def apply_attack(
         parity = _PARITIES[int(np.bitwise_xor.reduce(u_trace)) & 1]
         if parity != spec.gate_parity:
             return u_trace.copy()
-    return sample_trace(spec.phi, u_trace.size, rng, lambda block: u_trace[block])
+    return sample_trace(spec.phi, u_trace.size, rng, u_trace)
 
 
 def extract_attack_channel(

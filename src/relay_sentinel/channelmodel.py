@@ -15,7 +15,8 @@ draw of a trial, so a looked-up y1 leaves every trace as it was.
 Each stage draws its stream in consecutive ``trace_blocks``: consecutive
 ``rng.random(k)`` calls return exactly the doubles of one ``rng.random(n)``,
 so a trace is bitwise the one a single draw gives, and it comes back in the
-smallest unsigned dtype of its alphabet (``symbol_dtype``).
+smallest unsigned dtype of its alphabet (``symbol_dtype``). A stage's
+columns, such as the uplink's `pair_index` keys, are one array per trace.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ def stationary_u_pmf(mac: MacModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
 _CDF_MEMO = 64
 
 
-def _cdf_table(matrix) -> tuple[np.ndarray, np.dtype, np.ndarray | None]:
+def _cdf_table(matrix) -> tuple[tuple, np.dtype, np.ndarray | None]:
     """The running-maximum cumulative sum of ``matrix``'s columns, last row
-    left out, the symbol dtype of its rows, and a matrix's `point_masses`
-    (None for a pmf).
+    left out, as a tuple of read-only rows, the symbol dtype of its rows,
+    and a matrix's `point_masses` (None for a pmf).
 
     Memoized by content, so it is built once per matrix, not per trial.
     """
@@ -138,31 +139,30 @@ def _cdf_table(matrix) -> tuple[np.ndarray, np.dtype, np.ndarray | None]:
 
 
 @lru_cache(maxsize=_CDF_MEMO)
-def _cdf_table_of(shape: tuple, data: bytes) -> tuple[np.ndarray, np.dtype, np.ndarray | None]:
+def _cdf_table_of(shape: tuple, data: bytes) -> tuple[tuple, np.dtype, np.ndarray | None]:
     matrix = np.frombuffer(data).reshape(shape)
     rows = np.maximum.accumulate(np.cumsum(matrix, axis=0), axis=0)[:-1]
     rows.setflags(write=False)
     points = point_masses(matrix) if matrix.ndim == 2 else None
     if points is not None:
         points.setflags(write=False)
-    return rows, symbol_dtype(shape[0]), points
+    return tuple(rows), symbol_dtype(shape[0]), points
 
 
-def _inverse_cdf(rows: np.ndarray, columns, draws: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _inverse_cdf(rows: tuple, columns, draws: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Writes into ``index`` the number of ``rows`` each draw is >= to."""
-    if not len(rows):  # a one-symbol alphabet
+    if not rows:  # a one-symbol alphabet
         index.fill(0)
         return index
     if columns is not None:
         columns = np.asarray(columns).astype(np.intp, copy=False)
-    first, *rest = rows
     # the first comparison is written, not added; a uint8 trace takes it as bool
     np.greater_equal(
         draws,
-        first if columns is None else first.take(columns),
+        rows[0] if columns is None else rows[0].take(columns),
         out=index.view(bool) if index.itemsize == 1 else index,
     )
-    for row in rest:
+    for row in rows[1:]:
         index += draws >= (row if columns is None else row.take(columns))
     return index
 
@@ -170,8 +170,8 @@ def _inverse_cdf(rows: np.ndarray, columns, draws: np.ndarray, index: np.ndarray
 def sample_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns=None) -> np.ndarray:
     """n symbols drawn by inverse-CDF sampling, one of ``trace_blocks(n)`` at a time.
 
-    ``matrix`` is a matrix of column pmfs and ``columns(block)`` gives the
-    column of each symbol in the slice ``block``; without it every symbol
+    ``matrix`` is a matrix of column pmfs and ``columns``, an integer array
+    of n entries, gives the column of each symbol; without it every symbol
     is drawn from the one pmf ``matrix``. The draws of the blocks are those
     of one ``rng.random(n)``. Each symbol is the first row whose cumulative
     sum exceeds its draw: the number of rows of the running-maximum
@@ -180,26 +180,28 @@ def sample_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns=N
     leaving out the last row treats it as 1.0, so a float undersum cannot
     push a draw past the alphabet.
     """
+    if columns is not None and np.shape(columns) != (n,):
+        raise ValueError(f"columns has shape {np.shape(columns)} for a trace of {n} symbols")
     rows, dtype, _ = _cdf_table(matrix)
     trace = np.empty(n, dtype)
     for block in trace_blocks(n):
         draws = rng.random(block.stop - block.start)
-        _inverse_cdf(rows, None if columns is None else columns(block), draws, trace[block])
+        _inverse_cdf(rows, None if columns is None else columns[block], draws, trace[block])
     return trace
 
 
-def _channel_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns) -> np.ndarray:
-    """n symbols through the channel ``matrix`` from the columns ``columns(block)``.
+def _channel_trace(matrix: np.ndarray, rng: np.random.Generator, columns: np.ndarray) -> np.ndarray:
+    """One symbol through the channel ``matrix`` from each entry of ``columns``.
 
     A matrix of point masses is a lookup, block by block, and draws
     nothing; any other matrix is sampled by `sample_trace`.
     """
     points = _cdf_table(matrix)[2]
     if points is None:
-        return sample_trace(matrix, n, rng, columns)
-    trace = np.empty(n, points.dtype)
-    for block in trace_blocks(n):
-        points.take(columns(block), out=trace[block])
+        return sample_trace(matrix, columns.size, rng, columns)
+    trace = np.empty(columns.size, points.dtype)
+    for block in trace_blocks(columns.size):
+        points.take(columns[block], out=trace[block])
     return trace
 
 
@@ -216,11 +218,7 @@ def simulate_uplink(
     p2 = validate_source(p2, "p2", mac.x2_size)
     x1 = sample_trace(p1, n, rng)
     x2 = sample_trace(p2, n, rng)
-
-    def pairs(block):
-        return pair_index(x1[block], x2[block], mac.x1_size, mac.x2_size)
-
-    return x1, x2, _channel_trace(mac.table, n, rng, pairs)
+    return x1, x2, _channel_trace(mac.table, rng, pair_index(x1, x2, mac.x1_size, mac.x2_size))
 
 
 def simulate_downlink(
@@ -232,4 +230,4 @@ def simulate_downlink(
     relay output's column and never calls ``rng``; any other B is sampled.
     """
     v_trace = np.asarray(v_trace)
-    return _channel_trace(b, v_trace.size, rng, lambda block: v_trace[block])
+    return _channel_trace(b, rng, v_trace)

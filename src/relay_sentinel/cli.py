@@ -283,7 +283,7 @@ def _plain_trace(data):
         return None
     body = np.frombuffer(data, np.uint8, offset=start)
     first, second = np.empty(rows, np.int64), np.empty(rows, np.int64)
-    plain, padded = _low_digit_words()
+    plain, padded = (labels.view("<u4") for labels in _low_digit_labels())
     offset = 0
     for block in trace_blocks(rows):
         row = block.start
@@ -426,15 +426,11 @@ def _labels(texts):
 
 @functools.cache
 def _low_digit_labels():
-    """The labels of 0, ..., 9 999: plain, and zero-filled to four digits."""
-    numbers = range(_LOW_DIGITS)
-    return _labels([f"{i}" for i in numbers]), _labels([f"{i:04d}" for i in numbers])
-
-
-@functools.cache
-def _low_digit_words():
-    """The plain and zero-filled labels of `_low_digit_labels` as little-endian 32-bit words."""
-    return tuple(labels.view("<u4") for labels in _low_digit_labels())
+    """`_labels` of 0, ..., 9 999: plain, and zero-filled to four digits."""
+    numbers = np.arange(_LOW_DIGITS)
+    # 10 000 + i has five digits, the last four of them i zero-filled
+    filled = (numbers + _LOW_DIGITS).astype("S5").view(np.uint8).reshape(-1, 5)[:, 1:]
+    return numbers.astype("S4").view("V4"), np.ascontiguousarray(filled).view("V4")[:, 0]
 
 
 def _trace_rows(first, second, first_size, second_size):

@@ -15,9 +15,11 @@ Conventions used throughout the package:
 - `transition_counts` alone counts a pair of symbol traces and decides the
   trace rules: 1-D, equal non-zero lengths, every symbol inside its alphabet;
 - symbol traces are stored in the smallest unsigned dtype of their alphabet
-  (`symbol_dtype`), and every per-symbol pass walks them in `trace_blocks`,
-  so no temporary grows with the trace length. `pair_index` alone turns a
-  pair of symbols into one key, in the smallest unsigned dtype of the pairs;
+  (`symbol_dtype`), and so are their pair keys: `pair_index` alone turns a
+  pair of symbols into one key, in the smallest unsigned dtype of the pairs,
+  once per trace. Every 8-byte temporary (draws, intp indices, gathered
+  thresholds, `bincount`'s copy) lives one `trace_blocks` block at a time,
+  so none grows with the trace length;
 - `point_masses` alone decides whether a matrix is deterministic: every
   entry within ``DEFAULT_TOL`` of 0 or 1.
 """
@@ -54,10 +56,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-# symbols per block of a per-symbol pass: a block's draws, column indices
-# and comparisons (about 100 KB) stay in cache and under glibc's 128 KiB
-# heap-trim threshold, so a long trial takes no page faults (8 192 does)
-BLOCK_SIZE = 4096
+# symbols per block of a per-symbol pass: each stage makes its NumPy calls
+# (draw, gather, compare, count) once per block, and 8 192 reads 3.5
+# reference ms per long_block trial at p50 (4.4 at 4 096) with a 693 KiB
+# tracemalloc peak per fig5a trial (594). 16 384 read 7 % faster again but
+# peaks at 892 KiB, near the 1 MiB test bound, and faults at glibc's default
+# trim threshold in every heap layout tried; 4 096 and 8 192 fault in some
+BLOCK_SIZE = 8192
 
 
 class AlphabetReductionError(ValueError):
@@ -272,10 +277,10 @@ def transition_counts(
                 f"{name} symbol {low if low < 0 else high} is outside the"
                 f" alphabet of size {size}"
             )
+    keys = pair_index(observed, given, observed_size, given_size)
     counts = np.zeros(observed_size * given_size, dtype=np.intp)
-    for block in trace_blocks(given.size):
-        keys = pair_index(observed[block], given[block], observed_size, given_size)
-        counts += np.bincount(keys, minlength=counts.size)
+    for block in trace_blocks(keys.size):  # bincount counts an intp copy
+        counts += np.bincount(keys[block], minlength=counts.size)
     return counts.reshape(observed_size, given_size)
 
 

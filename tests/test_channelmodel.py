@@ -196,7 +196,7 @@ def test_inverse_cdf_kernel_matches_argmax_oracle():
         ] + [rng.integers(0, matrix.shape[1], draws.size)]:
             np.testing.assert_array_equal(
                 channelmodel.sample_trace(
-                    matrix, draws.size, _ScriptedGenerator(draws), lambda block: columns[block]
+                    matrix, draws.size, _ScriptedGenerator(draws), columns
                 ),
                 _argmax_oracle(matrix, columns, draws),
                 err_msg=label,
@@ -209,7 +209,7 @@ def test_inverse_cdf_kernel_matches_argmax_oracle():
     columns = np.zeros(draws.size, dtype=int)
     np.testing.assert_array_equal(
         channelmodel.sample_trace(
-            quarters, draws.size, _ScriptedGenerator(draws), lambda block: columns[block]
+            quarters, draws.size, _ScriptedGenerator(draws), columns
         ),
         expected,
     )
@@ -330,7 +330,7 @@ def test_point_mass_downlink_is_a_lookup_that_draws_nothing(n):
         draws = rng.permutation(np.resize(_oracle_draws(b), n))
         # a generator with no blocks fails on its first call
         y1 = channelmodel.simulate_downlink(b, v, _ScriptedGenerator())
-        sampled = channelmodel.sample_trace(b, n, _ScriptedGenerator(draws), lambda block: v[block])
+        sampled = channelmodel.sample_trace(b, n, _ScriptedGenerator(draws), v)
         assert y1.dtype == sampled.dtype == stochcore.symbol_dtype(b.shape[0]), label
         np.testing.assert_array_equal(y1, sampled, err_msg=label)
         np.testing.assert_array_equal(y1, _argmax_oracle(b, v, draws), err_msg=label)
@@ -356,7 +356,7 @@ def test_wide_alphabets_write_the_first_comparison_in_their_own_dtype():
     columns = rng.integers(0, 3, 2 * _BLOCK + 7)
     draws = rng.random(columns.size)
     trace = channelmodel.sample_trace(
-        matrix, columns.size, _ScriptedGenerator(draws), lambda block: columns[block]
+        matrix, columns.size, _ScriptedGenerator(draws), columns
     )
     assert trace.dtype == np.uint16
     np.testing.assert_array_equal(trace, _argmax_oracle(matrix, columns, draws))

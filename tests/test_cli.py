@@ -31,7 +31,7 @@ from relay_sentinel.cli import (
 from relay_sentinel.detector import DetectionReport, run_detection
 from relay_sentinel.harness import Scenario, preset, preset_curves, trial_traces
 from relay_sentinel.lpkernel import LpFailure
-from relay_sentinel.stochcore import trace_blocks, transition_counts
+from relay_sentinel.stochcore import BLOCK_SIZE, trace_blocks, transition_counts
 
 THIRD = 1 / 3
 
@@ -837,13 +837,16 @@ def test_read_trace_parses_only_plain_traces_as_bytes(tmp_path, monkeypatch, nam
 
 # every preset at its own N, and fig3b across the edges of the index digit
 # widths and of the trace blocks that cut the body into runs of rows; a
-# body of N >= 10 000 rows spans more than two trace blocks
+# body of more than 2 * BLOCK_SIZE rows spans more than two trace blocks
 @pytest.mark.parametrize(
     "name, n",
     [(name, None) for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b")]
     + [
         ("fig3b", n)
-        for n in (1, 10, 100, 1_000, 4_096, 4_097, 8_193, 9_999, 10_000, 10_001, 20_001, 100_000)
+        for n in sorted(
+            {1, 10, 100, 1_000, 4_096, 4_097, 8_193, 9_999, 10_000, 10_001, 20_001, 100_000}
+            | {BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1}
+        )
     ],
 )
 def test_emitted_traces_are_parsed_as_bytes(tmp_path, monkeypatch, name, n):
@@ -854,7 +857,7 @@ def test_emitted_traces_are_parsed_as_bytes(tmp_path, monkeypatch, name, n):
     for side, columns in (("source", traces[:2]), ("relay", traces[2:])):
         path = tmp_path / f"trace_0000_{side}.csv"
         meta, header, read = read_trace(path)
-        if scenario.n >= 10_000:
+        if scenario.n > 2 * BLOCK_SIZE:
             assert len(trace_blocks(read[0].size)) > 2
         old_meta, old_header, old_read = _old_read_trace(path)
         assert meta == old_meta and header == old_header
@@ -1073,8 +1076,14 @@ def test_trace_rows_match_the_per_row_formatter():
 
 
 # index digit edges (9 -> 10, 9 999 -> 10 000, 99 999 -> 100 000), and the
-# edges of the 4 096-row blocks the writer formats one at a time
-@pytest.mark.parametrize("n", [1, 9, 10, 11, 4_095, 4_096, 4_097, 10_000, 10_001, 100_001])
+# edges of the BLOCK_SIZE-row blocks the writer formats one at a time
+@pytest.mark.parametrize(
+    "n",
+    sorted(
+        {1, 9, 10, 11, 4_095, 4_096, 4_097, 10_000, 10_001, 100_001}
+        | {BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1}
+    ),
+)
 def test_trace_rows_match_the_per_row_formatter_at_digit_and_block_edges(n):
     rng = np.random.default_rng(n)
     for first_size, second_size, dtype in [(3, 5, np.uint8), (11, 13, np.uint8), (300, 300, np.uint16)]:
@@ -1082,7 +1091,7 @@ def test_trace_rows_match_the_per_row_formatter_at_digit_and_block_edges(n):
         second = rng.integers(0, second_size, n).astype(dtype)
         first[-1], second[-1] = first_size - 1, second_size - 1
         chunks = list(_trace_rows(first, second, first_size, second_size))
-        assert len(chunks) == -(-n // 4_096)
+        assert len(chunks) == -(-n // BLOCK_SIZE)
         assert b"".join(chunks) == _old_trace_bytes(first, second), (n, first_size)
 
 

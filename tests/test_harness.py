@@ -9,13 +9,14 @@ checked against tiny hand-computed samples.
 
 import dataclasses
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import counter_upsilon
-from relay_sentinel import detector, harness
+from relay_sentinel import channelmodel, detector, harness, stochcore
 from relay_sentinel.attackmodel import AttackSpec, extract_attack_channel
 from relay_sentinel.cli import scenario_hash
 from relay_sentinel.channelmodel import AlphabetReductionError, MacModel
@@ -554,6 +555,50 @@ def test_long_trial_memory_stays_under_one_mib(name):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+# fig5a draws x1, x2, the iid attack and y1; fig3d's MAC and B = I are
+# lookups, and its gate is open on trial 1, so it draws x1, x2 and the attack
+@pytest.mark.parametrize("name, drawing_stages", [("fig5a", 4), ("fig3d", 3)])
+def test_a_long_trial_keys_each_trace_pair_once_and_draws_one_call_per_block(
+    monkeypatch, name, drawing_stages
+):
+    # the calls a trial makes, not its time: one pair_index per trace pair
+    # (the uplink's (x1, x2), then the (u, v) and (x1, y1) counts), and one
+    # rng.random per trace block of each stage that draws
+    keyed, pair_index = [], stochcore.pair_index
+
+    def counting_pair_index(*args):
+        keyed.append(args[0].size)
+        return pair_index(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        named = module_name.startswith("relay_sentinel.")
+        if named and vars(module).get("pair_index") is pair_index:
+            monkeypatch.setattr(module, "pair_index", counting_pair_index)
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self, size):
+            drawn.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    scenario = preset(name)
+    run_trial(scenario, 1)
+    assert keyed == [scenario.n] * 3
+    blocks = [block.stop - block.start for block in stochcore.trace_blocks(scenario.n)]
+    assert len(blocks) == -(-scenario.n // stochcore.BLOCK_SIZE)
+    assert drawn == blocks * drawing_stages
+    # the columns of a sampled stage cover its trace, one per symbol
+    n, rng = scenario.n, np.random.default_rng(3)
+    for shape in (n - 1, n + 1, (n, 1)):
+        with pytest.raises(ValueError, match="columns"):
+            channelmodel.sample_trace(np.eye(2), n, rng, np.zeros(shape, np.uint8))
 
 
 def test_array_holding_inputs_compare_by_value():
