@@ -261,9 +261,11 @@ _DIPS = np.array(
 )
 
 _BLOCK = stochcore.BLOCK_SIZE
+# lengths either side of each block edge, and inside a block as well as past one
+_LENGTHS = sorted({4095, 4096, 4097, 12293, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5})
 
 
-@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("n", _LENGTHS)
 def test_blocked_sampler_matches_argmax_oracle_across_blocks(n):
     # each stage draws in blocks; the oracle samples the concatenated draws
     rng = np.random.default_rng(n)
@@ -322,7 +324,7 @@ _POINT_MASS_BS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("n", [1, *_LENGTHS])
 def test_point_mass_downlink_is_a_lookup_that_draws_nothing(n):
     rng = np.random.default_rng(n)
     for label, b in _POINT_MASS_BS.items():
