@@ -10,7 +10,8 @@ deficits are 1 - phi_jj and off-diagonal entries are nonnegative), so
 minimizing the trace maximizes the distance. G_mu is the set of
 column-stochastic phi with l1(B phi A - Pi_B gamma_hat Pi_A) <= mu, so the
 LP runs over (vec phi, t): phi's column sums, +-(B phi A - target) <= t
-entrywise and sum(t) <= mu. The paper's column-stochastic gamma_tilde with
+entrywise and sum(t) <= mu, with phi's blocks built on row-major vectors by
+numlinalg.vec_operator. The paper's column-stochastic gamma_tilde with
 Pi_B gamma_tilde Pi_A = B phi A needs no variables of its own:
 gamma_tilde = B phi A always qualifies, because Pi_B B = B and A Pi_A = A.
 
@@ -22,9 +23,6 @@ carries. A trial's LP is the restart's problem with its target rows
 replaced, and it restarts from that basis. The restart depends on
 (A, B, mu) alone and no solve modifies it, so a result still depends only
 on its traces.
-
-Row-major vectorization is used throughout, with the identity
-vec(B X A) = kron(B, A.T) @ vec(X).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 
 from . import lpkernel, numlinalg
 from .lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
-from .numlinalg import column_space_projector, row_space_projector
+from .numlinalg import column_space_projector, row_space_projector, vec_operator
 from .stochcore import (
     l1_norm,
     transition_counts,
@@ -157,15 +155,10 @@ def _compile(a_shape, a_data, b_shape, b_data, mu) -> tuple[lpkernel.Restart, fl
 
     objective = np.zeros(n_phi + n_g)  # phi, slack t
     objective[np.arange(u) * u + np.arange(u)] = 1.0  # minimize trace(phi)
-    a_eq = np.zeros((u, n_phi + n_g))
-    a_eq[:, :n_phi] = np.kron(np.ones((1, u)), np.eye(u))  # phi column sums
-
-    reach = np.kron(b, a.T)  # vec(B phi A)
-    a_ub = np.zeros((2 * n_g + 1, n_phi + n_g))
-    a_ub[:n_g, :n_phi] = reach
-    a_ub[n_g : 2 * n_g, :n_phi] = -reach
-    a_ub[: 2 * n_g, n_phi:] = -np.vstack([np.eye(n_g), np.eye(n_g)])
-    a_ub[-1, n_phi:] = 1.0
+    # phi's column sums; +-(vec(B phi A) - target) <= t and sum(t) <= mu
+    a_eq = np.hstack([vec_operator(np.ones((1, u)), np.eye(u)), np.zeros((u, n_g))])
+    reach, slack = vec_operator(b, a), -np.eye(n_g)
+    a_ub = np.block([[reach, slack], [-reach, slack], [np.zeros((1, n_phi)), np.ones((1, n_g))]])
     b_ub = np.zeros(2 * n_g + 1)
     b_ub[-1] = mu
     program = LpProblem(objective=objective, a_eq=a_eq, b_eq=np.ones(u), a_ub=a_ub, b_ub=b_ub)
@@ -240,7 +233,7 @@ def g_mu_residual(
     pi_a = row_space_projector(a)
     reach = b @ phi_hat @ a
     # gamma_tilde's column sums, then vec(Pi_B gamma_tilde Pi_A)
-    a_eq = np.vstack([np.kron(np.ones((1, y1)), np.eye(x1)), np.kron(pi_b, pi_a.T)])
+    a_eq = np.vstack([vec_operator(np.ones((1, y1)), np.eye(x1)), vec_operator(pi_b, pi_a)])
     b_eq = np.concatenate([np.ones(x1), reach.ravel()])
     outcome = solve_lp(LpProblem(objective=np.zeros(y1 * x1), a_eq=a_eq, b_eq=b_eq))
     if outcome.status is LpStatus.INFEASIBLE:

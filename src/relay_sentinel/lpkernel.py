@@ -14,22 +14,24 @@ the cost.
 
 A program has two kinds of sibling, each sharing everything else with it:
 p.with_objective(c) has a new objective, p.with_rhs(...) new right-hand
-sides. The standard form depends only on the constraints and bounds, so
-it is built once, on the first solve of the program or of any sibling,
-and shared by all of them; each solve computes its own cost row from it.
+sides, each checked as the constructor checks it. The standard form
+depends only on the constraints and bounds, so it is built once, on the
+first solve of the program or of any sibling, and shared by all of them;
+each solve computes its own cost row from it.
 
 Phase 1 reads only the constraints and the right-hand side, never the
 objective (Chvatal, Linear Programming, 1983, ch. 8), so its result is
 memoized by that data: objective siblings, such as the per-symbol witness
 LPs of one channel, run it once. A phase 1 taken from the memo still
 counts its pivots, so every outcome is the one a fresh solve gives. A
-cold solve factors each basis once. Phase 1 starts at the artificial
-identity basis, where the tableau is the sign-normalized [A | I | b]
-itself, so it starts without a solve. The memo holds phase 1's
+cold solve factors each basis once. Phase 1 flips the rows whose
+right-hand side is negative and starts at the artificial identity basis,
+where the tableau is that sign-normalized [A | I | b] itself, so it
+starts without a solve. The memo holds [A | I] and b, phase 1's
 feasibility, its final basis, its pivots and the tableau it ends on, which
-was refactorized from pristine data to confirm that stop. Phase 2 starts
-from a copy of that tableau at the same basis (ch. 8 again) and computes
-only its own objective row.
+was refactorized from pristine data to confirm that stop. Phase 2 runs on
+the same [A | I] and b, from a copy of that tableau at the same basis
+(ch. 8 again), and computes only its own objective row.
 
 An optimal outcome carries its basis. A Restart solves a program once,
 cold, and factors it at its own optimal basis; solve_lp then answers each
@@ -104,13 +106,11 @@ class LpProblem:
     __eq__ = value_eq
 
     def __post_init__(self):
-        c = np.array(self.objective, dtype=float).ravel()
-        c.setflags(write=False)
+        c = _vector("objective", self.objective, np.size(self.objective), "variables")
         object.__setattr__(self, "objective", c)
         n = c.size
-        for name in ("a_eq", "a_ub"):
-            mat = getattr(self, name)
-            vec = getattr(self, "b" + name[1:])
+        for name, rhs in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
+            mat, vec = getattr(self, name), getattr(self, rhs)
             if (mat is None) != (vec is None):
                 raise ValueError(f"{name} and its rhs must be given together")
             if mat is None:
@@ -118,19 +118,13 @@ class LpProblem:
             mat = np.array(mat, dtype=float)
             if mat.size == 0:
                 mat = mat.reshape(0, n)
-            vec = np.array(vec, dtype=float).ravel()
             if mat.ndim != 2 or mat.shape[1] != n:
                 raise ValueError(f"{name} must be 2-D with {n} columns")
-            if vec.size != mat.shape[0]:
-                raise ValueError(f"{name} rhs length {vec.size} != {mat.shape[0]} rows")
-            if not (np.isfinite(mat).all() and np.isfinite(vec).all()):
+            if not np.isfinite(mat).all():
                 raise ValueError(f"{name} must be finite")
             mat.setflags(write=False)
-            vec.setflags(write=False)
             object.__setattr__(self, name, mat)
-            object.__setattr__(self, "b" + name[1:], vec)
-        if not np.isfinite(c).all():
-            raise ValueError("objective must be finite")
+            object.__setattr__(self, rhs, _vector(rhs, vec, mat.shape[0], "rows"))
         if self.bounds is None:
             bounds = tuple((0.0, None) for _ in range(n))
         else:
@@ -173,20 +167,15 @@ class LpProblem:
         standard form, which are not validated again; only the new vectors
         are checked, and stored as read-only copies.
         """
-        sibling = object.__new__(LpProblem)
-        sibling.__dict__.update(self.__dict__)
+        changes = {}
         for name, vec in (("b_eq", b_eq), ("b_ub", b_ub)):
             if vec is None:
                 continue
             rows = getattr(self, "a" + name[1:])
-            vec = np.array(vec, dtype=float).ravel()
-            if rows is None or vec.size != rows.shape[0]:
-                raise ValueError(f"{name} does not match the program's rows")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{name} must be finite")
-            vec.setflags(write=False)
-            object.__setattr__(sibling, name, vec)
-        return sibling
+            if rows is None:
+                raise ValueError(f"{name} given to a program without a{name[1:]}")
+            changes[name] = _vector(name, vec, rows.shape[0], "rows")
+        return self._sibling(changes)
 
     def with_objective(self, objective) -> LpProblem:
         """This program with a new objective.
@@ -195,16 +184,25 @@ class LpProblem:
         form, which are not validated again; only the new objective is
         checked, and stored as a read-only copy.
         """
-        c = np.array(objective, dtype=float).ravel()
-        if c.size != self.objective.size:
-            raise ValueError(f"objective has {c.size} entries for {self.objective.size} variables")
-        if not np.isfinite(c).all():
-            raise ValueError("objective must be finite")
-        c.setflags(write=False)
+        c = _vector("objective", objective, self.objective.size, "variables")
+        return self._sibling({"objective": c})
+
+    def _sibling(self, changes: dict) -> LpProblem:
+        """This program with the fields in `changes` replaced, nothing validated."""
         sibling = object.__new__(LpProblem)
-        sibling.__dict__.update(self.__dict__)
-        object.__setattr__(sibling, "objective", c)
+        sibling.__dict__.update(self.__dict__, **changes)
         return sibling
+
+
+def _vector(name: str, vec, size: int, unit: str) -> np.ndarray:
+    """vec as a read-only float copy of `size` finite entries, or ValueError."""
+    vec = np.array(vec, dtype=float).ravel()
+    if vec.size != size:
+        raise ValueError(f"{name} has {vec.size} entries for {size} {unit}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be finite")
+    vec.setflags(write=False)
+    return vec
 
 
 @dataclass(frozen=True)
@@ -291,6 +289,7 @@ class _StandardForm:
         self.full = np.zeros((m, n_std + m_ub))
         self.full[:, :n_std] = mat
         self.full[m - m_ub :, n_std:] = np.eye(m_ub)
+        self.key = (self.full.shape, self.full.tobytes())  # phase 1's; bytes cache their hash
         self.s, self.t = s, t
         for arr in (self.full, self.shift, self.divisor, self.caps, s, t):
             arr.setflags(write=False)
@@ -641,26 +640,20 @@ def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
 
 def _solve_cold(p: LpProblem, form: _StandardForm, spent: int) -> LpOutcome:
     """The two-phase solve of p in its standard form; ``spent`` pivots came before."""
-    rhs = form.rhs(p)
-    # the primal phases start from the artificial basis, so make rhs >= 0
-    full = form.full.copy()
-    full[rhs < 0] *= -1.0
-    rhs = np.abs(rhs)
-    feasible, basis, pivots1, tab = _phase_one(full.shape, full.tobytes(), rhs.tobytes())
+    ext, rhs, feasible, basis, pivots1, tab = _phase_one(*form.key, form.rhs(p).tobytes())
     if not feasible:
         return LpOutcome(status=LpStatus.INFEASIBLE, pivots=spent + pivots1)
 
-    # phase 2: original objective, from phase 1's final tableau, which is
-    # that basis factored from pristine data: only the objective row is new.
-    # Lingering artificial columns stay in the working basis (pinned at
-    # zero) so it remains well-conditioned even when the caller supplied
-    # redundant equality rows
-    m, n_real = full.shape
-    ext = np.hstack([full, np.eye(m)])
+    # phase 2: original objective, on phase 1's sign-normalized [A | I] and
+    # from its final tableau, which is that basis factored from pristine
+    # data: only the objective row is new. Lingering artificial columns stay
+    # in the working basis (pinned at zero) so it remains well-conditioned
+    # even when the caller supplied redundant equality rows
     c2 = form.cost(p)
     obj = _objective_row(np.ascontiguousarray(tab[:, :-1]), tab[:, -1].copy(), c2, basis)
     status, tab, basis, pivots2 = _simplex(
-        ext, rhs, c2, basis.copy(), (tab.copy(), obj), _max_iter(full.shape), pin_start=n_real
+        ext, rhs, c2, basis.copy(), (tab.copy(), obj), _max_iter(form.full.shape),
+        pin_start=form.full.shape[1],
     )
     pivots = spent + pivots1 + pivots2
     if status == "unbounded":
@@ -673,34 +666,37 @@ def _max_iter(shape) -> int:
     return 500 + 50 * (shape[0] + shape[1])
 
 
-# sign-normalized constraint sets whose phase 1 is remembered; a certify's
-# witness LPs share one polytope and differ only in their objective
+# standard forms and right-hand sides whose phase 1 is remembered, process-wide
+# by content: a certify's witness LPs share an entry, and so do the certify
+# benchmark's five set-ups in one process, which certify the same reference
+# channels again (a memo per standard form raised setup_s from 0.008 to 0.013 s)
 _PHASE_ONE_MEMO = 8
 
 
 @lru_cache(maxsize=_PHASE_ONE_MEMO)
 def _phase_one(
     shape: tuple, full_data: bytes, rhs_data: bytes
-) -> tuple[bool, np.ndarray, int, np.ndarray]:
-    """(feasible, basis, pivots, tableau) of phase 1 on {x >= 0 : full x = rhs}, rhs >= 0.
+) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray, int, np.ndarray]:
+    """(ext, rhs, feasible, basis, pivots, tableau) of phase 1 on {x >= 0 : full x = rhs}.
 
-    Phase 1 starts from the artificial identity basis, whose tableau is
-    [full | I | rhs] itself, and minimizes the artificial sum, so it reads
-    only the constraints and the right-hand side: memoized by their
+    Rows with a negative right-hand side are flipped, so ext = [full | I] and
+    rhs >= 0, and phase 1 starts from the artificial identity basis, whose
+    tableau is [ext | rhs] itself. It minimizes the artificial sum, so it
+    reads only the constraints and the right-hand side: memoized by their
     content, it runs once per constraint set, not once per objective. The
     tableau is the final basis's, refactorized from pristine data, and
-    phase 2 starts from it. Basis and tableau are read-only; phase 2 pivots
-    on copies.
+    phase 2 starts from it on the same ext and rhs. Every array is
+    read-only; phase 2 pivots on copies.
     """
     m, n_real = shape
     rhs = np.frombuffer(rhs_data)
     ext = np.hstack([np.frombuffer(full_data).reshape(shape), np.eye(m)])
+    ext[rhs < 0, :n_real] *= -1.0
+    rhs = np.abs(rhs)
     c1 = np.zeros(n_real + m)
     c1[n_real:] = 1.0
     basis = np.arange(n_real, n_real + m)
-    tab = np.empty((m, n_real + m + 1))
-    tab[:, :-1] = ext
-    tab[:, -1] = rhs
+    tab = np.hstack([ext, rhs[:, None]])
     start = tab, _objective_row(ext, rhs, c1, basis)
     status, tab, basis, pivots = _simplex(
         ext, rhs, c1, basis, start, _max_iter(shape), pin_start=n_real + m
@@ -709,6 +705,6 @@ def _phase_one(
         raise LpFailure("phase 1 reported unbounded")
     phase1 = float(c1[basis] @ np.maximum(tab[:, -1], 0.0))
     infeasible = phase1 > _FEAS_TOL * max(1.0, float(rhs.max(initial=0.0)))
-    basis.setflags(write=False)
-    tab.setflags(write=False)
-    return not infeasible, basis, pivots, tab
+    for arr in (ext, rhs, basis, tab):
+        arr.setflags(write=False)
+    return ext, rhs, not infeasible, basis, pivots, tab

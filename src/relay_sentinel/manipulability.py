@@ -20,6 +20,8 @@ node. Three cooperating procedures decide this:
   (rank(B) = |U|, so B has at least |U| rows).
 
 certify() runs the applicable procedures and insists their verdicts agree.
+Both programs act on row-major vectors of a matrix, Omega or Y, through
+numlinalg.vec_operator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lpkernel import LpProblem, LpStatus, solve_lp
-from .numlinalg import DEFAULT_RANK_TOL, left_nullspace_basis, rank, rref
+from .numlinalg import DEFAULT_RANK_TOL, left_nullspace_basis, rank, rref, vec_operator
 from .stochcore import validate_channel, validate_uplink, value_eq
 
 __all__ = [
@@ -112,12 +114,12 @@ def check_algorithm1(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     symbols = np.arange(size_u)
     rows[symbols, symbols] = -1.0
     rhs[:size_u] = -1.0
-    # coupling row k |U| + l: nu_k + [A Omega B]_{k,l} (- lambda_k if l == k),
-    # where [A Omega B]_{k,l} = sum_{x,y} A_{k,x} Omega_{x,y} B_{y,l}
+    # coupling row k |U| + l: nu_k + [A Omega B]_{k,l} (- lambda_k if l == k);
+    # nu_k on row (k, l) is vec(nu 1.T) with nu a column
     coupling = rows[size_u:]
-    coupling[:, size_u : 2 * size_u] = np.repeat(np.eye(size_u), size_u, axis=0)
+    coupling[:, size_u : 2 * size_u] = vec_operator(np.eye(size_u), np.ones((1, size_u)))
     coupling[symbols * (size_u + 1), symbols] = -1.0
-    coupling[:, 2 * size_u :] = np.einsum("kx,yl->klxy", a, b).reshape(size_u * size_u, -1)
+    coupling[:, 2 * size_u :] = vec_operator(a, b)
 
     outcome = solve_lp(
         LpProblem(
@@ -138,15 +140,9 @@ def check_algorithm1(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
 
 def _deviation_polytope(a: np.ndarray, b: np.ndarray):
     """Equality rows and bounds shared by the per-diagonal witness LPs."""
-    size_u, size_x1 = a.shape
-    size_y1 = b.shape[0]
-    # vec_r(B Y A) = kron(B, A.T) @ vec_r(Y): row (y, x), column (j, m) holds
-    # B_yj A_mx. Y's column sums are kron(1, I) @ vec_r(Y): row m holds a 1
-    # in column (j, m) for every j
-    reach = b[:, None, :, None] * a.T[None, :, None, :]
-    a_eq = np.vstack(
-        [reach.reshape(size_y1 * size_x1, size_u * size_u), np.tile(np.eye(size_u), size_u)]
-    )
+    size_u = a.shape[0]
+    # B Y A, then Y's column sums
+    a_eq = np.vstack([vec_operator(b, a), vec_operator(np.ones((1, size_u)), np.eye(size_u))])
     b_eq = np.zeros(a_eq.shape[0])
     bounds = tuple(
         (None, 1.0) if j == m else (None, 0.0)

@@ -1,4 +1,5 @@
-"""Numerical rank, RREF, null-space bases, and orthogonal projectors.
+"""Numerical rank, RREF, null-space bases, orthogonal projectors, and
+vec_operator, the one row-major vectorization every LP here is built from.
 
 One rank cutoff, DEFAULT_RANK_TOL, serves every function here. Null-space bases are L1-normalized (with a
 positive leading entry) so the extremal-element bounds used elsewhere in the
@@ -23,6 +24,7 @@ __all__ = [
     "left_nullspace_basis",
     "row_space_projector",
     "column_space_projector",
+    "vec_operator",
 ]
 
 DEFAULT_RANK_TOL = 1e-10
@@ -123,6 +125,16 @@ def column_space_projector(b: np.ndarray) -> np.ndarray:
     """
     b = np.asarray(b, dtype=float)
     return _projector("column", b.shape, b.tobytes())
+
+
+def vec_operator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The matrix of X -> left @ X @ right on row-major vectors, np.kron(left, right.T) to the bit.
+
+    Entry ((i, j), (k, l)) is the one product left[i, k] * right[l, j].
+    """
+    left, right = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    product = left[:, None, :, None] * right.T[None, :, None, :]
+    return product.reshape(left.shape[0] * right.shape[1], left.shape[1] * right.shape[0])
 
 
 def _svd_rank(s: np.ndarray) -> int:

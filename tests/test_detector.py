@@ -438,6 +438,26 @@ def _original_program(gamma_hat, a, b, mu):
     return lpkernel.LpProblem(objective=objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
+def test_compiled_estimator_rows_match_kron():
+    # the estimator's phi blocks come from numlinalg.vec_operator; an np.kron
+    # assembly is the oracle, byte for byte, on every preset curve's channel
+    for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b"):
+        for scenario in preset_curves(name).values():
+            a, b = scenario.uplink_matrix(), scenario.b
+            u, n_g = a.shape[0], b.shape[0] * a.shape[1]
+            n_phi = u * u
+            program = detector._compiled(a, b, scenario.mu)[0].problem
+            a_eq = np.zeros((u, n_phi + n_g))
+            a_eq[:, :n_phi] = np.kron(np.ones((1, u)), np.eye(u))
+            a_ub = np.zeros((2 * n_g + 1, n_phi + n_g))
+            a_ub[:n_g, :n_phi] = np.kron(b, a.T)
+            a_ub[n_g : 2 * n_g, :n_phi] = -np.kron(b, a.T)
+            a_ub[: 2 * n_g, n_phi:] = -np.vstack([np.eye(n_g), np.eye(n_g)])
+            a_ub[-1, n_phi:] = 1.0
+            assert program.a_eq.tobytes() == a_eq.tobytes(), name
+            assert program.a_ub.tobytes() == a_ub.tobytes(), name
+
+
 def _cold_detection(config, gamma_hat):
     """(statistic, feasible) by a cold solve of the original (phi, gamma_tilde, t) LP."""
     outcome = lpkernel.solve_lp(_original_program(gamma_hat, config.a, config.b, config.mu))

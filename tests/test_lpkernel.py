@@ -7,6 +7,7 @@ vertex-enumeration oracle that is independent of the simplex path.
 import collections
 import dataclasses
 import itertools
+import timeit
 
 import numpy as np
 import pytest
@@ -618,6 +619,92 @@ def test_an_objective_sibling_checks_only_its_objective():
     assert p.with_objective([[4.0], [5.0]]).objective.tolist() == [4.0, 5.0]
 
 
+# ---------- vector checks ----------
+
+_CHECKED = LpProblem(
+    objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=np.eye(2), b_ub=[1.0, 1.0]
+)
+# every route a vector takes into a program: its name there, its length, and what it counts
+_VECTOR_ROUTES = [
+    ("constructor", "b_eq", 1, "rows"),
+    ("constructor", "b_ub", 2, "rows"),
+    ("with_rhs", "b_eq", 1, "rows"),
+    ("with_rhs", "b_ub", 2, "rows"),
+    ("with_objective", "objective", 2, "variables"),
+]
+
+
+def _given(route, name, vec):
+    """_CHECKED's sibling or copy with `name` set to vec through `route`."""
+    if route == "with_rhs":
+        return _CHECKED.with_rhs(**{name: vec})
+    if route == "with_objective":
+        return _CHECKED.with_objective(vec)
+    fields = {f.name: getattr(_CHECKED, f.name) for f in dataclasses.fields(LpProblem)}
+    return LpProblem(**{**fields, name: vec})
+
+
+@pytest.mark.parametrize("route, name, size, unit", _VECTOR_ROUTES)
+def test_a_vector_of_the_wrong_length_is_rejected_by_name(route, name, size, unit):
+    for wrong in (size - 1, size + 1):
+        with pytest.raises(ValueError, match=f"^{name} has {wrong} entries for {size} {unit}$"):
+            _given(route, name, np.ones(wrong))
+    assert _given(route, name, np.full((size, 1), 3.0)).__dict__[name].tolist() == [3.0] * size
+
+
+@pytest.mark.parametrize(
+    "route, name, size", [route[:3] for route in _VECTOR_ROUTES] + [("constructor", "objective", 2)]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_vector_that_is_not_finite_is_rejected_by_name(route, name, size, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        _given(route, name, [1.0] * (size - 1) + [bad])
+
+
+def test_a_right_hand_side_needs_its_rows():
+    only_ub = LpProblem(objective=[1.0, 2.0], a_ub=np.eye(2), b_ub=[1.0, 1.0])
+    only_eq = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    cases = ((only_ub, "b_eq", [1.0]), (only_ub, "b_eq", []), (only_eq, "b_ub", [1.0, 1.0]))
+    for p, name, vec in cases:
+        with pytest.raises(ValueError, match=f"^{name} given to a program without a{name[1:]}$"):
+            p.with_rhs(**{name: vec})
+
+
+def _hand_written_with_rhs(p, b_eq=None, b_ub=None):
+    """with_rhs as written out before the vector check had one owner."""
+    sibling = object.__new__(LpProblem)
+    sibling.__dict__.update(p.__dict__)
+    for name, vec in (("b_eq", b_eq), ("b_ub", b_ub)):
+        if vec is None:
+            continue
+        rows = getattr(p, "a" + name[1:])
+        vec = np.array(vec, dtype=float).ravel()
+        if rows is None or vec.size != rows.shape[0]:
+            raise ValueError(f"{name} does not match the program's rows")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{name} must be finite")
+        vec.setflags(write=False)
+        object.__setattr__(sibling, name, vec)
+    return sibling
+
+
+def test_with_rhs_costs_at_most_a_microsecond_more_than_written_out():
+    # every estimator trial makes one with_rhs sibling; the shared check and
+    # clone may cost a call or two, not more. Best of interleaved batches
+    scenario = preset_curves("fig5a")["phi1"]
+    program = detector._compiled(scenario.uplink_matrix(), scenario.b, scenario.mu)[0].problem
+    b_ub = program.b_ub.copy()
+    assert _hand_written_with_rhs(program, b_ub=b_ub) == program.with_rhs(b_ub=b_ub)
+    calls = 1000
+    shared, written = [], []
+    for _ in range(25):
+        shared.append(timeit.timeit(lambda: program.with_rhs(b_ub=b_ub), number=calls) / calls)
+        written.append(
+            timeit.timeit(lambda: _hand_written_with_rhs(program, b_ub=b_ub), number=calls) / calls
+        )
+    assert min(shared) - min(written) <= 1e-6, (min(shared), min(written))
+
+
 def test_objective_siblings_solve_as_fresh_programs(
     motivating_a, motivating_b, higher_a, higher_b, counter_b
 ):
@@ -693,12 +780,11 @@ def test_remembered_phase_one_basis_is_read_only(monkeypatch):
     p = LpProblem(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
     first, again = solve_lp(p), solve_lp(p)
     assert first == again and results[0] is results[1]
-    _, basis, _, tableau = results[0]
-    assert not basis.flags.writeable and not tableau.flags.writeable
-    with pytest.raises(ValueError):
-        basis[0] = 0
-    with pytest.raises(ValueError):
-        tableau[0, 0] = 0.0
+    ext, rhs, _, basis, _, tableau = results[0]
+    for arr in (ext, rhs, basis, tableau):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
 
 
 # ---------- one factorization per basis ----------

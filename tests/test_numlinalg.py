@@ -9,6 +9,7 @@ from relay_sentinel.numlinalg import (
     rank,
     rref,
     row_space_projector,
+    vec_operator,
 )
 
 UPS = np.array([0.0, 1.0, 1.0, -1.0, -1.0])  # right/left null vector of counter_b
@@ -152,3 +153,24 @@ def test_projectors_are_memoized_read_only_and_match_a_fresh_svd():
     square = np.array([[1.0, 1.0], [0.0, 0.0]])
     assert np.allclose(row_space_projector(square), 0.5)
     assert np.allclose(column_space_projector(square), [[1.0, 0.0], [0.0, 0.0]])
+
+
+# ---------- vec_operator ----------
+
+
+@pytest.mark.parametrize(
+    "rows, inner, inner2, cols",
+    [(1, 3, 2, 4), (3, 1, 4, 1), (4, 3, 1, 5), (1, 1, 1, 1), (5, 2, 3, 1), (2, 4, 4, 3)],
+)
+def test_vec_operator_is_kron_and_maps_row_major_vectors(rows, inner, inner2, cols):
+    # one product per entry, as np.kron makes it: byte for byte, signed zeros included
+    rng = np.random.default_rng(rows * 1000 + inner * 100 + inner2 * 10 + cols)
+    left = rng.normal(size=(rows, inner))
+    right = rng.normal(size=(inner2, cols))
+    left[rng.random(left.shape) < 0.3] = 0.0
+    right[rng.random(right.shape) < 0.3] = -0.0
+    op = vec_operator(left, right)
+    assert op.shape == (rows * cols, inner * inner2)
+    assert op.tobytes() == np.kron(left, right.T).tobytes()
+    x = rng.normal(size=(inner, inner2))
+    assert np.allclose(op @ x.ravel(), (left @ x @ right).ravel(), rtol=1e-13, atol=1e-13)
