@@ -29,6 +29,7 @@ from .detector import (
     estimate_attack,
     g_mu_residual,
     run_detection,
+    run_detection_on_counts,
 )
 from .harness import (
     Scenario,
@@ -86,6 +87,7 @@ __all__ = [
     "preset",
     "preset_curves",
     "run_detection",
+    "run_detection_on_counts",
     "run_experiment",
     "run_trial",
     "simulate_downlink",

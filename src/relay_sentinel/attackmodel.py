@@ -11,10 +11,11 @@ Three attack families are shipped:
   causal because the relay observes the full uplink block before it starts
   broadcasting.
 
-The ground-truth attack channel of a (u, v) trace pair is the conditional
-frequency matrix phi_n[i, j] = #(v=i, u=j) / #(u=j), kept with its counts.
-Columns of symbols that never occurred carry no evidence and default to
-identity columns.
+The ground-truth attack channel is read off the relay's counts
+#(v=i, u=j) alone (`AttackChannel.from_counts`): the conditional frequency
+matrix phi_n[i, j] = #(v=i, u=j) / #(u=j), kept with its counts. Columns
+of symbols that never occurred carry no evidence and default to identity
+columns. `extract_attack_channel` counts a (u, v) trace pair first.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ class AttackChannel:
 
     __eq__ = value_eq
 
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> AttackChannel:
+        """Conditional frequency of v given u in counts #(v=i, u=j); identity
+        columns where u never occurred."""
+        totals = counts.sum(axis=0)
+        observed = totals > 0
+        phi_n = np.eye(counts.shape[0])
+        phi_n[:, observed] = counts[:, observed] / totals[observed]
+        return cls(phi_n=phi_n, counts=counts)
+
 
 def apply_attack(
     spec: AttackSpec, u_trace: np.ndarray, rng: np.random.Generator
@@ -98,13 +109,9 @@ def apply_attack(
 def extract_attack_channel(
     u_trace: np.ndarray, v_trace: np.ndarray, u_size: int
 ) -> AttackChannel:
-    """Conditional frequency of v given u; identity columns where u never occurred."""
+    """`AttackChannel.from_counts` of the (u, v) trace pair's counts."""
     counts = transition_counts(u_trace, v_trace, u_size, u_size, ("u", "v"))
-    totals = counts.sum(axis=0)
-    observed = totals > 0
-    phi_n = np.eye(u_size)
-    phi_n[:, observed] = counts[:, observed] / totals[observed]
-    return AttackChannel(phi_n=phi_n, counts=counts)
+    return AttackChannel.from_counts(counts)
 
 
 def truth_statistic(ac: AttackChannel) -> float:

@@ -2,7 +2,9 @@
 
 Pipeline: conditional histogram of (y1 | x1) -> worst-case attack-channel
 estimate over the feasibility set G_mu -> decision statistic
-D = l1(phi_hat - I) thresholded at delta.
+D = l1(phi_hat - I) thresholded at delta. Only the counts #(y1, x1) reach
+the estimator: `run_detection_on_counts` runs the pipeline on them, and
+`run_detection` counts an (x1, y1) trace pair first.
 
 The estimator solves a single LP. For a column-stochastic candidate phi the
 distance to identity is l1(phi - I) = 2(|U| - trace(phi)) exactly (diagonal
@@ -53,6 +55,7 @@ __all__ = [
     "decision_statistic",
     "detect",
     "run_detection",
+    "run_detection_on_counts",
 ]
 
 
@@ -112,10 +115,14 @@ def conditional_histogram(
     columns are filled uniformly (the maximum-entropy neutral choice).
     ``transition_counts`` checks and counts the traces.
     """
-    counts = transition_counts(x1_trace, y1_trace, x1_size, y1_size, ("x1", "y1"))
+    return _histogram(transition_counts(x1_trace, y1_trace, x1_size, y1_size, ("x1", "y1")))
+
+
+def _histogram(counts: np.ndarray) -> tuple[np.ndarray, list]:
+    """`conditional_histogram` of the counts #(y1=i, x1=j)."""
     totals = counts.sum(axis=0)
     seen = totals > 0
-    gamma_hat = np.full((y1_size, x1_size), 1.0 / y1_size)
+    gamma_hat = np.full(counts.shape, 1.0 / counts.shape[0])
     gamma_hat[:, seen] = counts[:, seen] / totals[seen]
     return gamma_hat, np.flatnonzero(~seen).tolist()
 
@@ -257,10 +264,19 @@ def detect(statistic: float, delta: float) -> str:
 def run_detection(
     config: DetectorConfig, x1_trace: np.ndarray, y1_trace: np.ndarray
 ) -> DetectionReport:
-    """Histogram -> estimator -> statistic -> verdict, with diagnostics."""
-    x1_size = config.a.shape[1]
-    y1_size = config.b.shape[0]
-    gamma_hat, unseen = conditional_histogram(x1_trace, y1_trace, x1_size, y1_size)
+    """`run_detection_on_counts` of the (x1, y1) trace pair's counts."""
+    x1_size, y1_size = config.a.shape[1], config.b.shape[0]
+    counts = transition_counts(x1_trace, y1_trace, x1_size, y1_size, ("x1", "y1"))
+    return run_detection_on_counts(config, counts)
+
+
+def run_detection_on_counts(config: DetectorConfig, counts: np.ndarray) -> DetectionReport:
+    """Histogram -> estimator -> statistic -> verdict, with diagnostics, from
+    the |Y1| x |X1| counts #(y1=i, x1=j)."""
+    expected = (config.b.shape[0], config.a.shape[1])
+    if np.shape(counts) != expected:
+        raise ValueError(f"counts have shape {np.shape(counts)}, expected {expected}")
+    gamma_hat, unseen = _histogram(counts)
     a, b = config.a, config.b
     restart, noiseless_floor = _compiled(a, b, config.mu)
     phi_hat, feasible, outcome = _estimate(restart, gamma_hat, a, b)

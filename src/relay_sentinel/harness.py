@@ -6,7 +6,10 @@ detector parameters.  Each trial derives its own RNG stream from
 ``(master_seed, trial_index)``, simulates uplink -> manipulation ->
 downlink, and records both the detector's decision statistic and the
 ground-truth deviation of the realized symbol-substitution channel, so
-the two can be compared trial by trial.  Results depend only on the
+the two can be compared trial by trial.  Both read counts alone, and a
+trial's traces are counted once (``trial_counts``): the detector's
+(y1 | x1) table and the relay's (v | u) table are the marginals of one
+joint (y1, x1, v, u) table.  Results depend only on the
 scenario and the trial index, never on execution order, which makes
 experiments safe to parallelize and bitwise reproducible.
 
@@ -16,20 +19,24 @@ lengths, its parity-gated variant, and two ternary-adder setups with
 noisy five-symbol downlinks (one certifiably manipulable).
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+# score_trial calls neither extract_attack_channel nor run_detection, but
+# benchmark/tracing.py looks both up on this module
 from .attackmodel import (
+    AttackChannel,
     AttackSpec,
     apply_attack,
     extract_attack_channel,
     truth_statistic,
 )
 from .channelmodel import MacModel, marginalize_mac, simulate_downlink, simulate_uplink
-from .detector import DetectorConfig, run_detection
-from .stochcore import validate_count, validate_source, value_eq
+from .detector import DetectorConfig, run_detection, run_detection_on_counts
+from .stochcore import BLOCK_SIZE, joint_counts, validate_count, validate_source, value_eq
 
 __all__ = [
     "DESK_TRIALS",
@@ -43,6 +50,7 @@ __all__ = [
     "run_experiment",
     "run_trial",
     "score_trial",
+    "trial_counts",
     "trial_seed",
     "trial_traces",
 ]
@@ -143,14 +151,36 @@ def trial_traces(
     return x1, y1, u, v
 
 
+def trial_counts(scenario: Scenario, x1, y1, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The (y1 | x1) counts #(y1=i, x1=j) and the relay's (v | u) counts
+    #(v=i, u=j) of one trial's traces, all the detector and the ground truth read.
+
+    The four traces are counted as one (y1, x1, v, u) table while it has at
+    most ``BLOCK_SIZE`` cells, so that no block's count outgrows the block,
+    and the two marginals are read off it; a larger table is counted as
+    two pairs.
+    """
+    y1_size, x1_size, u_size = scenario.b.shape[0], scenario.mac.x1_size, scenario.mac.u_size
+    sizes, names = (y1_size, x1_size, u_size, u_size), ("y1", "x1", "v", "u")
+    if math.prod(sizes) > BLOCK_SIZE:
+        return (
+            joint_counts((y1, x1), sizes[:2], names[:2]),
+            joint_counts((v, u), sizes[2:], names[2:]),
+        )
+    joint = joint_counts((y1, x1, v, u), sizes, names).reshape(y1_size * x1_size, u_size * u_size)
+    return joint.sum(axis=1).reshape(y1_size, x1_size), joint.sum(axis=0).reshape(u_size, u_size)
+
+
 def score_trial(scenario: Scenario, trial_index: int, x1, y1, u, v) -> TrialResult:
-    """Run the detector and the ground truth on one trial's traces.
+    """Run the detector and the ground truth on one trial's traces, counted
+    once by `trial_counts`.
 
     ``changed_fraction`` is the off-diagonal share of the relay's counts.
     """
-    truth = extract_attack_channel(u, v, scenario.mac.u_size)
+    detector_counts, relay_counts = trial_counts(scenario, x1, y1, u, v)
+    truth = AttackChannel.from_counts(relay_counts)
     truth_stat = truth_statistic(truth)
-    report = run_detection(scenario.detector_config, x1, y1)
+    report = run_detection_on_counts(scenario.detector_config, detector_counts)
     symbols = int(truth.counts.sum())
     return TrialResult(
         trial_index=trial_index,

@@ -12,14 +12,15 @@ Conventions used throughout the package:
   and `validate_count` alone decide a source's alphabet, the reachable relay
   symbols, the channel pair, the real parameters (mu, delta) and the counts.
   A bool is never a number or a count here;
-- `transition_counts` alone counts a pair of symbol traces and decides the
-  trace rules: 1-D, equal non-zero lengths, every symbol inside its alphabet;
+- `joint_counts` alone counts paired symbol traces into one table and
+  decides the trace rules: 1-D, equal non-zero lengths, every symbol inside
+  its alphabet; `transition_counts` is its two-trace form;
 - symbol traces are stored in the smallest unsigned dtype of their alphabet
-  (`symbol_dtype`), and so are their pair keys: `pair_index` alone turns a
-  pair of symbols into one key, in the smallest unsigned dtype of the pairs,
-  once per trace. Every 8-byte temporary (draws, intp indices, gathered
-  thresholds, `bincount`'s copy) lives one `trace_blocks` block at a time,
-  so none grows with the trace length;
+  (`symbol_dtype`), and so are their keys: one builder turns paired symbols
+  into one key, in the smallest unsigned dtype of the tuples, once per
+  trace, for `pair_index` and `joint_counts` alike. Every 8-byte temporary
+  (draws, intp indices, gathered thresholds, `bincount`'s copy) lives one
+  `trace_blocks` block at a time, so none grows with the trace length;
 - `point_masses` alone decides whether a matrix is deterministic: every
   entry within ``DEFAULT_TOL`` of 0 or 1.
 """
@@ -49,6 +50,7 @@ __all__ = [
     "point_masses",
     "trace_blocks",
     "pair_index",
+    "joint_counts",
     "transition_counts",
     "channel_constants",
     "value_eq",
@@ -232,42 +234,59 @@ def trace_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
 
 
+def _flat_key(traces, sizes) -> np.ndarray:
+    """The row-major flattened keys of paired symbol traces, in the smallest
+    unsigned dtype of their prod(sizes) keys (``symbol_dtype``).
+
+    The symbols must lie inside their alphabets (the caller checks), so
+    every key fits that dtype whatever the inputs' integer dtype: the
+    arithmetic runs in it, in place on the one key array, cast unsafely
+    from int64 or uint64 columns. A one-symbol leading alphabet is all
+    zeros, so a later size past the dtype may wrap.
+    """
+    dtype = symbol_dtype(math.prod(sizes))
+    # Horner's rule in place, ((t0 * s1 + t1) * s2 + t2) ..., whose first
+    # multiply also casts t0 into the key (s1 is 1 for a lone trace)
+    key = np.multiply(traces[0], np.intp(math.prod(sizes[1:2])), dtype=dtype, casting="unsafe")
+    for index in range(1, len(traces)):
+        np.add(key, traces[index], out=key, dtype=dtype, casting="unsafe")
+        if index + 1 < len(traces):
+            np.multiply(key, np.intp(sizes[index + 1]), out=key, dtype=dtype, casting="unsafe")
+    return key
+
+
 def pair_index(
     first: np.ndarray, second: np.ndarray, first_size: int, second_size: int
 ) -> np.ndarray:
     """The flattened pair keys first * second_size + second, in the smallest
     unsigned dtype of first_size * second_size keys (``symbol_dtype``).
 
-    The symbols must lie inside their alphabets (the caller checks), so
-    every key fits that dtype whatever the inputs' integer dtype: the
-    arithmetic runs in it, cast unsafely from int64 or uint64 columns. A
-    one-symbol first alphabet is all zeros, so a second_size past the dtype
-    may wrap.
+    The symbols must lie inside their alphabets (the caller checks).
     """
-    dtype = symbol_dtype(first_size * second_size)
-    key = np.multiply(first, np.intp(second_size), dtype=dtype, casting="unsafe")
-    return np.add(key, second, out=key, dtype=dtype, casting="unsafe")
+    return _flat_key((first, second), (first_size, second_size))
 
 
-def transition_counts(
-    given, observed, given_size: int, observed_size: int, names: tuple[str, str]
-) -> np.ndarray:
-    """counts[i, j] = #(observed = i, given = j) over two paired symbol traces.
+def joint_counts(traces, sizes, names) -> np.ndarray:
+    """counts[i, j, ...] = #(traces[0] = i, traces[1] = j, ...) over paired
+    symbol traces, an intp array of shape ``sizes``.
 
-    ``names`` labels (given, observed) in the messages. Traces that are not
+    ``names`` labels the traces in the messages. Traces that are not
     one-dimensional, of different or zero length, or not integer arrays
     (bool and float included), and symbols outside {0, ..., size - 1}, are
-    rejected, never folded into another cell.
+    rejected, never folded into another cell. The traces become one key
+    array, counted one block at a time.
     """
-    given, observed = np.asarray(given), np.asarray(observed)
-    for name, trace in zip(names, (given, observed)):
+    traces = [np.asarray(trace) for trace in traces]
+    # last trace first: a table counts (observed, given), and given is checked first
+    checked = list(zip(names, traces, sizes))[::-1]
+    for name, trace, _ in checked:
         if trace.ndim != 1:
             raise ValueError(f"{name} trace must be one-dimensional, got shape {trace.shape}")
-    if given.size != observed.size:
+    if any(trace.size != traces[0].size for trace in traces):
         raise ValueError("trace lengths differ")
-    if given.size == 0:
+    if traces[0].size == 0:
         raise ValueError("empty traces")
-    for name, trace, size in zip(names, (given, observed), (given_size, observed_size)):
+    for name, trace, size in checked:
         if trace.dtype.kind not in "iu":
             raise ValueError(f"{name} symbols must be integers, got dtype {trace.dtype}")
         # an unsigned trace (every sampled one) holds no negative symbol
@@ -277,11 +296,21 @@ def transition_counts(
                 f"{name} symbol {low if low < 0 else high} is outside the"
                 f" alphabet of size {size}"
             )
-    keys = pair_index(observed, given, observed_size, given_size)
-    counts = np.zeros(observed_size * given_size, dtype=np.intp)
-    for block in trace_blocks(keys.size):  # bincount counts an intp copy
-        counts += np.bincount(keys[block], minlength=counts.size)
-    return counts.reshape(observed_size, given_size)
+    keys = _flat_key(traces, sizes)
+    cells = math.prod(sizes)
+    first, *rest = trace_blocks(keys.size)  # bincount counts an intp copy
+    counts = np.bincount(keys[first], minlength=cells)
+    for block in rest:
+        counts += np.bincount(keys[block], minlength=cells)
+    return counts.reshape(sizes)
+
+
+def transition_counts(
+    given, observed, given_size: int, observed_size: int, names: tuple[str, str]
+) -> np.ndarray:
+    """counts[i, j] = #(observed = i, given = j) over two paired symbol traces,
+    by `joint_counts`, with ``names`` labelling (given, observed)."""
+    return joint_counts((observed, given), (observed_size, given_size), names[::-1])
 
 
 def channel_constants(a: np.ndarray, y1_size: int) -> ChannelConstants:

@@ -107,6 +107,16 @@ def test_extract_unobserved_columns_are_identity():
     np.testing.assert_array_equal(ac.counts, [[10, 0, 0], [0, 0, 0], [0, 0, 0]])
 
 
+def test_attack_channel_from_counts_reads_the_relay_table_alone():
+    # #(v=i, u=j): u = 2 never occurs, so its column is the identity's
+    counts = np.array([[3, 0, 0], [1, 2, 0], [0, 2, 0]])
+    ac = attackmodel.AttackChannel.from_counts(counts)
+    np.testing.assert_array_equal(ac.phi_n, [[0.75, 0.0, 0.0], [0.25, 0.5, 0.0], [0.0, 0.5, 1.0]])
+    assert ac.counts is counts
+    u, v = np.array([0, 0, 0, 0, 1, 1, 1, 1]), np.array([0, 0, 0, 1, 1, 1, 2, 2])
+    assert attackmodel.extract_attack_channel(u, v, u_size=3) == ac
+
+
 def test_extract_length_mismatch():
     with pytest.raises(ValueError):
         attackmodel.extract_attack_channel(np.array([0, 1]), np.array([0]), u_size=2)

@@ -9,7 +9,6 @@ checked against tiny hand-computed samples.
 
 import dataclasses
 import hashlib
-import sys
 import tracemalloc
 
 import numpy as np
@@ -33,6 +32,7 @@ from relay_sentinel.harness import (
     run_experiment,
     run_trial,
     score_trial,
+    trial_counts,
     trial_seed,
     trial_traces,
 )
@@ -135,11 +135,11 @@ def test_run_trial_uses_the_scenarios_detector_config(monkeypatch):
     assert scenario.detector_config.b is scenario.b
     seen = []
 
-    def spy(config, x1, y1):
+    def spy(config, counts):
         seen.append(config)
-        return detector.run_detection(config, x1, y1)
+        return detector.run_detection_on_counts(config, counts)
 
-    monkeypatch.setattr(harness, "run_detection", spy)
+    monkeypatch.setattr(harness, "run_detection_on_counts", spy)
     run_trial(scenario, 0)
     run_trial(scenario, 1)
     assert len(seen) == 2
@@ -243,6 +243,65 @@ def test_trial_traces_match_run_trial(motivating_phis):
             report = detector.run_detection(curve.detector_config, x1, y1)
             unseen = np.flatnonzero(np.bincount(x1, minlength=curve.mac.x1_size) == 0)
             assert report.unseen_x1_columns == unseen.tolist(), (name, label)
+
+
+def _counted_keys(monkeypatch):
+    """Record (traces keyed together, their length, key dtype) of every key
+    the one key builder makes."""
+    keyed, flat_key = [], stochcore._flat_key
+
+    def recording_flat_key(traces, sizes):
+        key = flat_key(traces, sizes)
+        keyed.append((len(traces), key.size, key.dtype))
+        return key
+
+    monkeypatch.setattr(stochcore, "_flat_key", recording_flat_key)
+    return keyed
+
+
+def _pair_tables(scenario, x1, y1, u, v):
+    x1_size, y1_size, u_size = scenario.mac.x1_size, scenario.b.shape[0], scenario.mac.u_size
+    return (
+        stochcore.transition_counts(x1, y1, x1_size, y1_size, ("x1", "y1")),
+        stochcore.transition_counts(u, v, u_size, u_size, ("u", "v")),
+    )
+
+
+def test_a_trials_one_count_is_its_two_pair_tables(monkeypatch):
+    # every preset's (y1, x1, v, u) table has at most BLOCK_SIZE cells (54 on
+    # fig3, 300 on fig5a, 375 on fig5b), so it is counted under one key,
+    # uint16 past 255 cells; int64 traces score exactly as the sampled ones
+    key_dtypes = {"fig5a": np.uint16, "fig5b": np.uint16}
+    keyed = _counted_keys(monkeypatch)
+    for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b"):
+        for label, curve in preset_curves(name).items():
+            for trial in (0, 1):
+                traces = trial_traces(curve, trial)
+                keyed.clear()
+                counts = trial_counts(curve, *traces)
+                assert keyed == [(4, curve.n, key_dtypes.get(name, np.uint8))], (name, label)
+                for table, expected in zip(counts, _pair_tables(curve, *traces)):
+                    np.testing.assert_array_equal(table, expected)
+                wide = [trace.astype(np.int64) for trace in traces]
+                assert score_trial(curve, trial, *wide) == score_trial(curve, trial, *traces)
+
+
+def test_a_table_past_block_size_cells_is_counted_as_two_pairs(monkeypatch):
+    # a 7 x 7 adder with B = I: 13 * 7 * 13 * 13 = 15 379 cells
+    wide = Scenario(
+        p1=np.full(7, 1 / 7), p2=np.full(7, 1 / 7), mac=MacModel.adder(7, 7), b=np.eye(13),
+        attack=AttackSpec(), n=10_000, mu=0.05, delta=0.07, trials=1, master_seed=7,
+    )
+    assert 13 * 7 * 13 * 13 > stochcore.BLOCK_SIZE
+    x1, y1, u, v = traces = trial_traces(wide, 0)
+    keyed = _counted_keys(monkeypatch)
+    relayed = np.random.default_rng(7).permutation(u)  # the honest relay's v is u
+    counts = trial_counts(wide, x1, y1, u, relayed)
+    assert keyed == [(2, wide.n, np.uint8)] * 2
+    for table, expected in zip(counts, _pair_tables(wide, x1, y1, u, relayed)):
+        np.testing.assert_array_equal(table, expected)
+    result = score_trial(wide, 0, *traces)
+    assert result == score_trial(wide, 0, *(trace.astype(np.int64) for trace in traces))
 
 
 def test_clean_trials_stay_feasible():
@@ -563,19 +622,11 @@ def test_long_trial_memory_stays_under_one_mib(name):
 def test_a_long_trial_keys_each_trace_pair_once_and_draws_one_call_per_block(
     monkeypatch, name, drawing_stages
 ):
-    # the calls a trial makes, not its time: one pair_index per trace pair
-    # (the uplink's (x1, x2), then the (u, v) and (x1, y1) counts), and one
-    # rng.random per trace block of each stage that draws
-    keyed, pair_index = [], stochcore.pair_index
-
-    def counting_pair_index(*args):
-        keyed.append(args[0].size)
-        return pair_index(*args)
-
-    for module_name, module in list(sys.modules.items()):
-        named = module_name.startswith("relay_sentinel.")
-        if named and vars(module).get("pair_index") is pair_index:
-            monkeypatch.setattr(module, "pair_index", counting_pair_index)
+    # the calls a trial makes, not its time: one key per trace, from the one
+    # key builder (the uplink's (x1, x2) pair key, then the one counting key
+    # of (y1, x1, v, u)), and one rng.random per trace block of each stage
+    # that draws
+    keyed = _counted_keys(monkeypatch)
     drawn = []
     default_rng = np.random.default_rng
 
@@ -590,7 +641,7 @@ def test_a_long_trial_keys_each_trace_pair_once_and_draws_one_call_per_block(
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
     scenario = preset(name)
     run_trial(scenario, 1)
-    assert keyed == [scenario.n] * 3
+    assert [(traces, size) for traces, size, _ in keyed] == [(2, scenario.n), (4, scenario.n)]
     blocks = [block.stop - block.start for block in stochcore.trace_blocks(scenario.n)]
     assert len(blocks) == -(-scenario.n // stochcore.BLOCK_SIZE)
     assert drawn == blocks * drawing_stages

@@ -479,3 +479,58 @@ def test_transition_counts_takes_every_integer_dtype():
             np.array([0, 1, 1], dtype=dtype), np.array([2, 0, 2], dtype=dtype), 2, 3, ("g", "o")
         )
         np.testing.assert_array_equal(counts, [[0, 1], [0, 0], [1, 1]])
+
+
+# around one and two 8 192-symbol blocks, and the 4 096-symbol edges before them
+_BLOCK_EDGE_LENGTHS = (1, 4_095, 4_096, 4_097, 8_191, 8_192, 8_193, 12_293)
+_JOINT_NAMES = ("y1", "x1", "v", "u")
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_LENGTHS)
+@pytest.mark.parametrize(
+    "sizes, key_dtype",
+    [((4, 3, 5, 5), np.uint16), ((3, 1, 2, 2), np.uint8)],
+    ids=["300 cells", "one-symbol x1"],
+)
+def test_joint_counts_marginals_are_the_transition_counts(n, sizes, key_dtype):
+    # a (y1, x1, v, u) table: its (y1, x1) and (v, u) marginals are the two
+    # pair tables, and the whole table is one bincount of int64 keys
+    rng = np.random.default_rng(n)
+    y1, x1, v, u = (rng.integers(size, size=n).astype(np.uint8) for size in sizes)
+    wide_keys = np.ravel_multi_index([t.astype(np.int64) for t in (y1, x1, v, u)], sizes)
+    oracle = np.bincount(wide_keys, minlength=int(np.prod(sizes))).reshape(sizes)
+    assert stochcore._flat_key((y1, x1, v, u), sizes).dtype == key_dtype
+    for dtype in (np.uint8, np.int64):
+        traces = [t.astype(dtype) for t in (y1, x1, v, u)]
+        joint = stochcore.joint_counts(traces, sizes, _JOINT_NAMES)
+        assert joint.dtype == np.intp and joint.shape == sizes
+        np.testing.assert_array_equal(joint, oracle)
+        wide_y1, wide_x1, wide_v, wide_u = traces
+        np.testing.assert_array_equal(
+            joint.sum(axis=(2, 3)),
+            stochcore.transition_counts(wide_x1, wide_y1, sizes[1], sizes[0], ("x1", "y1")),
+        )
+        np.testing.assert_array_equal(
+            joint.sum(axis=(0, 1)),
+            stochcore.transition_counts(wide_u, wide_v, sizes[3], sizes[2], ("u", "v")),
+        )
+
+
+@pytest.mark.parametrize(
+    "index, trace, message",
+    [
+        (1, np.array([0, 0, 5, 0]), "x1 symbol 5 is outside the alphabet of size 2"),
+        (0, np.array([0, -1, 0, 0]), "y1 symbol -1 is outside the alphabet of size 3"),
+        (3, np.zeros((4, 1), int), f"u {_NOT_1D} (4, 1)"),
+        (2, np.zeros(4), "v symbols must be integers, got dtype float64"),
+        (1, np.zeros(4, bool), "x1 symbols must be integers, got dtype bool"),
+        (2, np.zeros(3, int), "trace lengths differ"),
+    ],
+)
+def test_joint_counts_names_the_trace_that_breaks_a_rule(index, trace, message):
+    traces = [np.zeros(4, np.uint8) for _ in _JOINT_NAMES]
+    traces[index] = trace
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stochcore.joint_counts(traces, (3, 2, 5, 5), _JOINT_NAMES)
+    with pytest.raises(ValueError, match="^empty traces$"):
+        stochcore.joint_counts([np.zeros(0, int)] * 4, (3, 2, 5, 5), _JOINT_NAMES)
