@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channelmodel import sample_trace
-from .stochcore import l1_norm, transition_counts, validate_column_stochastic, value_eq
+from .stochcore import (
+    l1_norm,
+    transition_counts,
+    validate_column_stochastic,
+    validate_count_table,
+    value_eq,
+)
 
 __all__ = [
     "AttackSpec",
@@ -80,8 +86,9 @@ class AttackChannel:
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> AttackChannel:
-        """Conditional frequency of v given u in counts #(v=i, u=j); identity
-        columns where u never occurred."""
+        """Conditional frequency of v given u in the square counts #(v=i, u=j)
+        (`validate_count_table`); identity columns where u never occurred."""
+        counts = validate_count_table(counts, (len(counts), len(counts)))
         totals = counts.sum(axis=0)
         observed = totals > 0
         phi_n = np.eye(counts.shape[0])

@@ -21,7 +21,7 @@ columns, such as the uplink's `pair_index` keys, are one array per trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,17 +53,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MacModel:
-    """Multiple-access channel p(u | x1, x2) in flattened-table form.
-
-    ``deterministic`` is derived from the table, validated at construction:
-    it marks a table of point masses (`stochcore.point_masses`, adders), for
-    which simulation looks u up and consumes no random draws for it.
-    """
+    """Multiple-access channel p(u | x1, x2) in flattened-table form, its
+    table validated at construction. Simulation looks up u of a table of
+    point masses (an adder's) and draws nothing for it (`_cdf_table`)."""
 
     table: np.ndarray
     x1_size: int
     x2_size: int
-    deterministic: bool = field(init=False)
 
     __eq__ = value_eq
 
@@ -73,7 +69,6 @@ class MacModel:
         if table.shape[1] != columns:
             raise ValueError(f"table has {table.shape[1]} columns, expected {columns}")
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "deterministic", point_masses(table) is not None)
 
     @property
     def u_size(self) -> int:

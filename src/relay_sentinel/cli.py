@@ -268,8 +268,9 @@ def _plain_trace(data):
     most 10 symbols: plain lines (`_PLAIN_LINE`) up to the header, then the
     rows ``n,a,b`` for n = 0, 1, 2, ..., each a one-digit symbol pair and
     a newline, so a row whose index has w digits takes w + 5 bytes. Each
-    run of rows of one width inside a trace block is checked as one table;
-    any other file is None, for the line-by-line reader to read or reject.
+    run of rows whose indices have one width and share all but their last
+    four digits is checked as one table; any other file is None, for the
+    line-by-line reader to read or reject.
     """
     metadata, start, header = {}, 0, None
     while header is None:
@@ -284,40 +285,38 @@ def _plain_trace(data):
     body = np.frombuffer(data, np.uint8, offset=start)
     first, second = np.empty(rows, np.int64), np.empty(rows, np.int64)
     plain, padded = (labels.view("<u4") for labels in _low_digit_labels())
-    offset = 0
-    for block in trace_blocks(rows):
-        row = block.start
-        while row < block.stop:
-            # a run of rows whose indices have one width and share every
-            # digit but the last four
-            lead, low = divmod(row, _LOW_DIGITS)
-            width = len(str(row))
-            stop = min(block.stop, (lead + 1) * _LOW_DIGITS, 10**width)
-            count = stop - row
-            table = body[offset : offset + count * (width + 5)].reshape(count, width + 5)
-            # an index's last four digits as one unaligned word per row; a
-            # shorter index's word also holds the comma and symbol after it
-            if width < 4:
-                words = table[:, :4].view("<u4")[:, 0] & ((1 << 8 * width) - 1)
-                index = words == plain[low : low + count]
-            else:
-                index = table[:, width - 4 : width].view("<u4")[:, 0] == padded[low : low + count]
-            leading = np.frombuffer(str(lead).encode(), np.uint8)  # from 10 000 on
-            # a symbol byte below the digit 0 wraps past 9
-            a, b = table[:, width + 1] - _ZERO, table[:, width + 3] - _ZERO
-            if not (
-                index.all()
-                and (not lead or (table[:, : width - 4] == leading).all())
-                and (table[:, width] == _COMMA).all()
-                and (table[:, width + 2] == _COMMA).all()
-                and (table[:, width + 4] == _NEWLINE).all()
-                and a.max() < 10
-                and b.max() < 10
-            ):
-                return None
-            first[row:stop], second[row:stop] = a, b
-            offset += table.size
-            row = stop
+    offset = row = 0
+    while row < rows:
+        # a run holds at most 10 000 rows and makes no 8-byte temporary, so
+        # it needs no `trace_blocks` bound
+        lead, low = divmod(row, _LOW_DIGITS)
+        width = len(str(row))
+        stop = min(rows, (lead + 1) * _LOW_DIGITS, 10**width)
+        count = stop - row
+        table = body[offset : offset + count * (width + 5)].reshape(count, width + 5)
+        # an index's last four digits as one unaligned word per row; a
+        # shorter index's word also holds the comma and symbol after it
+        if width < 4:
+            words = table[:, :4].view("<u4")[:, 0] & ((1 << 8 * width) - 1)
+            index = words == plain[low : low + count]
+        else:
+            index = table[:, width - 4 : width].view("<u4")[:, 0] == padded[low : low + count]
+        leading = np.frombuffer(str(lead).encode(), np.uint8)  # from 10 000 on
+        # a symbol byte below the digit 0 wraps past 9
+        a, b = table[:, width + 1] - _ZERO, table[:, width + 3] - _ZERO
+        if not (
+            index.all()
+            and (not lead or (table[:, : width - 4] == leading).all())
+            and (table[:, width] == _COMMA).all()
+            and (table[:, width + 2] == _COMMA).all()
+            and (table[:, width + 4] == _NEWLINE).all()
+            and a.max() < 10
+            and b.max() < 10
+        ):
+            return None
+        first[row:stop], second[row:stop] = a, b
+        offset += table.size
+        row = stop
     return metadata, header, (first, second)
 
 

@@ -42,6 +42,7 @@ from .stochcore import (
     transition_counts,
     validate_channel,
     validate_column_stochastic,
+    validate_count_table,
     validate_positive,
     value_eq,
 )
@@ -272,10 +273,8 @@ def run_detection(
 
 def run_detection_on_counts(config: DetectorConfig, counts: np.ndarray) -> DetectionReport:
     """Histogram -> estimator -> statistic -> verdict, with diagnostics, from
-    the |Y1| x |X1| counts #(y1=i, x1=j)."""
-    expected = (config.b.shape[0], config.a.shape[1])
-    if np.shape(counts) != expected:
-        raise ValueError(f"counts have shape {np.shape(counts)}, expected {expected}")
+    the |Y1| x |X1| counts #(y1=i, x1=j), checked by `validate_count_table`."""
+    counts = validate_count_table(counts, (config.b.shape[0], config.a.shape[1]))
     gamma_hat, unseen = _histogram(counts)
     a, b = config.a, config.b
     restart, noiseless_floor = _compiled(a, b, config.mu)

@@ -14,10 +14,10 @@ the cost.
 
 A program has two kinds of sibling, each sharing everything else with it:
 p.with_objective(c) has a new objective, p.with_rhs(...) new right-hand
-sides, each checked as the constructor checks it. The standard form
-depends only on the constraints and bounds, so it is built once, on the
-first solve of the program or of any sibling, and shared by all of them;
-each solve computes its own cost row from it.
+sides, each checked as the constructor checks it. The constructor builds
+the standard form, checking each bound in the one pass that classifies it;
+the form depends only on the constraints and bounds, so every sibling
+shares it, and each solve computes its own cost row from it.
 
 Phase 1 reads only the constraints and the right-hand side, never the
 objective (Chvatal, Linear Programming, 1983, ch. 8), so its result is
@@ -93,7 +93,7 @@ class LpProblem:
     for every variable. The program holds read-only copies of the arrays it
     is given, so writing to the caller's arrays afterwards does not change it.
     It and its with_rhs and with_objective siblings share one standard
-    form, built on the first solve of any of them.
+    form, which the constructor builds, checking the bounds as it goes.
     """
 
     objective: np.ndarray
@@ -125,40 +125,12 @@ class LpProblem:
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
             object.__setattr__(self, rhs, _vector(rhs, vec, mat.shape[0], "rows"))
-        if self.bounds is None:
-            bounds = tuple((0.0, None) for _ in range(n))
-        else:
-            bounds = tuple((lo, hi) for lo, hi in self.bounds)
-            if len(bounds) != n:
-                raise ValueError(f"expected {n} bound pairs, got {len(bounds)}")
-            # bounds repeat a few objects (a witness LP's are None, 0.0 and
-            # 1.0), so each distinct one is judged once and a bad one is
-            # looked up only to name its variable
-            values = {id(value): value for pair in bounds for value in pair if value is not None}
-            bad = {
-                key
-                for key, value in values.items()
-                if isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            }
-            for j, (lo, hi) in enumerate(bounds):
-                if bad:
-                    for side, value in (("lower", lo), ("upper", hi)):
-                        if id(value) in bad:
-                            raise ValueError(f"bound {j}: {side} {value!r} must be finite or None")
-                if lo is not None and hi is not None and lo > hi:
-                    raise ValueError(f"bound {j}: lower {lo} exceeds upper {hi}")
+        bounds = ((0.0, None),) * n if self.bounds is None else tuple(map(tuple, self.bounds))
+        if len(bounds) != n:
+            raise ValueError(f"expected {n} bound pairs, got {len(bounds)}")
         object.__setattr__(self, "bounds", bounds)
-        # not a field: siblings copy this list, so the form one builds is all of theirs
-        object.__setattr__(self, "_form_cell", [])
-
-    @property
-    def _form(self) -> _StandardForm:
-        """The standard form of this program's constraints and bounds."""
-        if not self._form_cell:
-            self._form_cell.append(_StandardForm(self))
-        return self._form_cell[0]
+        # not a field: siblings copy it, so this one form is all of theirs
+        object.__setattr__(self, "_form", _StandardForm(self))
 
     def with_rhs(self, b_eq=None, b_ub=None) -> LpProblem:
         """This program with new right-hand sides.
@@ -241,7 +213,8 @@ class _StandardForm:
     ``full`` does not depend on the right-hand side, which ``rhs`` maps
     into the same rows, so no row is sign-flipped here, nor on the
     objective, which ``cost`` maps onto the columns. The arrays are
-    read-only: the form is shared by a program's siblings.
+    read-only: the form is shared by a program's siblings. Its one pass
+    over the bounds checks each pair as it classifies it.
     """
 
     def __init__(self, p: LpProblem):
@@ -250,6 +223,10 @@ class _StandardForm:
         t = np.zeros(n)
         box_cols, caps = [], []  # per two-sided bound: its column and cap
         for i, (lo, hi) in enumerate(p.bounds):
+            for side, value in (("lower", lo), ("upper", hi)):
+                real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                if value is not None and not (real and math.isfinite(value)):
+                    raise ValueError(f"bound {i}: {side} {value!r} must be finite or None")
             if lo is None and hi is None:  # free: x = x_std+ - x_std-
                 variables += [i, i]
                 signs += [1.0, -1.0]
@@ -259,6 +236,8 @@ class _StandardForm:
                 t[i] = hi
             else:  # x = lo + x_std, with x_std <= hi - lo when hi is set
                 if hi is not None:
+                    if lo > hi:
+                        raise ValueError(f"bound {i}: lower {lo} exceeds upper {hi}")
                     box_cols.append(len(variables))
                     caps.append(float(hi) - float(lo))
                 variables.append(i)
@@ -540,7 +519,8 @@ def _dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
     return None, None, pivots
 
 
-def _optimal(p, form, basis, values, path, pivots):
+def _optimal(p, basis, values, path, pivots):
+    form = p._form
     n_real = form.full.shape[1]
     x_std = np.zeros(n_real)
     real_rows = basis < n_real
@@ -569,8 +549,8 @@ class Restart:
     """One program solved cold and factored at its own optimum, to answer its siblings.
 
     ``optimum`` is the program's cold LpOutcome. At its basis the restart
-    holds the program's standard form, the basis inverse, the tableau
-    B^-1 [A | I] and the reduced costs. Dual feasibility does not depend on
+    holds the basis inverse, the tableau B^-1 [A | I] over the program's
+    standard form and the reduced costs. Dual feasibility does not depend on
     the right-hand side, so it is checked here once: a program with no
     optimum, or a basis that roundoff leaves singular or dual infeasible,
     leaves the restart unusable, and every solve through it runs cold. The
@@ -579,8 +559,8 @@ class Restart:
 
     def __init__(self, p: LpProblem):
         form = p._form
-        self.problem, self.form = p, form
-        self.optimum = _solve_cold(p, form, 0)
+        self.problem = p
+        self.optimum = _solve_cold(p, 0)
         self.basis = self.optimum.basis
         m, n_real = form.full.shape
         self.ext = np.hstack([form.full, np.eye(m)])
@@ -604,11 +584,11 @@ class Restart:
             raise ValueError("the restart was factored for a different program")
         if self.inverse is None:
             return None, 0
-        rhs = self.form.rhs(p)
-        n_real = self.form.full.shape[1]
+        rhs = p._form.rhs(p)
+        n_real = p._form.full.shape[1]
         values = self.inverse @ rhs
         if _primal_feasible(values, self.basis, n_real):
-            return _optimal(p, self.form, self.basis, values, "start", 0), 0
+            return _optimal(p, self.basis, values, "start", 0), 0
         tab = np.empty((self.tableau.shape[0], self.tableau.shape[1] + 1))
         tab[:, :-1] = self.tableau
         tab[:, -1] = values
@@ -618,7 +598,7 @@ class Restart:
             self.ext, rhs, self.cost, basis, tab, obj, n_real
         )
         if path == "dual":
-            return _optimal(p, self.form, basis, values, path, pivots), pivots
+            return _optimal(p, basis, values, path, pivots), pivots
         if path == "farkas":
             return LpOutcome(status=LpStatus.INFEASIBLE, path=path, pivots=pivots), pivots
         return None, pivots
@@ -633,13 +613,14 @@ def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
     been given.
     """
     if restart is None:
-        return _solve_cold(p, p._form, 0)
+        return _solve_cold(p, 0)
     outcome, spent = restart.answer(p)
-    return outcome if outcome is not None else _solve_cold(p, restart.form, spent)
+    return outcome if outcome is not None else _solve_cold(p, spent)
 
 
-def _solve_cold(p: LpProblem, form: _StandardForm, spent: int) -> LpOutcome:
+def _solve_cold(p: LpProblem, spent: int) -> LpOutcome:
     """The two-phase solve of p in its standard form; ``spent`` pivots came before."""
+    form = p._form
     ext, rhs, feasible, basis, pivots1, tab = _phase_one(*form.key, form.rhs(p).tobytes())
     if not feasible:
         return LpOutcome(status=LpStatus.INFEASIBLE, pivots=spent + pivots1)
@@ -658,7 +639,7 @@ def _solve_cold(p: LpProblem, form: _StandardForm, spent: int) -> LpOutcome:
     pivots = spent + pivots1 + pivots2
     if status == "unbounded":
         return LpOutcome(status=LpStatus.UNBOUNDED, pivots=pivots)
-    return _optimal(p, form, basis, tab[:, -1], "cold", pivots)
+    return _optimal(p, basis, tab[:, -1], "cold", pivots)
 
 
 def _max_iter(shape) -> int:

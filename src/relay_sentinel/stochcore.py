@@ -8,10 +8,11 @@ Conventions used throughout the package:
 - all indices are zero-based;
 - `validate_pmf` and `validate_column_stochastic` are the only judges of
   whether an input is a probability object, always at ``DEFAULT_TOL``;
-  `validate_source`, `validate_uplink`, `validate_channel`, `validate_positive`
-  and `validate_count` alone decide a source's alphabet, the reachable relay
-  symbols, the channel pair, the real parameters (mu, delta) and the counts.
-  A bool is never a number or a count here;
+  `validate_source`, `validate_uplink`, `validate_channel`, `validate_positive`,
+  `validate_count` and `validate_count_table` alone decide a source's
+  alphabet, the reachable relay symbols, the channel pair, the real
+  parameters (mu, delta), the counts and the count tables. A bool is never a
+  number or a count here;
 - `joint_counts` alone counts paired symbol traces into one table and
   decides the trace rules: 1-D, equal non-zero lengths, every symbol inside
   its alphabet; `transition_counts` is its two-trace form;
@@ -46,6 +47,7 @@ __all__ = [
     "validate_channel",
     "validate_positive",
     "validate_count",
+    "validate_count_table",
     "symbol_dtype",
     "point_masses",
     "trace_blocks",
@@ -210,6 +212,21 @@ def validate_count(value, name: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def validate_count_table(counts, shape: tuple) -> np.ndarray:
+    """counts as an array (the very object when it is one), or ValueError unless
+    it holds ``shape`` integer counts (not bools), none negative, not all zero."""
+    table = np.asarray(counts)
+    if table.shape != shape:
+        raise ValueError(f"counts have shape {table.shape}, expected {shape}")
+    if table.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {table.dtype}")
+    if (table < 0).any():
+        _reject("counts", table, table < 0, "is negative")
+    if not table.any():
+        raise ValueError("counts hold no observation")
+    return table
 
 
 def symbol_dtype(size: int) -> np.dtype:

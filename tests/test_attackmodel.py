@@ -117,6 +117,23 @@ def test_attack_channel_from_counts_reads_the_relay_table_alone():
     assert attackmodel.extract_attack_channel(u, v, u_size=3) == ac
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        # a negative cell used to give phi_n entries of -1 and 2
+        ([[3, -1, 0], [0, 2, 0], [0, 0, 1]], r"^counts\[0\]\[1\]: entry -1 is negative$"),
+        (np.eye(3), "^counts must be integers, got dtype float64$"),
+        (np.eye(3, dtype=bool), "^counts must be integers, got dtype bool$"),
+        (np.zeros((3, 3), int), "^counts hold no observation$"),
+        (np.ones((2, 3), int), r"^counts have shape \(2, 3\), expected \(2, 2\)$"),
+    ],
+    ids=["negative", "float", "bool", "empty", "shape"],
+)
+def test_attack_channel_from_counts_rejects_a_bad_count_table(counts, message):
+    with pytest.raises(ValueError, match=message):
+        attackmodel.AttackChannel.from_counts(counts)
+
+
 def test_extract_length_mismatch():
     with pytest.raises(ValueError):
         attackmodel.extract_attack_channel(np.array([0, 1]), np.array([0]), u_size=2)

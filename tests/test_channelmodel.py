@@ -13,7 +13,7 @@ def test_adder_mac_shape_and_determinism():
     mac = MacModel.adder(2, 2)
     assert mac.u_size == 3
     assert mac.x1_size == 2 and mac.x2_size == 2
-    assert mac.deterministic
+    assert stochcore.point_masses(mac.table) is not None
     # column for (x1=1, x2=0) is the point mass at u=1
     np.testing.assert_allclose(mac.table[:, 1 * 2 + 0], [0.0, 1.0, 0.0])
 
@@ -31,9 +31,9 @@ def test_table_mac_checks_its_table_and_derives_determinism():
     with pytest.raises(ValueError, match="expected 4"):
         MacModel(np.eye(2), 2, 2)
     mixed = np.array([[1.0, 0.5], [0.0, 0.5]])
-    assert not MacModel(mixed, 2, 1).deterministic
-    assert MacModel(np.eye(2), 2, 1).deterministic
-    assert MacModel.adder(3, 2).deterministic
+    assert stochcore.point_masses(MacModel(mixed, 2, 1).table) is None
+    assert stochcore.point_masses(MacModel(np.eye(2), 2, 1).table) is not None
+    assert stochcore.point_masses(MacModel.adder(3, 2).table) is not None
     with pytest.raises(TypeError):
         MacModel(mixed, 2, 1, True)
     # the alphabet sizes are counts: a product of -1 and -2 fit two columns
@@ -50,7 +50,7 @@ def test_determinism_is_judged_at_default_tol():
     stream = np.random.default_rng(7).random(3 * n + 1)
     for mass, deterministic in ((5e-9, False), (5e-10, True)):
         mac = MacModel(np.array([[1.0, 1.0 - mass], [0.0, mass]]), 2, 1)
-        assert mac.deterministic is deterministic
+        assert (stochcore.point_masses(mac.table) is not None) is deterministic
         rng = np.random.default_rng(7)
         channelmodel.simulate_uplink(mac, [0.5, 0.5], [1.0], n, rng)
         # x1 and x2 take n draws each, and a sampled u another n
@@ -63,7 +63,7 @@ def test_determinism_is_judged_at_default_tol():
             np.testing.assert_array_equal(y1, np.zeros(n))
     for x1_size in range(1, 6):
         for x2_size in range(1, 6):
-            assert MacModel.adder(x1_size, x2_size).deterministic
+            assert stochcore.point_masses(MacModel.adder(x1_size, x2_size).table) is not None
 
 
 def test_marginalize_binary_adder(motivating_a):

@@ -91,6 +91,24 @@ def test_run_detection_is_the_count_core_on_the_trace_pairs_counts():
         detector.run_detection_on_counts(config, counts.T)
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        # a negative cell used to give a gamma_hat entry of -0.002 and "clean"
+        ([[5000, -10], [0, 5000], [0, 10]], r"^counts\[0\]\[1\]: entry -10 is negative$"),
+        (np.array([[5000, 0], [0, 5000], [0, 10]], float), "^counts must be integers, got dtype float64$"),
+        (np.array([[1, 0], [0, 1], [0, 1]], bool), "^counts must be integers, got dtype bool$"),
+        (np.zeros((3, 2), int), "^counts hold no observation$"),
+        (np.ones((2, 3), int), r"^counts have shape \(2, 3\), expected \(3, 2\)$"),
+    ],
+    ids=["negative", "float", "bool", "empty", "shape"],
+)
+def test_run_detection_on_counts_rejects_a_bad_count_table(counts, message):
+    config = preset("fig3b").detector_config
+    with pytest.raises(ValueError, match=message):
+        detector.run_detection_on_counts(config, counts)
+
+
 def test_float_trace_is_rejected_by_name():
     # a float trace used to leak NumPy's TypeError from np.bincount
     config = preset("fig3a").detector_config

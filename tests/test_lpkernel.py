@@ -472,8 +472,8 @@ def test_restart_at_a_basis_it_cannot_use_solves_cold(monkeypatch, p, basis):
     # infeasible when it is factored; stand in such a basis for the optimum's
     honest = lpkernel._solve_cold
 
-    def foreign(q, form, spent):
-        return dataclasses.replace(honest(q, form, spent), basis=np.array(basis))
+    def foreign(q, spent):
+        return dataclasses.replace(honest(q, spent), basis=np.array(basis))
 
     monkeypatch.setattr(lpkernel, "_solve_cold", foreign)
     restart = lpkernel.Restart(p)
@@ -518,12 +518,12 @@ def test_ray_verification_never_declares_a_feasible_sibling_infeasible():
     checked = 0
     for base, optimum, siblings in _families():
         restart = lpkernel.Restart(base)
-        full = restart.ext[:, : restart.form.full.shape[1]]
+        full = restart.ext[:, : base._form.full.shape[1]]
         for p in siblings:
             warm = solve_lp(p, restart)
             if warm.status is not LpStatus.OPTIMAL:
                 continue
-            rhs = restart.form.rhs(p)
+            rhs = base._form.rhs(p)
             for basis in (restart.basis, warm.basis):
                 for row in range(basis.size):
                     y = lpkernel._farkas_ray(restart.ext, rhs, basis, row)
@@ -590,8 +590,8 @@ def test_an_objective_sibling_shares_all_but_its_objective(monkeypatch):
     assert p.objective.tolist() == [1.0, 2.0]
     for name in ("a_eq", "b_eq", "a_ub", "b_ub", "bounds"):
         assert getattr(sibling, name) is getattr(p, name)
-    # the sibling solves first and builds the form; the parent and a
-    # right-hand-side sibling made before that solve use the same one
+    # the parent built the form when it was made: solving it or any
+    # sibling, in any order, builds none
     moved = p.with_rhs(b_eq=[1.5])
     assert _outcome_key(solve_lp(sibling)) == _outcome_key(solve_lp(LpProblem(
         objective=[3.0, -1.0], a_eq=p.a_eq, b_eq=p.b_eq, a_ub=p.a_ub, b_ub=p.b_ub, bounds=p.bounds,
@@ -605,6 +605,47 @@ def test_an_objective_sibling_shares_all_but_its_objective(monkeypatch):
     # a Restart answers right-hand-side siblings only
     with pytest.raises(ValueError, match="different program"):
         solve_lp(sibling, lpkernel.Restart(p))
+
+
+def test_a_program_builds_its_standard_form_once_when_it_is_made(monkeypatch):
+    # the constructor builds the form; siblings, siblings of siblings and
+    # a Restart read that one object, and no solve builds another
+    built, read = [], []
+
+    class Counting(lpkernel._StandardForm):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+        def rhs(self, p):
+            read.append(self)
+            return super().rhs(p)
+
+        def cost(self, p):
+            read.append(self)
+            return super().cost(p)
+
+    monkeypatch.setattr(lpkernel, "_StandardForm", Counting)
+    p = LpProblem(
+        objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[1.0, -1.0]], b_ub=[0.5],
+        bounds=[(0.0, 2.0), (None, 1.0)],
+    )
+    assert built == [p] and isinstance(p._form, Counting)
+    moved = p.with_rhs(b_eq=[1.5])
+    siblings = [
+        moved, p.with_objective([3.0, -1.0]), moved.with_objective([0.0, 1.0]),
+        moved.with_rhs(b_ub=[0.0]), p.with_objective([1.0, 1.0]).with_rhs(b_eq=[0.5]),
+    ]
+    restart = lpkernel.Restart(p)
+    moved_restart = lpkernel.Restart(moved)
+    for q in [p] + siblings:
+        assert q._form is p._form
+        solve_lp(q)
+    for q in (p, moved, siblings[3]):
+        solve_lp(q, restart)
+        solve_lp(q, moved_restart)
+    assert built == [p]
+    assert len(read) > len(siblings) and all(form is p._form for form in read)
 
 
 def test_an_objective_sibling_checks_only_its_objective():

@@ -231,6 +231,29 @@ def test_validate_count_accepts_python_ints_only():
             stochcore.validate_count(value, "n", minimum)
 
 
+def test_validate_count_table_returns_a_valid_table_itself():
+    counts = np.array([[3, 0], [0, 1], [2, 0]], np.uint16)
+    assert stochcore.validate_count_table(counts, (3, 2)) is counts
+    listed = stochcore.validate_count_table([[0, 1], [0, 0]], (2, 2))
+    assert listed.tolist() == [[0, 1], [0, 0]] and listed.dtype.kind == "i"
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (np.ones((3, 2), int), r"^counts have shape \(3, 2\), expected \(2, 3\)$"),
+        (np.ones((2, 3)), r"^counts must be integers, got dtype float64$"),
+        (np.ones((2, 3), bool), r"^counts must be integers, got dtype bool$"),
+        ([[5, 0, 0], [0, -1, 0]], r"^counts\[1\]\[1\]: entry -1 is negative$"),
+        (np.zeros((2, 3), np.uint8), r"^counts hold no observation$"),
+    ],
+    ids=["shape", "float", "bool", "negative", "empty"],
+)
+def test_validate_count_table_rejects_what_is_not_a_table_of_counts(counts, message):
+    with pytest.raises(ValueError, match=message):
+        stochcore.validate_count_table(counts, (2, 3))
+
+
 def test_validate_channel_checks_each_matrix_then_the_shared_alphabet(motivating_a):
     a, b = stochcore.validate_channel(motivating_a.tolist(), np.eye(3))
     assert a.dtype == b.dtype == float
