@@ -26,10 +26,11 @@ import numpy as np
 
 from .channelmodel import sample_trace
 from .stochcore import (
+    joint_counts,
     l1_norm,
-    transition_counts,
     validate_column_stochastic,
     validate_count_table,
+    validate_trace,
     value_eq,
 )
 
@@ -88,7 +89,8 @@ class AttackChannel:
     def from_counts(cls, counts: np.ndarray) -> AttackChannel:
         """Conditional frequency of v given u in the square counts #(v=i, u=j)
         (`validate_count_table`); identity columns where u never occurred."""
-        counts = validate_count_table(counts, (len(counts), len(counts)))
+        side = np.shape(counts)[:1] or (1,)  # a scalar is held to the 1 x 1 shape
+        counts = validate_count_table(counts, side * 2)
         totals = counts.sum(axis=0)
         observed = totals > 0
         phi_n = np.eye(counts.shape[0])
@@ -99,12 +101,14 @@ class AttackChannel:
 def apply_attack(
     spec: AttackSpec, u_trace: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Map a relay-input block to the relay-output block."""
+    """Map a relay-input block to the relay-output block; a map phi takes
+    only relay inputs `validate_trace` accepts against its size."""
     u_trace = np.asarray(u_trace)
     if u_trace.size == 0:
         raise ValueError("empty relay-input trace")
     if spec.phi is None:
         return u_trace.copy()
+    validate_trace(u_trace, "u", spec.phi.shape[0])
     if spec.gate_parity is not None:
         # the parity of the sum is the low bit of the XOR: no widening pass
         parity = _PARITIES[int(np.bitwise_xor.reduce(u_trace)) & 1]
@@ -117,7 +121,7 @@ def extract_attack_channel(
     u_trace: np.ndarray, v_trace: np.ndarray, u_size: int
 ) -> AttackChannel:
     """`AttackChannel.from_counts` of the (u, v) trace pair's counts."""
-    counts = transition_counts(u_trace, v_trace, u_size, u_size, ("u", "v"))
+    counts = joint_counts((v_trace, u_trace), (u_size, u_size), ("v", "u"))
     return AttackChannel.from_counts(counts)
 
 

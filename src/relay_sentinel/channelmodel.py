@@ -16,7 +16,9 @@ Each stage draws its stream in consecutive ``trace_blocks``: consecutive
 ``rng.random(k)`` calls return exactly the doubles of one ``rng.random(n)``,
 so a trace is bitwise the one a single draw gives, and it comes back in the
 smallest unsigned dtype of its alphabet (``symbol_dtype``). A stage's
-columns, such as the uplink's `pair_index` keys, are one array per trace.
+columns, such as the uplink's (x1, x2) keys from `stochcore.flat_key`, are
+one array per trace. The downlink checks its B and relay outputs by the
+`stochcore` rules, as the uplink checks its sources.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ import numpy as np
 
 from .stochcore import (
     AlphabetReductionError,
-    pair_index,
+    flat_key,
     point_masses,
     symbol_dtype,
     trace_blocks,
     validate_column_stochastic,
     validate_count,
     validate_source,
+    validate_trace,
     validate_uplink,
     value_eq,
 )
@@ -213,7 +216,7 @@ def simulate_uplink(
     p2 = validate_source(p2, "p2", mac.x2_size)
     x1 = sample_trace(p1, n, rng)
     x2 = sample_trace(p2, n, rng)
-    return x1, x2, _channel_trace(mac.table, rng, pair_index(x1, x2, mac.x1_size, mac.x2_size))
+    return x1, x2, _channel_trace(mac.table, rng, flat_key((x1, x2), (mac.x1_size, mac.x2_size)))
 
 
 def simulate_downlink(
@@ -221,8 +224,10 @@ def simulate_downlink(
 ) -> np.ndarray:
     """Pass the relay outputs through the memoryless broadcast marginal B.
 
-    A B of point masses (B = I on every fig3 preset) is a lookup of each
-    relay output's column and never calls ``rng``; any other B is sampled.
+    B is checked by `validate_column_stochastic` and the relay outputs by
+    `validate_trace` against B's columns. A B of point masses (B = I on
+    every fig3 preset) is a lookup of each relay output's column and never
+    calls ``rng``; any other B is sampled.
     """
-    v_trace = np.asarray(v_trace)
-    return _channel_trace(b, rng, v_trace)
+    b = validate_column_stochastic(b, "B")
+    return _channel_trace(b, rng, validate_trace(v_trace, "v", b.shape[1]))

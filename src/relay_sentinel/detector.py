@@ -38,8 +38,8 @@ from . import lpkernel, numlinalg
 from .lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
 from .numlinalg import column_space_projector, row_space_projector, vec_operator
 from .stochcore import (
+    joint_counts,
     l1_norm,
-    transition_counts,
     validate_channel,
     validate_column_stochastic,
     validate_count_table,
@@ -114,9 +114,9 @@ def conditional_histogram(
 
     Returns (gamma_hat, unseen). gamma_hat is column-stochastic; its unseen
     columns are filled uniformly (the maximum-entropy neutral choice).
-    ``transition_counts`` checks and counts the traces.
+    ``joint_counts`` checks and counts the traces.
     """
-    return _histogram(transition_counts(x1_trace, y1_trace, x1_size, y1_size, ("x1", "y1")))
+    return _histogram(joint_counts((y1_trace, x1_trace), (y1_size, x1_size), ("y1", "x1")))
 
 
 def _histogram(counts: np.ndarray) -> tuple[np.ndarray, list]:
@@ -267,7 +267,7 @@ def run_detection(
 ) -> DetectionReport:
     """`run_detection_on_counts` of the (x1, y1) trace pair's counts."""
     x1_size, y1_size = config.a.shape[1], config.b.shape[0]
-    counts = transition_counts(x1_trace, y1_trace, x1_size, y1_size, ("x1", "y1"))
+    counts = joint_counts((y1_trace, x1_trace), (y1_size, x1_size), ("y1", "x1"))
     return run_detection_on_counts(config, counts)
 
 

@@ -9,7 +9,7 @@ ground-truth deviation of the realized symbol-substitution channel, so
 the two can be compared trial by trial.  Both read counts alone, and a
 trial's traces are counted once (``trial_counts``): the detector's
 (y1 | x1) table and the relay's (v | u) table are the marginals of one
-joint (y1, x1, v, u) table.  Results depend only on the
+joint (y1, x1, v, u) table, whatever the alphabets.  Results depend only on the
 scenario and the trial index, never on execution order, which makes
 experiments safe to parallelize and bitwise reproducible.
 
@@ -19,7 +19,6 @@ lengths, its parity-gated variant, and two ternary-adder setups with
 noisy five-symbol downlinks (one certifiably manipulable).
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,7 +35,7 @@ from .attackmodel import (
 )
 from .channelmodel import MacModel, marginalize_mac, simulate_downlink, simulate_uplink
 from .detector import DetectorConfig, run_detection, run_detection_on_counts
-from .stochcore import BLOCK_SIZE, joint_counts, validate_count, validate_source, value_eq
+from .stochcore import joint_counts, validate_count, validate_source, value_eq
 
 __all__ = [
     "DESK_TRIALS",
@@ -155,18 +154,11 @@ def trial_counts(scenario: Scenario, x1, y1, u, v) -> tuple[np.ndarray, np.ndarr
     """The (y1 | x1) counts #(y1=i, x1=j) and the relay's (v | u) counts
     #(v=i, u=j) of one trial's traces, all the detector and the ground truth read.
 
-    The four traces are counted as one (y1, x1, v, u) table while it has at
-    most ``BLOCK_SIZE`` cells, so that no block's count outgrows the block,
-    and the two marginals are read off it; a larger table is counted as
-    two pairs.
+    The four traces are counted as one (y1, x1, v, u) table, whatever its
+    size, and the two marginals are read off it.
     """
     y1_size, x1_size, u_size = scenario.b.shape[0], scenario.mac.x1_size, scenario.mac.u_size
     sizes, names = (y1_size, x1_size, u_size, u_size), ("y1", "x1", "v", "u")
-    if math.prod(sizes) > BLOCK_SIZE:
-        return (
-            joint_counts((y1, x1), sizes[:2], names[:2]),
-            joint_counts((v, u), sizes[2:], names[2:]),
-        )
     joint = joint_counts((y1, x1, v, u), sizes, names).reshape(y1_size * x1_size, u_size * u_size)
     return joint.sum(axis=1).reshape(y1_size, x1_size), joint.sum(axis=0).reshape(u_size, u_size)
 

@@ -13,15 +13,17 @@ Conventions used throughout the package:
   alphabet, the reachable relay symbols, the channel pair, the real
   parameters (mu, delta), the counts and the count tables. A bool is never a
   number or a count here;
-- `joint_counts` alone counts paired symbol traces into one table and
-  decides the trace rules: 1-D, equal non-zero lengths, every symbol inside
-  its alphabet; `transition_counts` is its two-trace form;
+- `validate_trace` alone decides whether a symbol trace is one: 1-D,
+  integer (not bool), every symbol inside its alphabet; `joint_counts`
+  alone counts paired symbol traces, of equal non-zero lengths, into one
+  table;
 - symbol traces are stored in the smallest unsigned dtype of their alphabet
-  (`symbol_dtype`), and so are their keys: one builder turns paired symbols
-  into one key, in the smallest unsigned dtype of the tuples, once per
-  trace, for `pair_index` and `joint_counts` alike. Every 8-byte temporary
-  (draws, intp indices, gathered thresholds, `bincount`'s copy) lives one
-  `trace_blocks` block at a time, so none grows with the trace length;
+  (`symbol_dtype`), and so are their keys: one builder, `flat_key`, turns
+  paired symbols into one key, in the smallest unsigned dtype of the
+  tuples, once per trace, for `simulate_uplink` and `joint_counts` alike.
+  Every 8-byte temporary (draws, intp indices, gathered thresholds,
+  `bincount`'s copy) lives one `trace_blocks` block at a time, so none
+  grows with the trace length;
 - `point_masses` alone decides whether a matrix is deterministic: every
   entry within ``DEFAULT_TOL`` of 0 or 1.
 """
@@ -48,12 +50,12 @@ __all__ = [
     "validate_positive",
     "validate_count",
     "validate_count_table",
+    "validate_trace",
     "symbol_dtype",
     "point_masses",
     "trace_blocks",
-    "pair_index",
+    "flat_key",
     "joint_counts",
-    "transition_counts",
     "channel_constants",
     "value_eq",
 ]
@@ -229,6 +231,25 @@ def validate_count_table(counts, shape: tuple) -> np.ndarray:
     return table
 
 
+def validate_trace(trace, name: str, size: int) -> np.ndarray:
+    """trace as an array (the very object when it is one), or ValueError
+    naming ``name`` unless it is one-dimensional, of an integer dtype (not
+    bool or float), and every symbol lies in {0, ..., size - 1}."""
+    trace = np.asarray(trace)
+    if trace.ndim != 1:
+        raise ValueError(f"{name} trace must be one-dimensional, got shape {trace.shape}")
+    if trace.dtype.kind not in "iu":
+        raise ValueError(f"{name} symbols must be integers, got dtype {trace.dtype}")
+    if trace.size:
+        # an unsigned trace (every sampled one) holds no negative symbol
+        low, high = trace.min() if trace.dtype.kind == "i" else 0, trace.max()
+        if low < 0 or high >= size:
+            raise ValueError(
+                f"{name} symbol {low if low < 0 else high} is outside the alphabet of size {size}"
+            )
+    return trace
+
+
 def symbol_dtype(size: int) -> np.dtype:
     """The smallest unsigned integer dtype that holds the symbols 0, ..., size - 1."""
     return np.min_scalar_type(size - 1)
@@ -251,7 +272,7 @@ def trace_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + BLOCK_SIZE, n)) for start in range(0, n, BLOCK_SIZE)]
 
 
-def _flat_key(traces, sizes) -> np.ndarray:
+def flat_key(traces, sizes) -> np.ndarray:
     """The row-major flattened keys of paired symbol traces, in the smallest
     unsigned dtype of their prod(sizes) keys (``symbol_dtype``).
 
@@ -272,62 +293,30 @@ def _flat_key(traces, sizes) -> np.ndarray:
     return key
 
 
-def pair_index(
-    first: np.ndarray, second: np.ndarray, first_size: int, second_size: int
-) -> np.ndarray:
-    """The flattened pair keys first * second_size + second, in the smallest
-    unsigned dtype of first_size * second_size keys (``symbol_dtype``).
-
-    The symbols must lie inside their alphabets (the caller checks).
-    """
-    return _flat_key((first, second), (first_size, second_size))
-
-
 def joint_counts(traces, sizes, names) -> np.ndarray:
     """counts[i, j, ...] = #(traces[0] = i, traces[1] = j, ...) over paired
     symbol traces, an intp array of shape ``sizes``.
 
-    ``names`` labels the traces in the messages. Traces that are not
-    one-dimensional, of different or zero length, or not integer arrays
-    (bool and float included), and symbols outside {0, ..., size - 1}, are
-    rejected, never folded into another cell. The traces become one key
-    array, counted one block at a time.
+    ``names`` labels the traces in the messages. Traces of different or
+    zero length, and any trace `validate_trace` rejects, are rejected, the
+    last trace's faults first (a table counts (observed, given), and given
+    is checked first); no symbol is ever folded into another cell. The
+    traces become one key array, counted one block at a time.
     """
     traces = [np.asarray(trace) for trace in traces]
-    # last trace first: a table counts (observed, given), and given is checked first
-    checked = list(zip(names, traces, sizes))[::-1]
-    for name, trace, _ in checked:
-        if trace.ndim != 1:
-            raise ValueError(f"{name} trace must be one-dimensional, got shape {trace.shape}")
     if any(trace.size != traces[0].size for trace in traces):
         raise ValueError("trace lengths differ")
     if traces[0].size == 0:
         raise ValueError("empty traces")
-    for name, trace, size in checked:
-        if trace.dtype.kind not in "iu":
-            raise ValueError(f"{name} symbols must be integers, got dtype {trace.dtype}")
-        # an unsigned trace (every sampled one) holds no negative symbol
-        low, high = trace.min() if trace.dtype.kind == "i" else 0, trace.max()
-        if low < 0 or high >= size:
-            raise ValueError(
-                f"{name} symbol {low if low < 0 else high} is outside the"
-                f" alphabet of size {size}"
-            )
-    keys = _flat_key(traces, sizes)
+    for trace, name, size in reversed(list(zip(traces, names, sizes))):
+        validate_trace(trace, name, size)
+    keys = flat_key(traces, sizes)
     cells = math.prod(sizes)
     first, *rest = trace_blocks(keys.size)  # bincount counts an intp copy
     counts = np.bincount(keys[first], minlength=cells)
     for block in rest:
         counts += np.bincount(keys[block], minlength=cells)
     return counts.reshape(sizes)
-
-
-def transition_counts(
-    given, observed, given_size: int, observed_size: int, names: tuple[str, str]
-) -> np.ndarray:
-    """counts[i, j] = #(observed = i, given = j) over two paired symbol traces,
-    by `joint_counts`, with ``names`` labelling (given, observed)."""
-    return joint_counts((observed, given), (observed_size, given_size), names[::-1])
 
 
 def channel_constants(a: np.ndarray, y1_size: int) -> ChannelConstants:

@@ -1,5 +1,7 @@
 """Oracle tests for relay manipulation maps and attack-channel extraction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,25 @@ def test_identity_attack_is_noop():
         AttackSpec(), u, np.random.default_rng(1)
     )
     np.testing.assert_array_equal(v, u)
+
+
+@pytest.mark.parametrize("gate", [None, "even"])
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        # u = -1 used to read phi's last column, u = 5 to raise a bare IndexError
+        ([-1, -1, -1], "u symbol -1 is outside the alphabet of size 3"),
+        ([5], "u symbol 5 is outside the alphabet of size 3"),
+        (np.array([0.0, 1.0]), "u symbols must be integers, got dtype float64"),
+        (np.array([True, False]), "u symbols must be integers, got dtype bool"),
+        (np.zeros((2, 1), int), "u trace must be one-dimensional, got shape (2, 1)"),
+    ],
+    ids=["negative", "past phi", "float", "bool", "2-D"],
+)
+def test_apply_attack_takes_relay_inputs_by_the_trace_rule(u, message, gate):
+    spec = AttackSpec(np.full((3, 3), 1 / 3), gate)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        attackmodel.apply_attack(spec, u, np.random.default_rng(0))
 
 
 def test_attack_spec_validation(motivating_phis):
@@ -126,8 +147,11 @@ def test_attack_channel_from_counts_reads_the_relay_table_alone():
         (np.eye(3, dtype=bool), "^counts must be integers, got dtype bool$"),
         (np.zeros((3, 3), int), "^counts hold no observation$"),
         (np.ones((2, 3), int), r"^counts have shape \(2, 3\), expected \(2, 2\)$"),
+        # a scalar used to raise TypeError from len()
+        (5, r"^counts have shape \(\), expected \(1, 1\)$"),
+        (np.int64(3), r"^counts have shape \(\), expected \(1, 1\)$"),
     ],
-    ids=["negative", "float", "bool", "empty", "shape"],
+    ids=["negative", "float", "bool", "empty", "shape", "int", "numpy int"],
 )
 def test_attack_channel_from_counts_rejects_a_bad_count_table(counts, message):
     with pytest.raises(ValueError, match=message):

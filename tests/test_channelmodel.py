@@ -1,5 +1,7 @@
 """Oracle tests for source/MAC/broadcast models and trace sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -442,6 +444,38 @@ def test_simulate_downlink_identity():
     v = np.array([0, 2, 1, 1, 0])
     y1 = channelmodel.simulate_downlink(np.eye(3), v, rng)
     np.testing.assert_array_equal(y1, v)
+
+
+@pytest.mark.parametrize("b", [np.eye(3), np.full((2, 3), 0.5)], ids=["looked-up B", "sampled B"])
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        # v = -1 used to read B's last column, v = 3 to raise a bare IndexError
+        ([-1, 0], "v symbol -1 is outside the alphabet of size 3"),
+        ([0, 3], "v symbol 3 is outside the alphabet of size 3"),
+        (np.array([0.0, 1.0]), "v symbols must be integers, got dtype float64"),
+        (np.array([True, False]), "v symbols must be integers, got dtype bool"),
+        (np.zeros((2, 1), int), "v trace must be one-dimensional, got shape (2, 1)"),
+    ],
+    ids=["negative", "past B", "float", "bool", "2-D"],
+)
+def test_simulate_downlink_takes_relay_outputs_by_the_trace_rule(b, v, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        channelmodel.simulate_downlink(b, v, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "b, message",
+    [
+        # both used to be sampled as they were
+        ([[2.0, -1.0]], "B[0][1]: entry -1.0 is negative"),
+        ([[0.5, 1.0], [0.4, 0.0]], "B[.][0]: column sums to 0.9, expected 1"),
+    ],
+    ids=["negative entry", "column sum"],
+)
+def test_simulate_downlink_takes_b_by_the_column_stochastic_rule(b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        channelmodel.simulate_downlink(b, [0, 1], np.random.default_rng(0))
 
 
 def test_simulate_downlink_column_support(higher_b):

@@ -31,7 +31,7 @@ from relay_sentinel.cli import (
 from relay_sentinel.detector import DetectionReport, run_detection
 from relay_sentinel.harness import Scenario, preset, preset_curves, trial_traces
 from relay_sentinel.lpkernel import LpFailure
-from relay_sentinel.stochcore import BLOCK_SIZE, trace_blocks, transition_counts
+from relay_sentinel.stochcore import BLOCK_SIZE, joint_counts, trace_blocks
 
 THIRD = 1 / 3
 
@@ -1107,8 +1107,8 @@ def test_compact_relay_traces_agree_with_their_int64_casts(size, dtype):
     rows = b"".join(_trace_rows(u, v, size, size))
     assert rows == _old_trace_bytes(wide_u, wide_v) == b"".join(_trace_rows(wide_u, wide_v, size, size))
     assert rows.endswith(f"\n4999,{size - 1},{size - 1}\n".encode())
-    counts = transition_counts(u, v, size, size, ("u", "v"))
-    np.testing.assert_array_equal(counts, transition_counts(wide_u, wide_v, size, size, ("u", "v")))
+    counts = joint_counts((v, u), (size, size), ("v", "u"))
+    np.testing.assert_array_equal(counts, joint_counts((wide_v, wide_u), (size, size), ("v", "u")))
     assert counts[size - 1, size - 1] >= 1 and counts.sum() == u.size
     phi = np.full((size, size), 1.0 / size)
     for parity in ("even", "odd"):
@@ -1147,7 +1147,7 @@ def test_emitted_fig3b_traces_are_pinned_and_detect_repeats_the_statistic(tmp_pa
 
 
 def test_detect_counts_read_int64_columns_as_the_sampled_uint8_traces(tmp_path, capsys):
-    # read_trace hands transition_counts int64 columns, which the compact
+    # read_trace hands joint_counts int64 columns, which the compact
     # pair keys take by an unsafe cast inside their alphabets
     out, traces = tmp_path / "out.csv", tmp_path / "traces"
     argv = ["simulate", "--preset", "fig3b", "--trials", "1", "-o", str(out)]
@@ -1159,10 +1159,9 @@ def test_detect_counts_read_int64_columns_as_the_sampled_uint8_traces(tmp_path, 
         _, header, (first, second) = read_trace(traces / f"trace_0000_{kind}.csv")
         assert first.dtype == second.dtype == np.int64 and given.dtype == np.uint8
         given_size, observed_size = sizes[header[1]], sizes[header[2]]
-        counts = transition_counts(first, second, given_size, observed_size, header[1:])
-        np.testing.assert_array_equal(
-            counts, transition_counts(given, observed, given_size, observed_size, header[1:])
-        )
+        shape, names = (observed_size, given_size), header[:0:-1]
+        counts = joint_counts((second, first), shape, names)
+        np.testing.assert_array_equal(counts, joint_counts((observed, given), shape, names))
         wide = np.bincount(second * given_size + first, minlength=given_size * observed_size)
         np.testing.assert_array_equal(counts, wide.reshape(observed_size, given_size))
 

@@ -85,7 +85,7 @@ def test_run_detection_names_a_trace_that_is_not_one_dimensional(x1, message):
 def test_run_detection_is_the_count_core_on_the_trace_pairs_counts():
     scenario = preset("fig5a")
     config, (x1, y1) = scenario.detector_config, trial_traces(scenario, 0)[:2]
-    counts = stochcore.transition_counts(x1, y1, 3, 4, ("x1", "y1"))
+    counts = stochcore.joint_counts((y1, x1), (4, 3), ("y1", "x1"))
     assert detector.run_detection_on_counts(config, counts) == detector.run_detection(config, x1, y1)
     with pytest.raises(ValueError, match=r"^counts have shape \(3, 4\), expected \(4, 3\)$"):
         detector.run_detection_on_counts(config, counts.T)

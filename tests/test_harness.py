@@ -247,30 +247,31 @@ def test_trial_traces_match_run_trial(motivating_phis):
 
 def _counted_keys(monkeypatch):
     """Record (traces keyed together, their length, key dtype) of every key
-    the one key builder makes."""
-    keyed, flat_key = [], stochcore._flat_key
+    the one key builder makes, the uplink's in channelmodel included."""
+    keyed, flat_key = [], stochcore.flat_key
 
-    def recording_flat_key(traces, sizes):
+    def recording_builder(traces, sizes):
         key = flat_key(traces, sizes)
         keyed.append((len(traces), key.size, key.dtype))
         return key
 
-    monkeypatch.setattr(stochcore, "_flat_key", recording_flat_key)
+    monkeypatch.setattr(stochcore, "flat_key", recording_builder)
+    monkeypatch.setattr(channelmodel, "flat_key", recording_builder)
     return keyed
 
 
 def _pair_tables(scenario, x1, y1, u, v):
     x1_size, y1_size, u_size = scenario.mac.x1_size, scenario.b.shape[0], scenario.mac.u_size
     return (
-        stochcore.transition_counts(x1, y1, x1_size, y1_size, ("x1", "y1")),
-        stochcore.transition_counts(u, v, u_size, u_size, ("u", "v")),
+        stochcore.joint_counts((y1, x1), (y1_size, x1_size), ("y1", "x1")),
+        stochcore.joint_counts((v, u), (u_size, u_size), ("v", "u")),
     )
 
 
 def test_a_trials_one_count_is_its_two_pair_tables(monkeypatch):
-    # every preset's (y1, x1, v, u) table has at most BLOCK_SIZE cells (54 on
-    # fig3, 300 on fig5a, 375 on fig5b), so it is counted under one key,
-    # uint16 past 255 cells; int64 traces score exactly as the sampled ones
+    # every preset's (y1, x1, v, u) table is counted under one key (54 cells
+    # on fig3, 300 on fig5a, 375 on fig5b), uint16 past 255 cells; int64
+    # traces score exactly as the sampled ones
     key_dtypes = {"fig5a": np.uint16, "fig5b": np.uint16}
     keyed = _counted_keys(monkeypatch)
     for name in ("fig3a", "fig3b", "fig3c", "fig3d", "fig5a", "fig5b"):
@@ -286,22 +287,34 @@ def test_a_trials_one_count_is_its_two_pair_tables(monkeypatch):
                 assert score_trial(curve, trial, *wide) == score_trial(curve, trial, *traces)
 
 
-def test_a_table_past_block_size_cells_is_counted_as_two_pairs(monkeypatch):
-    # a 7 x 7 adder with B = I: 13 * 7 * 13 * 13 = 15 379 cells
+@pytest.mark.parametrize(
+    "size, key_dtype",
+    [(7, np.uint16), (12, np.uint32)],
+    ids=["7x7 adder", "12x12 adder"],
+)
+def test_a_table_past_block_size_cells_is_counted_as_one_joint_table(monkeypatch, size, key_dtype):
+    # an adder with B = I has (2 size - 1)**3 * size cells, past BLOCK_SIZE
+    # from 7 x 7 on and past 65 535 (a uint32 key) from 10 x 10 on
+    u_size = 2 * size - 1
     wide = Scenario(
-        p1=np.full(7, 1 / 7), p2=np.full(7, 1 / 7), mac=MacModel.adder(7, 7), b=np.eye(13),
-        attack=AttackSpec(), n=10_000, mu=0.05, delta=0.07, trials=1, master_seed=7,
+        p1=np.full(size, 1 / size), p2=np.full(size, 1 / size), mac=MacModel.adder(size, size),
+        b=np.eye(u_size), attack=AttackSpec(), n=10_000, mu=0.05, delta=0.07, trials=1,
+        master_seed=7,
     )
-    assert 13 * 7 * 13 * 13 > stochcore.BLOCK_SIZE
-    x1, y1, u, v = traces = trial_traces(wide, 0)
+    assert u_size**3 * size > stochcore.BLOCK_SIZE
     keyed = _counted_keys(monkeypatch)
+    x1, y1, u, v = traces = trial_traces(wide, 0)
     relayed = np.random.default_rng(7).permutation(u)  # the honest relay's v is u
-    counts = trial_counts(wide, x1, y1, u, relayed)
-    assert keyed == [(2, wide.n, np.uint8)] * 2
-    for table, expected in zip(counts, _pair_tables(wide, x1, y1, u, relayed)):
-        np.testing.assert_array_equal(table, expected)
-    result = score_trial(wide, 0, *traces)
-    assert result == score_trial(wide, 0, *(trace.astype(np.int64) for trace in traces))
+    detector_counts, relay_counts = trial_counts(wide, x1, y1, u, relayed)
+    assert keyed == [(2, wide.n, np.uint8), (4, wide.n, key_dtype)]
+    wide_y1, wide_relayed = y1.astype(np.int64), relayed.astype(np.int64)
+    observed = np.bincount(wide_y1 * size + x1, minlength=u_size * size)
+    np.testing.assert_array_equal(detector_counts, observed.reshape(u_size, size))
+    relay = np.bincount(wide_relayed * u_size + u, minlength=u_size * u_size)
+    np.testing.assert_array_equal(relay_counts, relay.reshape(u_size, u_size))
+    if size == 7:  # the 12 x 12 estimator takes tens of seconds to compile
+        result = score_trial(wide, 0, *traces)
+        assert result == score_trial(wide, 0, *(trace.astype(np.int64) for trace in traces))
 
 
 def test_clean_trials_stay_feasible():

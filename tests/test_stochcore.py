@@ -238,6 +238,14 @@ def test_validate_count_table_returns_a_valid_table_itself():
     assert listed.tolist() == [[0, 1], [0, 0]] and listed.dtype.kind == "i"
 
 
+def test_validate_trace_returns_a_valid_trace_itself():
+    # the sampling stages hand it their traces; an empty one is the caller's to reject
+    trace = np.array([0, 2, 1], np.uint8)
+    assert stochcore.validate_trace(trace, "v", 3) is trace
+    assert stochcore.validate_trace([2, 0], "v", 3).tolist() == [2, 0]
+    assert stochcore.validate_trace(np.zeros(0, np.int64), "v", 3).size == 0
+
+
 @pytest.mark.parametrize(
     "counts, message",
     [
@@ -445,8 +453,8 @@ def test_pair_index_keys_come_in_the_smallest_unsigned_dtype(first_size, second_
     first, second = np.divmod(np.arange(first_size * second_size), second_size)
     expected = first.astype(np.intp) * second_size + second.astype(np.intp)
     for dtype in (np.uint8, np.uint16, np.int32, np.int64, np.uint64, np.intp):
-        keys = stochcore.pair_index(
-            first.astype(dtype), second.astype(dtype), first_size, second_size
+        keys = stochcore.flat_key(
+            (first.astype(dtype), second.astype(dtype)), (first_size, second_size)
         )
         assert keys.dtype == key_dtype, dtype
         np.testing.assert_array_equal(keys, expected)
@@ -454,7 +462,7 @@ def test_pair_index_keys_come_in_the_smallest_unsigned_dtype(first_size, second_
 
 def test_transition_counts_hand_counted():
     # counts[i, j] = #(observed = i, given = j), as int64
-    counts = stochcore.transition_counts([0, 1, 0, 2, 0], [1, 1, 0, 0, 1], 3, 2, ("x", "y"))
+    counts = stochcore.joint_counts(([1, 1, 0, 0, 1], [0, 1, 0, 2, 0]), (2, 3), ("y", "x"))
     np.testing.assert_array_equal(counts, [[1, 0, 1], [2, 1, 0]])
     assert counts.dtype == np.int64
 
@@ -479,7 +487,7 @@ _NOT_1D = "trace must be one-dimensional, got shape"
 )
 def test_transition_counts_owns_the_trace_rules(given, observed, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        stochcore.transition_counts(given, observed, 2, 3, ("g", "o"))
+        stochcore.joint_counts((observed, given), (3, 2), ("o", "g"))
 
 
 @pytest.mark.parametrize(
@@ -493,13 +501,13 @@ def test_transition_counts_owns_the_trace_rules(given, observed, message):
 def test_transition_counts_rejects_non_integer_traces(given, observed, message):
     # a float trace used to leak NumPy's TypeError from np.bincount
     with pytest.raises(ValueError, match=f"^{message}$"):
-        stochcore.transition_counts(np.array(given), np.array(observed), 2, 3, ("g", "o"))
+        stochcore.joint_counts((np.array(observed), np.array(given)), (3, 2), ("o", "g"))
 
 
 def test_transition_counts_takes_every_integer_dtype():
     for dtype in (np.uint8, np.int32, np.uint64, np.int64):
-        counts = stochcore.transition_counts(
-            np.array([0, 1, 1], dtype=dtype), np.array([2, 0, 2], dtype=dtype), 2, 3, ("g", "o")
+        counts = stochcore.joint_counts(
+            (np.array([2, 0, 2], dtype=dtype), np.array([0, 1, 1], dtype=dtype)), (3, 2), ("o", "g")
         )
         np.testing.assert_array_equal(counts, [[0, 1], [0, 0], [1, 1]])
 
@@ -522,7 +530,7 @@ def test_joint_counts_marginals_are_the_transition_counts(n, sizes, key_dtype):
     y1, x1, v, u = (rng.integers(size, size=n).astype(np.uint8) for size in sizes)
     wide_keys = np.ravel_multi_index([t.astype(np.int64) for t in (y1, x1, v, u)], sizes)
     oracle = np.bincount(wide_keys, minlength=int(np.prod(sizes))).reshape(sizes)
-    assert stochcore._flat_key((y1, x1, v, u), sizes).dtype == key_dtype
+    assert stochcore.flat_key((y1, x1, v, u), sizes).dtype == key_dtype
     for dtype in (np.uint8, np.int64):
         traces = [t.astype(dtype) for t in (y1, x1, v, u)]
         joint = stochcore.joint_counts(traces, sizes, _JOINT_NAMES)
@@ -531,11 +539,11 @@ def test_joint_counts_marginals_are_the_transition_counts(n, sizes, key_dtype):
         wide_y1, wide_x1, wide_v, wide_u = traces
         np.testing.assert_array_equal(
             joint.sum(axis=(2, 3)),
-            stochcore.transition_counts(wide_x1, wide_y1, sizes[1], sizes[0], ("x1", "y1")),
+            stochcore.joint_counts((wide_y1, wide_x1), sizes[:2], _JOINT_NAMES[:2]),
         )
         np.testing.assert_array_equal(
             joint.sum(axis=(0, 1)),
-            stochcore.transition_counts(wide_u, wide_v, sizes[3], sizes[2], ("u", "v")),
+            stochcore.joint_counts((wide_v, wide_u), sizes[2:], _JOINT_NAMES[2:]),
         )
 
 
