@@ -7,7 +7,8 @@ integer symbol value. MAC tables flatten the input pair with column index
 A trial's draw order is fixed (x1, then x2, then u, then the attack, then
 y1) so traces are reproducible from a seeded generator. A deterministic
 stage (`stochcore.point_masses`), a MAC's u or a broadcast marginal B's y1,
-is looked up and consumes no draws. The attack always draws, even for a
+is looked up and consumes no draws; B = I (every column's point mass on its
+own row) is a copy of the relay outputs. The attack always draws, even for a
 permutation phi: its draws sit between u and y1, so skipping them would
 shift every later draw and move the pinned stream digests. y1 is the last
 draw of a trial, so a looked-up y1 leaves every trace as it was.
@@ -18,7 +19,9 @@ so a trace is bitwise the one a single draw gives, and it comes back in the
 smallest unsigned dtype of its alphabet (``symbol_dtype``). A stage's
 columns, such as the uplink's (x1, x2) keys from `stochcore.flat_key`, are
 one array per trace. The downlink checks its B and relay outputs by the
-`stochcore` rules, as the uplink checks its sources.
+`stochcore` rules, as the uplink checks its sources; a validator hands back
+an array it issued (a Scenario's sources and B) without checking it again,
+so a trial makes no full probability check.
 """
 
 from __future__ import annotations
@@ -125,10 +128,11 @@ def stationary_u_pmf(mac: MacModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
 _CDF_MEMO = 64
 
 
-def _cdf_table(matrix) -> tuple[tuple, np.dtype, np.ndarray | None]:
+def _cdf_table(matrix) -> tuple[tuple, np.dtype, np.ndarray | None, bool]:
     """The running-maximum cumulative sum of ``matrix``'s columns, last row
-    left out, as a tuple of read-only rows, the symbol dtype of its rows,
-    and a matrix's `point_masses` (None for a pmf).
+    left out, as a tuple of read-only rows, the symbol dtype of its rows, a
+    matrix's `point_masses` (None for a pmf), and whether those point
+    masses map every column to its own row.
 
     Memoized by content, so it is built once per matrix, not per trial.
     """
@@ -137,14 +141,15 @@ def _cdf_table(matrix) -> tuple[tuple, np.dtype, np.ndarray | None]:
 
 
 @lru_cache(maxsize=_CDF_MEMO)
-def _cdf_table_of(shape: tuple, data: bytes) -> tuple[tuple, np.dtype, np.ndarray | None]:
+def _cdf_table_of(shape: tuple, data: bytes) -> tuple[tuple, np.dtype, np.ndarray | None, bool]:
     matrix = np.frombuffer(data).reshape(shape)
     rows = np.maximum.accumulate(np.cumsum(matrix, axis=0), axis=0)[:-1]
     rows.setflags(write=False)
     points = point_masses(matrix) if matrix.ndim == 2 else None
     if points is not None:
         points.setflags(write=False)
-    return tuple(rows), symbol_dtype(shape[0]), points
+    identity = points is not None and np.array_equal(points, np.arange(points.size))
+    return tuple(rows), symbol_dtype(shape[0]), points, identity
 
 
 def _inverse_cdf(rows: tuple, columns, draws: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -180,7 +185,7 @@ def sample_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns=N
     """
     if columns is not None and np.shape(columns) != (n,):
         raise ValueError(f"columns has shape {np.shape(columns)} for a trace of {n} symbols")
-    rows, dtype, _ = _cdf_table(matrix)
+    rows, dtype, _, _ = _cdf_table(matrix)
     trace = np.empty(n, dtype)
     for block in trace_blocks(n):
         draws = rng.random(block.stop - block.start)
@@ -192,12 +197,16 @@ def _channel_trace(matrix: np.ndarray, rng: np.random.Generator, columns: np.nda
     """One symbol through the channel ``matrix`` from each entry of ``columns``.
 
     A matrix of point masses is a lookup, block by block, and draws
-    nothing; any other matrix is sampled by `sample_trace`.
+    nothing; one that maps every column to its own row (B = I) is a copy of
+    ``columns`` in the output dtype. Any other matrix is sampled by
+    `sample_trace`.
     """
-    points = _cdf_table(matrix)[2]
+    _, dtype, points, identity = _cdf_table(matrix)
+    if identity:
+        return columns.astype(dtype)
     if points is None:
         return sample_trace(matrix, columns.size, rng, columns)
-    trace = np.empty(columns.size, points.dtype)
+    trace = np.empty(columns.size, dtype)
     for block in trace_blocks(columns.size):
         points.take(columns[block], out=trace[block])
     return trace
@@ -224,10 +233,11 @@ def simulate_downlink(
 ) -> np.ndarray:
     """Pass the relay outputs through the memoryless broadcast marginal B.
 
-    B is checked by `validate_column_stochastic` and the relay outputs by
-    `validate_trace` against B's columns. A B of point masses (B = I on
-    every fig3 preset) is a lookup of each relay output's column and never
-    calls ``rng``; any other B is sampled.
+    B is checked by `validate_column_stochastic`, which hands back a B it
+    issued unchecked, and the relay outputs by `validate_trace` against B's
+    columns. A B of point masses is a lookup of each relay output's column
+    and never calls ``rng``; B = I (every fig3 preset) is a copy of the
+    relay outputs. Any other B is sampled.
     """
     b = validate_column_stochastic(b, "B")
     return _channel_trace(b, rng, validate_trace(v_trace, "v", b.shape[1]))

@@ -13,6 +13,15 @@ Conventions used throughout the package:
   alphabet, the reachable relay symbols, the channel pair, the real
   parameters (mu, delta), the counts and the count tables. A bool is never a
   number or a count here;
+- the probability validators (`validate_pmf`, `validate_column_stochastic`,
+  `validate_uplink`, and through them `validate_source` and
+  `validate_channel`) *issue* what they pass: an immutable float view of a
+  bytes buffer, which NumPy refuses to make writable, recorded by identity
+  with the rules it passed. Handed back an array it issued under its own
+  rule, a validator returns that very object, since it can never change,
+  and makes only the checks its other arguments ask for (an alphabet size,
+  the relay alphabet of a pair); any other array, equal content included,
+  is checked in full;
 - `validate_trace` alone decides whether a symbol trace is one: 1-D,
   integer (not bool), every symbol inside its alphabet; `joint_counts`
   alone counts paired symbol traces, of equal non-zero lengths, into one
@@ -33,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,12 +124,32 @@ def l1_norm(m: np.ndarray) -> float:
     return float(np.abs(np.asarray(m, dtype=float)).sum())
 
 
+# id -> (weak reference, rules passed) of every array a probability
+# validator issued; a collected array leaves through its reference's callback
+_ISSUED: dict[int, tuple[weakref.ref, set]] = {}
+
+
+def _issued(value, rule: str) -> bool:
+    """Whether value is an array a validator issued under ``rule``."""
+    entry = _ISSUED.get(id(value))
+    return entry is not None and entry[0]() is value and rule in entry[1]
+
+
+def _issue(arr: np.ndarray, rule: str) -> np.ndarray:
+    """arr, an immutable `_probabilities` array, recorded as passing ``rule``."""
+    key = id(arr)
+    if key not in _ISSUED:
+        _ISSUED[key] = (weakref.ref(arr, lambda _ref: _ISSUED.pop(key, None)), set())
+    _ISSUED[key][1].add(rule)
+    return arr
+
+
 def _probabilities(value, name: str, ndim: int, expected: str) -> np.ndarray:
     """value as a float array of the given rank, every entry a non-negative number.
 
     Non-numeric, NaN and infinite entries are rejected before any sum is taken.
-    The array is a read-only copy, so no later write by the caller or the
-    callee changes a validated input.
+    The array is an immutable copy, a view of a bytes buffer that cannot be
+    made writable, so no write by the caller or the callee changes it.
     """
     try:
         arr = np.asarray(value)
@@ -129,8 +159,7 @@ def _probabilities(value, name: str, ndim: int, expected: str) -> np.ndarray:
         raise ValueError(f"{name}: expected {expected}")
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name}: entries must be numbers")
-    arr = arr.astype(float)
-    arr.setflags(write=False)
+    arr = np.frombuffer(np.asarray(arr, dtype=float).tobytes()).reshape(arr.shape)
     if not np.isfinite(arr).all():
         _reject(name, arr, ~np.isfinite(arr), "is not finite")
     if arr.min() < -DEFAULT_TOL:
@@ -145,26 +174,32 @@ def _reject(name: str, arr: np.ndarray, mask: np.ndarray, problem: str):
 
 
 def validate_pmf(p, name: str = "p") -> np.ndarray:
-    """p as a read-only 1-D float copy, or ValueError naming ``name`` and the bad entry."""
+    """p as an issued 1-D float copy (p itself if issued as a pmf), or
+    ValueError naming ``name`` and the bad entry."""
+    if _issued(p, "pmf"):
+        return p
     p = _probabilities(p, name, 1, "a non-empty list of probabilities")
     total = p.sum()
     if abs(total - 1.0) > DEFAULT_TOL:
         raise ValueError(f"{name}: entries sum to {total}, expected 1")
-    return p
+    return _issue(p, "pmf")
 
 
 def validate_column_stochastic(m, name: str) -> np.ndarray:
-    """m as a read-only 2-D float copy, or ValueError naming ``name`` and the bad entry.
+    """m as an issued 2-D float copy (m itself if issued as column-stochastic),
+    or ValueError naming ``name`` and the bad entry.
 
     A column that does not sum to 1 is named as ``{name}[.][j]``.
     """
+    if _issued(m, "column-stochastic"):
+        return m
     m = _probabilities(m, name, 2, "a non-empty list of equal-length rows")
     sums = m.sum(axis=0)
     off = np.abs(sums - 1.0) > DEFAULT_TOL
     if off.any():
         j = off.argmax()
         raise ValueError(f"{name}[.][{j}]: column sums to {sums[j]}, expected 1")
-    return m
+    return _issue(m, "column-stochastic")
 
 
 def validate_source(p, name: str, size: int) -> np.ndarray:
@@ -176,13 +211,16 @@ def validate_source(p, name: str, size: int) -> np.ndarray:
 
 
 def validate_uplink(a) -> np.ndarray:
-    """A by `validate_column_stochastic`; AlphabetReductionError names its rows without mass."""
+    """A by `validate_column_stochastic`, issued as an uplink (a itself if it
+    was); AlphabetReductionError names its rows without mass."""
+    if _issued(a, "uplink"):
+        return a
     a = validate_column_stochastic(a, "A")
     dead = a.sum(axis=1) <= 0.0
     if dead.any():
         symbols = dead.nonzero()[0].tolist()
         raise AlphabetReductionError(f"relay-input symbols {symbols} are unreachable; prune U")
-    return a
+    return _issue(a, "uplink")
 
 
 def validate_channel(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -164,6 +164,23 @@ def ternary_floor_upsilon():
 # ---------- assertion helpers ----------
 
 
+@pytest.fixture
+def full_checks(monkeypatch):
+    """The names of the full probability checks made while the test runs
+    (each call of `stochcore._probabilities`), in order."""
+    from relay_sentinel import stochcore
+
+    names = []
+    check = stochcore._probabilities
+
+    def counting(value, name, *rest):
+        names.append(name)
+        return check(value, name, *rest)
+
+    monkeypatch.setattr(stochcore, "_probabilities", counting)
+    return names
+
+
 def is_column_stochastic(m, tol: float = DEFAULT_TOL) -> bool:
     """Entries within [0, 1] and every column summing to 1, all within tol."""
     m = np.asarray(m, dtype=float)

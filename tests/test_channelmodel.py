@@ -340,6 +340,31 @@ def test_point_mass_downlink_is_a_lookup_that_draws_nothing(n):
         np.testing.assert_array_equal(y1, _argmax_oracle(b, v, draws), err_msg=label)
 
 
+@pytest.mark.parametrize(
+    "b, v",
+    [
+        (np.eye(3), np.array([0, 2, 1, 1, 0], np.uint8)),
+        (np.eye(4)[:, :3], np.array([2, 0, 1], np.int64)),  # column j on row j of four
+        (np.eye(300), np.arange(299, -1, -1)),
+    ],
+    ids=["B = I", "B = I over a wider output", "uint16 output"],
+)
+def test_an_identity_downlink_is_a_copy_that_draws_nothing(b, v):
+    y1 = channelmodel.simulate_downlink(b, v, _ScriptedGenerator())
+    np.testing.assert_array_equal(y1, v)
+    assert y1 is not v and not np.shares_memory(y1, v)
+    assert y1.dtype == stochcore.symbol_dtype(b.shape[0])
+    assert channelmodel._cdf_table(b)[3]
+
+
+def test_a_permuted_point_mass_downlink_is_still_a_lookup():
+    b = np.eye(3)[:, [2, 0, 1]]
+    v = np.array([0, 1, 2, 2], np.uint8)
+    assert not channelmodel._cdf_table(b)[3]
+    y1 = channelmodel.simulate_downlink(b, v, _ScriptedGenerator())
+    np.testing.assert_array_equal(y1, [2, 0, 1, 1])
+
+
 def test_a_permutation_attack_still_draws():
     # the attack's draws sit between u and y1 in a trial's stream, so even a
     # point-mass phi is sampled: a lookup would shift y1's draws

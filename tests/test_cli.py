@@ -574,6 +574,19 @@ def test_detect_prints_every_report_field(tmp_path, capsys):
         assert printed[name] == expected, name
 
 
+def test_detect_checks_each_document_array_once(tmp_path, capsys, full_checks):
+    # detect used to check nine arrays in full: the MAC table, p2 and A twice
+    # each (loader, MacModel, marginalize_mac, DetectorConfig), B twice
+    path = write_doc(tmp_path, scenario_document(preset_curves("fig3b")["phi2"]))
+    trace = tmp_path / "trace.csv"
+    trace.write_text("n,x1,y1\n0,0,0\n1,1,2\n")
+    full_checks.clear()
+    assert main(["detect", path, str(trace)]) in (0, 2)
+    capsys.readouterr()
+    # one check per array of the document, and one for the A they give
+    assert sorted(full_checks) == ["A", "bc_marginal", "mac.table", "sources.p1", "sources.p2"]
+
+
 def test_detect_flags_swapped_symbols(tmp_path, capsys):
     doc = detect_wiring_doc(
         {

@@ -161,6 +161,19 @@ def test_scenario_holds_its_detector_configs_a_b_mu_and_delta():
         a[0, 0] = 0.5
 
 
+def test_a_trial_and_a_rebuilt_scenario_check_no_issued_array_again(full_checks):
+    # a trial used to check p1, p2 and B in full, and a replace p1, p2, p2,
+    # A, A and B: the scenario's arrays are issued, so only the A that
+    # marginalize_mac computes afresh is checked
+    scenario = preset("fig3a")
+    full_checks.clear()
+    run_trial(scenario, 0)
+    assert full_checks == []
+    rebuilt = dataclasses.replace(scenario, trials=5)
+    assert full_checks == ["A"]
+    assert rebuilt.p1 is scenario.p1 and rebuilt.b is scenario.b
+
+
 def test_scenario_with_unreachable_relay_symbol_fails_when_built():
     # u = 1 and u = 2 need x2 = 1, which p2 never emits
     table = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])

@@ -9,7 +9,7 @@ and frozen before the implementation existed.
 import numpy as np
 import pytest
 
-from relay_sentinel import lpkernel, manipulability, stochcore
+from relay_sentinel import harness, lpkernel, manipulability, stochcore
 from relay_sentinel.channelmodel import MacModel, marginalize_mac
 from relay_sentinel.lpkernel import LpProblem, solve_lp
 from relay_sentinel.manipulability import (
@@ -491,6 +491,19 @@ def test_certify_builds_one_standard_form_per_polytope(monkeypatch, higher_a, hi
     monkeypatch.setattr(lpkernel, "_StandardForm", Counting)
     assert not manipulability.certify(higher_a, higher_b).manipulable
     assert built == [2 * 5 + 3 * 4, 5 * 5]  # (lambda, nu, Omega), then Y
+
+
+def test_certify_checks_each_fresh_array_once_and_an_issued_one_never(
+    full_checks, higher_a, higher_b
+):
+    # certify used to check A four times and B three times: itself, then
+    # check_algorithm1, find_witness and the null-space search
+    assert not manipulability.certify(higher_a, higher_b).manipulable
+    assert full_checks == ["A", "B"]
+    scenario = harness.preset_curves("fig5a")["phi1"]
+    full_checks.clear()
+    assert not manipulability.certify(scenario.uplink_matrix(), scenario.b).manipulable
+    assert full_checks == []
 
 
 def test_certify_runs_one_phase_one_per_polytope(higher_a, higher_b):

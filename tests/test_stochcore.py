@@ -416,6 +416,52 @@ def test_validate_source_checks_the_pmf_first():
         stochcore.validate_source([0.5], "p1", 2)
 
 
+def test_a_validator_recognises_what_it_issued_by_identity(full_checks):
+    p = stochcore.validate_pmf([0.25, 0.75], "p1")
+    assert full_checks == ["p1"]
+    assert stochcore.validate_pmf(p, "p2") is p
+    assert stochcore.validate_source(p, "p1", 2) is p
+    assert full_checks == ["p1"]
+    # equal content is not the same array: a caller's copy is checked in full
+    copy = np.array(p)
+    assert stochcore.validate_pmf(copy, "p1") is not copy
+    assert full_checks == ["p1", "p1"]
+    # the argument-dependent check still runs on an issued array
+    with pytest.raises(ValueError, match=r"^p1: has 2 entries for an alphabet of 3 symbols$"):
+        stochcore.validate_source(p, "p1", 3)
+    a = stochcore.validate_uplink(_ADDER_A)
+    b = stochcore.validate_column_stochastic(np.eye(3), "B")
+    assert stochcore.validate_column_stochastic(a, "A") is a
+    pair = stochcore.validate_channel(a, b)
+    assert pair[0] is a and pair[1] is b
+    with pytest.raises(ValueError, match=r"^A and B disagree on the relay alphabet size$"):
+        stochcore.validate_channel(a, b[:, :2])
+    assert full_checks == ["p1", "p1", "A", "B", "B"]
+
+
+def test_an_issued_array_meets_every_other_rule_in_full():
+    p = stochcore.validate_pmf([0.25, 0.75], "p")
+    message = r"^m: expected a non-empty list of equal-length rows$"
+    with pytest.raises(ValueError, match=message):
+        stochcore.validate_column_stochastic(p, "m")
+    # column-stochastic with a dead row: it passes as B but never as A
+    dead = stochcore.validate_column_stochastic([[0.0, 0.0], [1.0, 1.0]], "B")
+    assert stochcore.validate_column_stochastic(dead, "B") is dead
+    with pytest.raises(stochcore.AlphabetReductionError, match=r"symbols \[0\] are unreachable"):
+        stochcore.validate_uplink(dead)
+    a = stochcore.validate_column_stochastic(_ADDER_A, "A")
+    with pytest.raises(ValueError, match=r"^p: expected a non-empty list of probabilities$"):
+        stochcore.validate_pmf(a, "p")
+
+
+def test_a_collected_array_leaves_the_registry():
+    before = len(stochcore._ISSUED)
+    p = stochcore.validate_pmf([0.5, 0.5], "p")
+    assert len(stochcore._ISSUED) == before + 1
+    del p
+    assert len(stochcore._ISSUED) == before
+
+
 _ADDER_A = [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]
 
 
@@ -440,6 +486,9 @@ def test_validated_arrays_are_owned_and_read_only(build, inputs):
         np.testing.assert_array_equal(getattr(validated, name), kept)
         with pytest.raises(ValueError, match="read-only"):
             getattr(validated, name)[0] = 7.0
+        # nor can the flag be turned back, so a validator may trust what it issued
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            getattr(validated, name).setflags(write=True)
     if isinstance(validated, Scenario):
         assert validated.detector_config.b is validated.b
 
