@@ -22,9 +22,11 @@ relay symbol), ``attack`` (``identity`` | ``iid`` | ``gated``), and
 ``sim`` (``N``, ``trials``, ``mu``, ``delta``, ``seed``).  Trace files
 are CSV with header ``n,x1,y1`` (source side) or ``n,u,v`` (relay side),
 zero-based base-10 int64 symbol indices, and ``#``-prefixed metadata lines.
-A trace in the layout ``simulate --emit-trace`` writes for alphabets of at
-most 10 symbols is checked against that layout and parsed as bytes; any
-other trace is read line by line, with the same result.
+Both trace paths share cached byte tables of rows, one per index width
+(``_row_skeleton``): ``simulate --emit-trace`` fills in copies of them,
+and a trace in that layout with alphabets of at most 10 symbols is
+checked byte by byte against them and parsed as bytes; any other trace is
+read line by line, with the same result.
 """
 
 import argparse
@@ -268,9 +270,9 @@ def _plain_trace(data):
     most 10 symbols: plain lines (`_PLAIN_LINE`) up to the header, then the
     rows ``n,a,b`` for n = 0, 1, 2, ..., each a one-digit symbol pair and
     a newline, so a row whose index has w digits takes w + 5 bytes. Each
-    run of rows whose indices have one width and share all but their last
-    four digits is checked as one table; any other file is None, for the
-    line-by-line reader to read or reject.
+    run of rows (`_runs`) is checked as one table against its rows of the
+    writer's skeleton; any other file is None, for the line-by-line reader
+    to read or reject.
     """
     metadata, start, header = {}, 0, None
     while header is None:
@@ -284,39 +286,24 @@ def _plain_trace(data):
         return None
     body = np.frombuffer(data, np.uint8, offset=start)
     first, second = np.empty(rows, np.int64), np.empty(rows, np.int64)
-    plain, padded = (labels.view("<u4") for labels in _low_digit_labels())
-    offset = row = 0
-    while row < rows:
-        # a run holds at most 10 000 rows and makes no 8-byte temporary, so
-        # it needs no `trace_blocks` bound
-        lead, low = divmod(row, _LOW_DIGITS)
-        width = len(str(row))
-        stop = min(rows, (lead + 1) * _LOW_DIGITS, 10**width)
-        count = stop - row
-        table = body[offset : offset + count * (width + 5)].reshape(count, width + 5)
-        # an index's last four digits as one unaligned word per row; a
-        # shorter index's word also holds the comma and symbol after it
-        if width < 4:
-            words = table[:, :4].view("<u4")[:, 0] & ((1 << 8 * width) - 1)
-            index = words == plain[low : low + count]
-        else:
-            index = table[:, width - 4 : width].view("<u4")[:, 0] == padded[low : low + count]
-        leading = np.frombuffer(str(lead).encode(), np.uint8)  # from 10 000 on
-        # a symbol byte below the digit 0 wraps past 9
-        a, b = table[:, width + 1] - _ZERO, table[:, width + 3] - _ZERO
-        if not (
-            index.all()
-            and (not lead or (table[:, : width - 4] == leading).all())
-            and (table[:, width] == _COMMA).all()
-            and (table[:, width + 2] == _COMMA).all()
-            and (table[:, width + 4] == _NEWLINE).all()
-            and a.max() < 10
-            and b.max() < 10
-        ):
+    offset = 0
+    # a run holds at most 10 000 rows and makes no 8-byte temporary, so it
+    # needs no `trace_blocks` bound
+    for row, stop, lead, skeleton in _runs(0, rows, 1, 1):
+        table = body[offset : offset + skeleton.size].reshape(skeleton.shape)
+        # each byte less its skeleton's, the leading digits less the run's
+        # own, wrapping below zero: every byte but a symbol's must come to
+        # 0, and a symbol byte below the digit 0 wraps past 9
+        diff = table - skeleton
+        if lead is not None:
+            diff[:, : lead.size] -= lead
+        width = skeleton.shape[1] - 5
+        symbols = np.subtract(diff[:, width + 1 :: 2].T, _ZERO, order="C")
+        # two digits per row, so the other bytes are 0 iff no more are non-zero
+        if symbols.max() > 9 or np.count_nonzero(diff) != symbols.size:
             return None
-        first[row:stop], second[row:stop] = a, b
-        offset += table.size
-        row = stop
+        first[row:stop], second[row:stop] = symbols
+        offset += skeleton.size
     return metadata, header, (first, second)
 
 
@@ -413,59 +400,94 @@ def _tool_metadata():
     return [("tool", f"relay-sentinel {__version__}"), ("rng", "PCG64")]
 
 
-# a row index's last four digits are looked up among this many labels
+# runs of rows past 9 999 share every index digit but the last four
 _LOW_DIGITS = 10_000
 
 
-def _labels(texts):
-    """The texts as void items of one power-of-two width, each padded with zero bytes."""
-    width = 1 << (max(map(len, texts)) - 1).bit_length()
-    return np.array([text.encode() for text in texts], f"S{width}").view(f"V{width}")
+def _first_row(width):
+    """The index of a ``width``-digit skeleton's first row: the first index
+    of that width up to four digits, else the last four digits 0000."""
+    return 10 ** (width - 1) if 1 < width <= 4 else 0
 
 
-@functools.cache
-def _low_digit_labels():
-    """`_labels` of 0, ..., 9 999: plain, and zero-filled to four digits."""
-    numbers = np.arange(_LOW_DIGITS)
-    # 10 000 + i has five digits, the last four of them i zero-filled
-    filled = (numbers + _LOW_DIGITS).astype("S5").view(np.uint8).reshape(-1, 5)[:, 1:]
-    return numbers.astype("S4").view("V4"), np.ascontiguousarray(filled).view("V4")[:, 0]
+@functools.lru_cache(maxsize=32)
+def _row_skeleton(width, first_width, second_width):
+    """The read-only byte table of the rows ``n,a,b\\n`` whose index n has ``width`` digits.
+
+    Up to four digits it holds one row per such index; from five on, one
+    per last four digits 0, ..., 9 999, its leading digits zero for a run
+    to fill in. The symbol slots, ``first_width`` and ``second_width``
+    bytes wide, are zero in every row.
+    """
+    low = min(width, 4)
+    numbers = np.arange(_first_row(width), 10**low)
+    table = np.zeros((numbers.size, width + first_width + second_width + 3), np.uint8)
+    table[:, width - low : width] = numbers[:, None] // 10 ** np.arange(low - 1, -1, -1) % 10 + _ZERO
+    table[:, width] = table[:, width + first_width + 1] = _COMMA
+    table[:, -1] = _NEWLINE
+    # a view of bytes, which NumPy refuses to make writable
+    return np.frombuffer(table.tobytes(), np.uint8).reshape(table.shape)
+
+
+def _runs(start, stop, first_width, second_width):
+    """(start, stop, leading digits, skeleton rows) of each run of rows in [start, stop).
+
+    A run's indices have one width and, from 10 000 on, share their leading
+    digits (a uint8 array of them; None below 10 000).
+    """
+    while start < stop:
+        width = len(str(start))
+        lead = start // _LOW_DIGITS
+        end = min(stop, 10**width, (lead + 1) * _LOW_DIGITS)
+        first = start % _LOW_DIGITS - _first_row(width)
+        skeleton = _row_skeleton(width, first_width, second_width)[first : first + end - start]
+        digits = np.frombuffer(str(lead).encode(), np.uint8) if width > 4 else None
+        yield start, end, digits, skeleton
+        start = end
+
+
+def _symbol_digits(size):
+    """The digits of 0, ..., size - 1 as void items, each zero-padded to the widest."""
+    width = len(str(size - 1))
+    return np.arange(size).astype(f"S{width}").view(f"V{width}")
+
+
+def _fill_slot(slot, symbols, digits):
+    """Write each symbol's `_symbol_digits` item into its row of a byte slot
+    of their width; one-digit symbols are written as the digit character."""
+    if digits.itemsize == 1:
+        np.add(symbols, _ZERO, out=slot[:, 0], casting="unsafe")
+    else:
+        slot.view(digits.dtype)[:, 0] = digits.take(symbols)
 
 
 def _trace_rows(first, second, first_size, second_size):
     """``n,first,second`` rows of two symbol columns, one bytes chunk per trace block.
 
-    Each block is a zero-filled byte table with one row per trace row: the
-    index's leading digits (one run of rows shares them), its last four
-    digits, then the ``,a`` and ``,b\\n`` labels of the two columns, taken
-    from one table per column. No symbol or digit byte is zero, so dropping
-    the zero bytes leaves every row at its own width.
+    Each run of a block's rows (`_runs`) is a copy of its skeleton rows with
+    the run's leading digits and both symbol slots (`_fill_slot`) written
+    in. When an alphabet has symbols of two or more digits, dropping the
+    zero bytes left after the shorter ones (``bytes.translate``, faster
+    here than a boolean mask) leaves every row at its own width.
     """
-    left = _labels([f",{a}" for a in range(first_size)])
-    right = _labels([f",{b}\n" for b in range(second_size)])
-    plain, padded = _low_digit_labels()
-    n = len(first)
-    lead_width = len(str((n - 1) // _LOW_DIGITS)) if n > _LOW_DIGITS else 0
-    low_end = lead_width + plain.itemsize
-    left_end = low_end + left.itemsize
-    for block in trace_blocks(n):
-        table = np.zeros((block.stop - block.start, left_end + right.itemsize), np.uint8)
-        start = block.start
-        while start < block.stop:
-            # a run of rows whose indices share every digit but the last four
-            lead, low = divmod(start, _LOW_DIGITS)
-            stop = min(block.stop, (lead + 1) * _LOW_DIGITS)
-            run = slice(start - block.start, stop - block.start)
-            if lead:
-                digits = str(lead).encode()
-                table[run, : len(digits)] = np.frombuffer(digits, np.uint8)
-            labels = padded if lead else plain
-            table[run, lead_width:low_end].view(labels.dtype)[:, 0] = labels[low : low + stop - start]
-            start = stop
-        table[:, low_end:left_end].view(left.dtype)[:, 0] = left.take(first[block])
-        table[:, left_end:].view(right.dtype)[:, 0] = right.take(second[block])
-        table = table.ravel()
-        yield table[table != 0].tobytes()
+    left, right = _symbol_digits(first_size), _symbol_digits(second_size)
+    first_width, second_width = left.itemsize, right.itemsize
+    compact = first_width > 1 or second_width > 1
+    for block in trace_blocks(len(first)):
+        runs = list(_runs(block.start, block.stop, first_width, second_width))
+        chunk = np.empty(sum(skeleton.size for *_, skeleton in runs), np.uint8)
+        offset = 0
+        for start, stop, lead, skeleton in runs:
+            table = chunk[offset : offset + skeleton.size].reshape(skeleton.shape)
+            table[...] = skeleton
+            if lead is not None:
+                table[:, : lead.size] = lead
+            slot = skeleton.shape[1] - first_width - second_width - 2
+            _fill_slot(table[:, slot : slot + first_width], first[start:stop], left)
+            slot += first_width + 1
+            _fill_slot(table[:, slot : slot + second_width], second[start:stop], right)
+            offset += skeleton.size
+        yield chunk.tobytes().translate(None, b"\0") if compact else chunk.tobytes()
 
 
 def _write_trial_traces(directory, scenario, digest, index, seed, traces):

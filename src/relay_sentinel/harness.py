@@ -35,7 +35,14 @@ from .attackmodel import (
 )
 from .channelmodel import MacModel, marginalize_mac, simulate_downlink, simulate_uplink
 from .detector import DetectorConfig, run_detection, run_detection_on_counts
-from .stochcore import joint_counts, validate_count, validate_source, value_eq
+from .stochcore import (
+    joint_counts,
+    validate_column_stochastic,
+    validate_count,
+    validate_pmf,
+    validate_source,
+    value_eq,
+)
 
 __all__ = [
     "DESK_TRIALS",
@@ -324,8 +331,20 @@ class _Preset(NamedTuple):
     headline: str  # the curve a bare preset() call returns
 
 
-_BINARY = (np.array([0.5, 0.5]), np.array([0.5, 0.5]), MacModel.adder(2, 2), np.eye(3))
-_TERNARY_SOURCES = (np.full(3, 1 / 3), np.full(3, 1 / 3), MacModel.adder(3, 3))
+# Every preset array is issued by its validator once, here, so that a
+# preset's scenarios check in full only the A each computes (marginalize_mac).
+_TERNARY_B, _SQUARE_B, _SQUARE_PHI2 = (
+    validate_column_stochastic(m, name)
+    for m, name in ((_TERNARY_B, "B"), (_SQUARE_B, "B"), (_SQUARE_PHI2, "phi2"))
+)
+_BINARY_PHI, _TERNARY_PHI = (
+    {label: validate_column_stochastic(phi, label) for label, phi in maps.items()}
+    for maps in (_BINARY_PHI, _TERNARY_PHI)
+)
+_HALVES, _THIRDS = validate_pmf([0.5, 0.5], "p"), validate_pmf(np.full(3, 1 / 3), "p")
+
+_BINARY = (_HALVES, _HALVES, MacModel.adder(2, 2), validate_column_stochastic(np.eye(3), "B"))
+_TERNARY_SOURCES = (_THIRDS, _THIRDS, MacModel.adder(3, 3))
 _TERNARY, _SQUARE = (*_TERNARY_SOURCES, _TERNARY_B), (*_TERNARY_SOURCES, _SQUARE_B)
 
 _PRESETS = {

@@ -960,6 +960,24 @@ def test_read_trace_checks_every_index_digit_at_ten_thousand(tmp_path):
             assert _compare_readers(tmp_path / "trace.csv", mutant) == "rejected", (row, digit)
 
 
+def test_read_trace_checks_the_leading_index_digits_past_ten_thousand(tmp_path):
+    # from 10 000 on a run's skeleton rows hold the last four index digits
+    # only, and the run's leading digits are checked on their own: changing
+    # one of them, to another digit or to the byte after 9, leaves a row that
+    # both readers reject
+    for n, rows in ((20_001, (10_000, 10_001, 19_999, 20_000)), (100_001, (99_999, 100_000))):
+        scenario = dataclasses.replace(preset("fig3b"), n=n)
+        cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, trial_traces(scenario, 0))
+        text = (tmp_path / "trace_0000_source.csv").read_text()
+        assert _compare_readers(tmp_path / "trace.csv", text) == "read"
+        for row in rows:
+            at = text.index(f"\n{row},") + 1
+            for digit in range(len(str(row)) - 4):
+                for byte in ("1" if text[at + digit] != "1" else "2", ":"):
+                    mutant = text[: at + digit] + byte + text[at + digit + 1 :]
+                    assert _compare_readers(tmp_path / "trace.csv", mutant) == "rejected", (row, digit, byte)
+
+
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _SPACES = [" ", "\t", "\xa0", "\u1680", "\u2007", "\u202f", "\u3000", "\x1f"]
 _FIELDS = [
@@ -1132,6 +1150,66 @@ def test_compact_relay_traces_agree_with_their_int64_casts(size, dtype):
         )
 
 
+def test_row_skeletons_are_read_only_rows_of_one_index_width():
+    for width, first_width, second_width in ((1, 1, 1), (4, 1, 2), (5, 1, 1), (6, 2, 3)):
+        skeleton = cli._row_skeleton(width, first_width, second_width)
+        assert cli._row_skeleton(width, first_width, second_width) is skeleton
+        low = range(10 ** (width - 1) if 1 < width <= 4 else 0, 10 ** min(width, 4))
+        slots = "\0" * first_width, "\0" * second_width
+        expected = "".join(f"{i:0{width}d},{slots[0]},{slots[1]}\n" for i in low)
+        if width > 4:  # the leading digits are left zero
+            expected = re.sub(f"^0{{{width - 4}}}", "\0" * (width - 4), expected, flags=re.M)
+        assert skeleton.dtype == np.uint8 and skeleton.shape == (len(low), width + first_width + second_width + 3)
+        assert skeleton.tobytes() == expected.encode()
+        with pytest.raises(ValueError, match="read-only"):
+            skeleton[0, 0] = 1
+        with pytest.raises(ValueError):
+            skeleton.setflags(write=True)
+
+
+# 10 symbols is the widest alphabet whose rows need no compaction and the
+# byte reader still parses; 11 the narrowest that compacts and is read line
+# by line. Each pair is checked at the index digit edges (9 -> 10,
+# 9 999 -> 10 000, 99 999 -> 100 000) and at the trace block edges
+@pytest.mark.parametrize(
+    "n",
+    sorted(
+        {9, 10, 11, 9_999, 10_000, 10_001, 99_999, 100_000, 100_001}
+        | {BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 1}
+    ),
+)
+def test_the_one_digit_boundary_matches_the_per_row_formatter_and_reader(tmp_path, monkeypatch, n):
+    rng = np.random.default_rng(n)
+    path = tmp_path / "trace.csv"
+    for first_size, second_size in ((10, 10), (10, 11), (11, 10), (11, 11)):
+        first = rng.integers(0, first_size, n).astype(np.uint8)
+        second = rng.integers(0, second_size, n).astype(np.uint8)
+        first[-1], second[-1] = first_size - 1, second_size - 1
+        chunks = list(_trace_rows(first, second, first_size, second_size))
+        assert len(chunks) == len(trace_blocks(n))
+        assert b"".join(chunks) == _old_trace_bytes(first, second), (first_size, second_size)
+        if first_size != second_size:
+            continue  # read back once per width below
+        cli._write_csv(path, [("x1_size", first_size)], "n,x1,y1", chunks)
+        plain = first_size == 10
+        with monkeypatch.context() as patch:
+            if plain:
+                _refuse_the_line_by_line_reader(patch)
+            meta, header, read = read_trace(path)
+        old_meta, old_header, old_read = _old_read_trace(path)
+        assert meta == old_meta and header == old_header == ("n", "x1", "y1")
+        for column, trace, old_column in zip(read, (first, second), old_read):
+            assert column.dtype == np.int64
+            np.testing.assert_array_equal(column, trace)
+            np.testing.assert_array_equal(column, old_column)
+        assert (cli._plain_trace(path.read_bytes()) is not None) == plain
+        if plain and n < 20_000:
+            # the bytes either side of the digits, in the last row's symbol 9
+            text = path.read_text()
+            for byte in "/:":
+                assert _compare_readers(path, text[:-2] + byte + "\n") == "rejected", byte
+
+
 # sha256 of fig3b trial 0's emitted traces, as the per-row formatter wrote them
 FIG3B_TRACE_DIGESTS = {
     "trace_0000_source.csv": "d1107af1b6532718f3e5ee8218d56bb8d86aa25168064d47aa13f1a2af92d6c6",
@@ -1207,12 +1285,13 @@ def test_emitted_traces_read_back_as_the_trial_traces(tmp_path):
 
 
 def test_writing_a_long_trace_pair_stays_under_one_mib(tmp_path):
-    # the rows are formatted and written one block at a time; the per-row
-    # formatter's list of row strings put this peak at about 9 MiB
+    # the rows are written one block at a time, each run of a block a copy
+    # of its cached row skeleton filled in; the per-row formatter's list of
+    # row strings put this peak at about 9 MiB
     scenario = preset("fig5a")
     assert scenario.n == 100_000
     traces = trial_traces(scenario, 0)
-    cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, traces)  # builds the digit labels
+    cli._write_trial_traces(tmp_path, scenario, "0" * 64, 0, 0, traces)  # builds the row skeletons
     tracemalloc.start()
     try:
         cli._write_trial_traces(tmp_path, scenario, "0" * 64, 1, 0, traces)

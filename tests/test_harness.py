@@ -174,6 +174,17 @@ def test_a_trial_and_a_rebuilt_scenario_check_no_issued_array_again(full_checks)
     assert rebuilt.p1 is scenario.p1 and rebuilt.b is scenario.b
 
 
+def test_a_preset_call_checks_only_the_uplink_matrices_it_computes(full_checks):
+    # the preset constants (sources, B, every map phi) are issued at import,
+    # so each of fig3a's four curves checks in full only its own A; plain
+    # constants made 19 checks here: 3 phi, then p1, p2, A and B per curve
+    curves = preset_curves("fig3a")
+    assert full_checks == ["A"] * len(curves) == ["A"] * 4
+    full_checks.clear()
+    preset("fig5b")
+    assert full_checks == ["A", "A"]
+
+
 def test_scenario_with_unreachable_relay_symbol_fails_when_built():
     # u = 1 and u = 2 need x2 = 1, which p2 never emits
     table = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
