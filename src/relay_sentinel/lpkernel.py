@@ -10,7 +10,9 @@ variables are split into positive/negative parts at the solver boundary.
 Results are deterministic: identical inputs produce bitwise-identical
 outcomes. The pivot loops call ndarray methods and ufunc reductions, not
 NumPy's Python-level wrappers: at this size dispatch, not arithmetic, is
-the cost.
+the cost. Each loop pivots one work array, the tableau [B^-1 A | B^-1 b]
+over its objective row (reduced costs, minus the objective value), by one
+BLAS rank-1 product into a reused buffer and one subtraction.
 
 A program has two kinds of sibling, each sharing everything else with it:
 p.with_objective(c) has a new objective, p.with_rhs(...) new right-hand
@@ -28,10 +30,10 @@ cold solve factors each basis once. Phase 1 flips the rows whose
 right-hand side is negative and starts at the artificial identity basis,
 where the tableau is that sign-normalized [A | I | b] itself, so it
 starts without a solve. The memo holds [A | I] and b, phase 1's
-feasibility, its final basis, its pivots and the tableau it ends on, which
-was refactorized from pristine data to confirm that stop. Phase 2 runs on
-the same [A | I] and b, from a copy of that tableau at the same basis
-(ch. 8 again), and computes only its own objective row.
+feasibility, its final basis, its pivots and the work array it ends on,
+which was refactorized from pristine data to confirm that stop. Phase 2
+runs on the same [A | I] and b, from a copy of that tableau at the same
+basis (ch. 8 again), under its own objective row.
 
 An optimal outcome carries its basis. A Restart solves a program once,
 cold, and factors it at its own optimal basis; solve_lp then answers each
@@ -289,18 +291,27 @@ class _StandardForm:
 # ---------- simplex core ----------
 
 
-def _pivot(tab, obj, basis, row, col):
-    prow = tab[row]
+def _pivot(work, product, basis, row, col):
+    """Pivot the work array on (row, col); `product`, of its shape, is scratch.
+
+    The rank-1 update, objective row included, is one BLAS product (a k = 1
+    dgemm rounds each entry once, as the broadcast factor * prow does,
+    without NumPy's slow loop over a stride-0 operand) and one subtraction.
+    Only the sign of an exact zero can differ from the broadcast form (+0
+    where it gives -0), and nothing reads it: no zero is ever a divisor,
+    and every value an outcome returns is recomputed from pristine data.
+    """
+    prow = work[row]
     prow /= prow[col]
-    factor = tab[:, col].copy()
+    factor = work[:, col].copy()
     factor[row] = 0.0
-    tab -= factor[:, None] * prow  # np.outer's products, without its dispatch
-    obj -= obj[col] * prow
+    np.dot(factor[:, None], prow[None, :], out=product)
+    work -= product
     basis[row] = col
 
 
 def _tableau_for_basis(ext, rhs, c_vec, basis):
-    """Exact tableau and objective row for a basis, from pristine data.
+    """Exact work array of a basis, from pristine data.
 
     Incremental pivoting accumulates roundoff (each pivot divides by the
     pivot element); rebuilding from the original matrix resets that drift.
@@ -313,23 +324,24 @@ def _tableau_for_basis(ext, rhs, c_vec, basis):
         inv_rhs = np.linalg.solve(bmat, rhs)
     except np.linalg.LinAlgError as exc:
         raise LpFailure("basis matrix singular during refactorization") from exc
-    tab = np.empty((ext.shape[0], ext.shape[1] + 1))
-    tab[:, :-1] = inv_ext
-    tab[:, -1] = inv_rhs
-    return tab, _objective_row(inv_ext, inv_rhs, c_vec, basis)
+    return _work_array(inv_ext, inv_rhs, c_vec, basis)
 
 
-def _objective_row(inv_ext, inv_rhs, c_vec, basis):
-    """Reduced costs and minus the objective value at `basis`, given B^-1 [ext | rhs].
+def _work_array(inv_ext, inv_rhs, c_vec, basis):
+    """The tableau B^-1 [ext | rhs] over its objective row, at `basis`.
 
-    The blocks must be C-contiguous: a strided view may take another BLAS
-    path and round differently, and every phase start must round alike.
+    The objective row holds the reduced costs and then minus the objective
+    value. The blocks must be C-contiguous: a strided view may take another
+    BLAS path and round differently, and every phase start must round alike.
     """
+    m, n = inv_ext.shape
     cb = c_vec[basis]
-    obj = np.empty(inv_ext.shape[1] + 1)
-    obj[:-1] = c_vec - cb @ inv_ext
-    obj[-1] = -float(cb @ inv_rhs)
-    return obj
+    work = np.empty((m + 1, n + 1))
+    work[:-1, :-1] = inv_ext
+    work[:-1, -1] = inv_rhs
+    work[-1, :-1] = c_vec - cb @ inv_ext
+    work[-1, -1] = -float(cb @ inv_rhs)
+    return work
 
 
 # refactorize this often even without a stop signal
@@ -338,11 +350,11 @@ _REFRESH_PERIOD = 64
 _STALL_LIMIT = 40
 
 
-def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
-    """Iterate to optimality from `basis`; returns (status, tab, basis, pivots).
+def _simplex(ext, rhs, c_vec, basis, work, max_iter, pin_start):
+    """Iterate to optimality from `basis`; returns (status, work, basis, pivots).
 
-    `start` is the (tab, obj) of `basis`, exact from pristine data; it is
-    pivoted in place.
+    `work` is the work array of `basis` (`_work_array`), exact from
+    pristine data; it is pivoted in place.
 
     Pivot choice is Dantzig's rule (most negative reduced cost) with the
     largest pivot element among ratio-test ties — fast and numerically
@@ -360,32 +372,32 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
     never grow an artificial). An ejected artificial never re-enters, so
     once none is left the pinning stops.
     """
-    tab, obj = start
     n_enter = ext.shape[1] - ext.shape[0]
     if n_enter == 0:  # a program without variables: no column can enter
-        return "optimal", tab, basis, 0
+        return "optimal", work, basis, 0
     lingering = basis >= pin_start  # rows pinned at zero; none in phase 1
     pinning = lingering.any()
     ratios = np.empty(ext.shape[0])
+    product = np.empty_like(work)
     since_refresh = 0
     stall = 0
     bland = False
     pivots = 0
     for _ in range(max_iter):
-        reduced = obj[:n_enter]
+        reduced = work[-1, :n_enter]
         # Bland's entering column is the first eligible one, Dantzig's the
         # first most negative reduced cost, eligible only below -_FEAS_TOL
         j = int((reduced < -_FEAS_TOL).argmax() if bland else reduced.argmin())
         if not reduced[j] < -_FEAS_TOL:
             if since_refresh == 0:
-                return "optimal", tab, basis, pivots
-            tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
+                return "optimal", work, basis, pivots
+            work = _tableau_for_basis(ext, rhs, c_vec, basis)
             since_refresh = 0
             continue
-        col = tab[:, j]
+        col = work[:-1, j]
         blocking = col > _PIVOT_TOL
         ratios.fill(np.inf)
-        np.divide(tab[:, -1], col, out=ratios, where=blocking)
+        np.divide(work[:-1, -1], col, out=ratios, where=blocking)
         if pinning:
             pinned = lingering & (np.abs(col) > _PIVOT_TOL)
             ratios[pinned] = 0.0
@@ -393,8 +405,8 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
         rmin = np.minimum.reduce(ratios, initial=np.inf)
         if rmin == np.inf and not np.logical_or.reduce(blocking):  # blocking ratios are finite
             if since_refresh == 0:
-                return "unbounded", tab, basis, pivots
-            tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
+                return "unbounded", work, basis, pivots
+            work = _tableau_for_basis(ext, rhs, c_vec, basis)
             since_refresh = 0
             continue
         # sign-safe window: rmin itself is always inside even when tiny
@@ -406,17 +418,17 @@ def _simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
             row = int(ties[basis[ties].argmin()])
         else:
             row = int(ties[np.abs(col[ties]).argmax()])
-        before = obj[-1]
-        _pivot(tab, obj, basis, row, j)
+        before = work[-1, -1]
+        _pivot(work, product, basis, row, j)
         if pinning and lingering[row]:  # an artificial left the basis
             lingering[row] = False
             pinning = lingering.any()
         pivots += 1
         since_refresh += 1
         if since_refresh >= _REFRESH_PERIOD:
-            tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
+            work = _tableau_for_basis(ext, rhs, c_vec, basis)
             since_refresh = 0
-        if obj[-1] > before + 1e-12 * max(1.0, abs(before)):
+        if work[-1, -1] > before + 1e-12 * max(1.0, abs(before)):
             stall = 0
             bland = False
         else:
@@ -471,8 +483,8 @@ def _is_farkas(y, full, rhs):
     )
 
 
-def _dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
-    """Dual-simplex pivots from a dual-feasible `basis` whose tableau is `tab`.
+def _dual_simplex(ext, rhs, c_vec, basis, work, n_real):
+    """Dual-simplex pivots from a dual-feasible `basis` whose work array is `work`.
 
     Returns (path, values, pivots): ("dual", basic values, k) at a verified
     optimum, ("farkas", None, k) on a verified ray, or (None, None, k) when
@@ -483,18 +495,28 @@ def _dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
     bound as the leaving row and enters by the dual ratio test over columns
     below n_real, largest pivot element among ties, so an artificial pushed
     off zero is driven out of the basis like any other infeasible variable.
-    `tab`, `obj` and `basis` are pivoted in place.
+    After _STALL_LIMIT pivots that leave the objective unchanged it falls
+    back to Bland's rule (the infeasible row of smallest basic index leaves,
+    the first ratio-test tie enters) until the objective moves again, so the
+    loop ends; its budget, a cold phase's, guards against numerical
+    breakdown. `work` and `basis` are pivoted in place.
     """
+    product = np.empty_like(work)
+    stall = 0
+    bland = False
     pivots = 0
-    for _ in range(n_real + ext.shape[0]):
-        values = tab[:, -1]
+    for _ in range(_max_iter((ext.shape[0], n_real))):
+        values = work[:-1, -1]
         excess = np.where(basis >= n_real, np.abs(values), -values)
         row = int(excess.argmax())
         if excess[row] <= _PRIMAL_TOL:  # _primal_feasible, from the same excess
             values = _verified_optimum(ext, rhs, c_vec, basis, n_real)
             return ("dual" if values is not None else None), values, pivots
+        if bland:
+            infeasible = (excess > _PRIMAL_TOL).nonzero()[0]
+            row = int(infeasible[basis[infeasible].argmin()])
         # entries whose column, entering, moves the leaving value toward zero
-        entries = tab[row, :n_real] * np.sign(values[row])
+        entries = work[row, :n_real] * np.sign(values[row])
         cand = (entries > _PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
             try:
@@ -503,19 +525,28 @@ def _dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
                 return None, None, pivots
             verified = _is_farkas(y, ext[:, :n_real], rhs)
             return ("farkas" if verified else None), None, pivots
-        ratios = obj[cand] / entries[cand]
+        ratios = work[-1, cand] / entries[cand]
         rmin = np.minimum.reduce(ratios)
         ties = cand[ratios <= rmin + 1e-10 * (1.0 + abs(rmin))]
-        col = ties[0] if ties.size == 1 else ties[entries[ties].argmax()]
-        _pivot(tab, obj, basis, row, int(col))
+        col = ties[0] if ties.size == 1 or bland else ties[entries[ties].argmax()]
+        before = work[-1, -1]
+        _pivot(work, product, basis, row, int(col))
         pivots += 1
         if pivots % _REFRESH_PERIOD == 0:
             try:
-                tab, obj = _tableau_for_basis(ext, rhs, c_vec, basis)
+                work = _tableau_for_basis(ext, rhs, c_vec, basis)
             except LpFailure:
                 return None, None, pivots
-            if (obj[:n_real] < -_FEAS_TOL).any():
+            if (work[-1, :n_real] < -_FEAS_TOL).any():
                 return None, None, pivots
+        # each pivot lowers minus the objective value, unless it is degenerate
+        if work[-1, -1] < before - 1e-12 * max(1.0, abs(before)):
+            stall = 0
+            bland = False
+        else:
+            stall += 1
+            if stall > _STALL_LIMIT:
+                bland = True
     return None, None, pivots
 
 
@@ -549,12 +580,12 @@ class Restart:
     """One program solved cold and factored at its own optimum, to answer its siblings.
 
     ``optimum`` is the program's cold LpOutcome. At its basis the restart
-    holds the basis inverse, the tableau B^-1 [A | I] over the program's
-    standard form and the reduced costs. Dual feasibility does not depend on
-    the right-hand side, so it is checked here once: a program with no
-    optimum, or a basis that roundoff leaves singular or dual infeasible,
-    leaves the restart unusable, and every solve through it runs cold. The
-    restart is never modified by a solve.
+    holds the basis inverse and a work array: the tableau B^-1 [A | I] over
+    the program's standard form, above the reduced costs. Dual feasibility
+    does not depend on the right-hand side, so it is checked here once: a
+    program with no optimum, or a basis that roundoff leaves singular or
+    dual infeasible, leaves the restart unusable, and every solve through
+    it runs cold. The restart is never modified by a solve.
     """
 
     def __init__(self, p: LpProblem):
@@ -565,18 +596,18 @@ class Restart:
         m, n_real = form.full.shape
         self.ext = np.hstack([form.full, np.eye(m)])
         self.cost = form.cost(p)
-        self.inverse = self.tableau = self.reduced = None
+        self.inverse = self.work = None
         if self.basis is None:
             return
         try:
             inverse = np.linalg.inv(self.ext[:, self.basis])
         except np.linalg.LinAlgError:
             return
-        tableau = inverse @ self.ext
-        reduced = self.cost - self.cost[self.basis] @ tableau
-        if (reduced[:n_real] < -_FEAS_TOL).any():
+        # a sibling's answer fills in the last column, its right-hand side's
+        work = _work_array(inverse @ self.ext, np.zeros(m), self.cost, self.basis)
+        if (work[-1, :n_real] < -_FEAS_TOL).any():
             return
-        self.inverse, self.tableau, self.reduced = inverse, tableau, reduced
+        self.inverse, self.work = inverse, work
 
     def answer(self, p: LpProblem):
         """(outcome, pivots) for sibling p; outcome None means solve cold."""
@@ -589,14 +620,11 @@ class Restart:
         values = self.inverse @ rhs
         if _primal_feasible(values, self.basis, n_real):
             return _optimal(p, self.basis, values, "start", 0), 0
-        tab = np.empty((self.tableau.shape[0], self.tableau.shape[1] + 1))
-        tab[:, :-1] = self.tableau
-        tab[:, -1] = values
-        obj = np.append(self.reduced, -(self.cost[self.basis] @ values))
+        work = self.work.copy()
+        work[:-1, -1] = values
+        work[-1, -1] = -(self.cost[self.basis] @ values)
         basis = self.basis.copy()
-        path, values, pivots = _dual_simplex(
-            self.ext, rhs, self.cost, basis, tab, obj, n_real
-        )
+        path, values, pivots = _dual_simplex(self.ext, rhs, self.cost, basis, work, n_real)
         if path == "dual":
             return _optimal(p, basis, values, path, pivots), pivots
         if path == "farkas":
@@ -621,25 +649,26 @@ def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
 def _solve_cold(p: LpProblem, spent: int) -> LpOutcome:
     """The two-phase solve of p in its standard form; ``spent`` pivots came before."""
     form = p._form
-    ext, rhs, feasible, basis, pivots1, tab = _phase_one(*form.key, form.rhs(p).tobytes())
+    ext, rhs, feasible, basis, pivots1, work = _phase_one(*form.key, form.rhs(p).tobytes())
     if not feasible:
         return LpOutcome(status=LpStatus.INFEASIBLE, pivots=spent + pivots1)
 
     # phase 2: original objective, on phase 1's sign-normalized [A | I] and
-    # from its final tableau, which is that basis factored from pristine
-    # data: only the objective row is new. Lingering artificial columns stay
-    # in the working basis (pinned at zero) so it remains well-conditioned
-    # even when the caller supplied redundant equality rows
+    # from the tableau of its final work array, which is that basis factored
+    # from pristine data: only the objective row is new. Lingering
+    # artificial columns stay in the working basis (pinned at zero) so it
+    # remains well-conditioned even when the caller supplied redundant
+    # equality rows
     c2 = form.cost(p)
-    obj = _objective_row(np.ascontiguousarray(tab[:, :-1]), tab[:, -1].copy(), c2, basis)
-    status, tab, basis, pivots2 = _simplex(
-        ext, rhs, c2, basis.copy(), (tab.copy(), obj), _max_iter(form.full.shape),
+    start = _work_array(np.ascontiguousarray(work[:-1, :-1]), work[:-1, -1].copy(), c2, basis)
+    status, work, basis, pivots2 = _simplex(
+        ext, rhs, c2, basis.copy(), start, _max_iter(form.full.shape),
         pin_start=form.full.shape[1],
     )
     pivots = spent + pivots1 + pivots2
     if status == "unbounded":
         return LpOutcome(status=LpStatus.UNBOUNDED, pivots=pivots)
-    return _optimal(p, basis, tab[:, -1], "cold", pivots)
+    return _optimal(p, basis, work[:-1, -1], "cold", pivots)
 
 
 def _max_iter(shape) -> int:
@@ -658,15 +687,15 @@ _PHASE_ONE_MEMO = 8
 def _phase_one(
     shape: tuple, full_data: bytes, rhs_data: bytes
 ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray, int, np.ndarray]:
-    """(ext, rhs, feasible, basis, pivots, tableau) of phase 1 on {x >= 0 : full x = rhs}.
+    """(ext, rhs, feasible, basis, pivots, work) of phase 1 on {x >= 0 : full x = rhs}.
 
     Rows with a negative right-hand side are flipped, so ext = [full | I] and
     rhs >= 0, and phase 1 starts from the artificial identity basis, whose
     tableau is [ext | rhs] itself. It minimizes the artificial sum, so it
     reads only the constraints and the right-hand side: memoized by their
     content, it runs once per constraint set, not once per objective. The
-    tableau is the final basis's, refactorized from pristine data, and
-    phase 2 starts from it on the same ext and rhs. Every array is
+    work array is the final basis's, refactorized from pristine data, and
+    phase 2 starts from its tableau on the same ext and rhs. Every array is
     read-only; phase 2 pivots on copies.
     """
     m, n_real = shape
@@ -677,15 +706,14 @@ def _phase_one(
     c1 = np.zeros(n_real + m)
     c1[n_real:] = 1.0
     basis = np.arange(n_real, n_real + m)
-    tab = np.hstack([ext, rhs[:, None]])
-    start = tab, _objective_row(ext, rhs, c1, basis)
-    status, tab, basis, pivots = _simplex(
-        ext, rhs, c1, basis, start, _max_iter(shape), pin_start=n_real + m
+    status, work, basis, pivots = _simplex(
+        ext, rhs, c1, basis, _work_array(ext, rhs, c1, basis), _max_iter(shape),
+        pin_start=n_real + m,
     )
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
         raise LpFailure("phase 1 reported unbounded")
-    phase1 = float(c1[basis] @ np.maximum(tab[:, -1], 0.0))
+    phase1 = float(c1[basis] @ np.maximum(work[:-1, -1], 0.0))
     infeasible = phase1 > _FEAS_TOL * max(1.0, float(rhs.max(initial=0.0)))
-    for arr in (ext, rhs, basis, tab):
+    for arr in (ext, rhs, basis, work):
         arr.setflags(write=False)
-    return ext, rhs, not infeasible, basis, pivots, tab
+    return ext, rhs, not infeasible, basis, pivots, work

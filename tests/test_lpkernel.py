@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from relay_sentinel import detector, lpkernel, manipulability
+from relay_sentinel.attackmodel import AttackSpec
+from relay_sentinel.channelmodel import MacModel
 from relay_sentinel.detector import DetectorConfig
-from relay_sentinel.harness import preset_curves, trial_traces
+from relay_sentinel.harness import Scenario, preset_curves, trial_counts, trial_traces
 from relay_sentinel.lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
 
 from test_manipulability import _sweep_channels, _witness_programs
@@ -540,10 +542,10 @@ def test_restart_answers_from_pristine_data_despite_tableau_drift(monkeypatch):
     honest_pivot, honest_dual = lpkernel._pivot, lpkernel._dual_simplex
     restarting = []
 
-    def drifting_pivot(tab, obj, basis, row, col):
-        honest_pivot(tab, obj, basis, row, col)
+    def drifting_pivot(work, product, basis, row, col):
+        honest_pivot(work, product, basis, row, col)
         if restarting:
-            tab[:, -1] += 1e-7
+            work[:-1, -1] += 1e-7
 
     def dual_simplex(*args):
         restarting.append(True)
@@ -915,7 +917,9 @@ def test_a_cold_solve_factors_each_phase_once_at_its_end(monkeypatch, higher_a, 
 # ---------- the pivot loops checked against their plain NumPy form ----------
 
 
-def _plain_pivot(tab, obj, basis, row, col):
+def _plain_pivot(work, product, basis, row, col):
+    """lpkernel._pivot by np.outer on the tableau, then the objective row apart."""
+    tab, obj = work[:-1], work[-1]
     tab[row] /= tab[row, col]
     factor = tab[:, col].copy()
     factor[row] = 0.0
@@ -924,12 +928,12 @@ def _plain_pivot(tab, obj, basis, row, col):
     basis[row] = col
 
 
-def _plain_simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
+def _plain_simplex(ext, rhs, c_vec, basis, work, max_iter, pin_start):
     """lpkernel._simplex written with NumPy's wrappers and one ratio array per pivot."""
-    tab, obj = start
+    tab, obj = work[:-1], work[-1]
     n_enter = ext.shape[1] - ext.shape[0]
     if n_enter == 0:
-        return "optimal", tab, basis, 0
+        return "optimal", work, basis, 0
     pinning = pin_start < ext.shape[1]
     since_refresh = 0
     stall = 0
@@ -940,8 +944,9 @@ def _plain_simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
         j = int(np.argmax(reduced < -lpkernel._FEAS_TOL) if bland else np.argmin(reduced))
         if not reduced[j] < -lpkernel._FEAS_TOL:
             if since_refresh == 0:
-                return "optimal", tab, basis, pivots
-            tab, obj = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+                return "optimal", work, basis, pivots
+            work = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+            tab, obj = work[:-1], work[-1]
             since_refresh = 0
             continue
         col = tab[:, j]
@@ -953,8 +958,9 @@ def _plain_simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
             blocking |= pinned
         if not blocking.any():
             if since_refresh == 0:
-                return "unbounded", tab, basis, pivots
-            tab, obj = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+                return "unbounded", work, basis, pivots
+            work = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+            tab, obj = work[:-1], work[-1]
             since_refresh = 0
             continue
         rmin = ratios.min()
@@ -964,11 +970,12 @@ def _plain_simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
         else:
             row = int(ties[np.argmax(np.abs(col[ties]))])
         before = obj[-1]
-        _plain_pivot(tab, obj, basis, row, j)
+        _plain_pivot(work, None, basis, row, j)
         pivots += 1
         since_refresh += 1
         if since_refresh >= lpkernel._REFRESH_PERIOD:
-            tab, obj = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+            work = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+            tab, obj = work[:-1], work[-1]
             since_refresh = 0
         if obj[-1] > before + 1e-12 * max(1.0, abs(before)):
             stall = 0
@@ -980,16 +987,23 @@ def _plain_simplex(ext, rhs, c_vec, basis, start, max_iter, pin_start):
     raise LpFailure("simplex pivot budget exhausted (numerical breakdown)")
 
 
-def _plain_dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
+def _plain_dual_simplex(ext, rhs, c_vec, basis, work, n_real):
     """lpkernel._dual_simplex written with NumPy's wrappers."""
+    tab, obj = work[:-1], work[-1]
+    stall = 0
+    bland = False
     pivots = 0
-    for _ in range(n_real + ext.shape[0]):
+    for _ in range(lpkernel._max_iter((ext.shape[0], n_real))):
         values = tab[:, -1]
         if lpkernel._primal_feasible(values, basis, n_real):
             values = lpkernel._verified_optimum(ext, rhs, c_vec, basis, n_real)
             return ("dual" if values is not None else None), values, pivots
         excess = np.where(basis >= n_real, np.abs(values), -values)
-        row = int(np.argmax(excess))
+        if bland:
+            infeasible = np.flatnonzero(excess > lpkernel._PRIMAL_TOL)
+            row = int(infeasible[np.argmin(basis[infeasible])])
+        else:
+            row = int(np.argmax(excess))
         entries = tab[row, :n_real] * np.sign(values[row])
         cand = np.flatnonzero(entries > lpkernel._PIVOT_TOL)
         if cand.size == 0:
@@ -1002,15 +1016,25 @@ def _plain_dual_simplex(ext, rhs, c_vec, basis, tab, obj, n_real):
         ratios = obj[cand] / entries[cand]
         rmin = ratios.min()
         ties = cand[ratios <= rmin + 1e-10 * (1.0 + abs(rmin))]
-        _plain_pivot(tab, obj, basis, row, int(ties[np.argmax(entries[ties])]))
+        col = ties[0] if bland else ties[np.argmax(entries[ties])]
+        before = obj[-1]
+        _plain_pivot(work, None, basis, row, int(col))
         pivots += 1
         if pivots % lpkernel._REFRESH_PERIOD == 0:
             try:
-                tab, obj = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
+                work = lpkernel._tableau_for_basis(ext, rhs, c_vec, basis)
             except LpFailure:
                 return None, None, pivots
+            tab, obj = work[:-1], work[-1]
             if (obj[:n_real] < -lpkernel._FEAS_TOL).any():
                 return None, None, pivots
+        if obj[-1] < before - 1e-12 * max(1.0, abs(before)):
+            stall = 0
+            bland = False
+        else:
+            stall += 1
+            if stall > lpkernel._STALL_LIMIT:
+                bland = True
     return None, None, pivots
 
 
@@ -1025,20 +1049,16 @@ def _both_loops(monkeypatch, solve):
         return fast, solve()
 
 
-def test_pivot_loops_decide_as_their_plain_form(
-    monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
-):
-    # the loops trade NumPy's Python-level wrappers for ndarray methods and
-    # ufunc reductions, and take a lone ratio-test tie directly: every
-    # outcome must be the plain form's bit for bit, on certify's programs,
-    # on small random programs and on restart siblings (dual simplex): the
-    # random families, and fig5b's estimator LPs, whose dual ratio tests tie
-    channels = _reference_channels(motivating_a, motivating_b, higher_a, higher_b, counter_b)
+def _loop_programs(monkeypatch, channels):
+    """(programs, siblings) that reach both pivot loops.
+
+    The programs are certify's on `channels` and the 200 random ones; the
+    siblings are (program, restart) pairs answered by dual simplex: the
+    random families, and fig5b's estimator LPs, whose dual ratio tests tie.
+    """
     programs = [p for a, b in channels for p in _certify_programs(monkeypatch, a, b)]
     programs += [p for _, p, _ in _random_lps()]
-    fast, plain = _both_loops(monkeypatch, lambda: [_outcome_key(solve_lp(p)) for p in programs])
-    assert fast == plain and len(fast) >= 5 * len(channels) + 200
-    siblings = []  # (program, restart)
+    siblings = []
     for base, _, family in _families():
         restart = lpkernel.Restart(base)
         siblings += [(p, restart) for p in family]
@@ -1055,11 +1075,121 @@ def test_pivot_loops_decide_as_their_plain_form(
             )
             for trial in range(10):
                 detector.run_detection(config, *trial_traces(scenario, trial)[:2])
+    return programs, siblings
+
+
+def test_pivot_loops_decide_as_their_plain_form(
+    monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    # the loops trade NumPy's Python-level wrappers for ndarray methods and
+    # ufunc reductions, take a lone ratio-test tie directly and pivot one
+    # work array by a BLAS product: every outcome must be the plain form's
+    # bit for bit, on certify's programs, on small random programs and on
+    # restart siblings (dual simplex)
+    channels = _reference_channels(motivating_a, motivating_b, higher_a, higher_b, counter_b)
+    programs, siblings = _loop_programs(monkeypatch, channels)
+    fast, plain = _both_loops(monkeypatch, lambda: [_outcome_key(solve_lp(p)) for p in programs])
+    assert fast == plain and len(fast) >= 5 * len(channels) + 200
     fast, plain = _both_loops(
         monkeypatch, lambda: [_outcome_key(solve_lp(p, restart)) for p, restart in siblings]
     )
     assert fast == plain
     assert collections.Counter(key[1] for key in fast)["dual"] >= 100
+
+
+def test_blands_rule_in_both_loops_decides_as_its_plain_form(monkeypatch, higher_a, higher_b):
+    # with _STALL_LIMIT at 0 a single degenerate pivot turns Bland's rule on,
+    # in the cold loop and in the dual loop, whose Bland branch no preset or
+    # family otherwise reaches: every outcome must still be the plain form's
+    monkeypatch.setattr(lpkernel, "_STALL_LIMIT", 0)
+    programs, siblings = _loop_programs(monkeypatch, [(higher_a, higher_b)])
+    fast, plain = _both_loops(
+        monkeypatch,
+        lambda: [_outcome_key(solve_lp(p)) for p in programs]
+        + [_outcome_key(solve_lp(p, restart)) for p, restart in siblings],
+    )
+    assert fast == plain
+    assert collections.Counter(key[1] for key in fast)["dual"] >= 100
+
+
+def test_no_outcome_reads_the_sign_of_a_zero(
+    monkeypatch, motivating_a, motivating_b, higher_a, higher_b, counter_b
+):
+    # the BLAS product leaves +0 where the broadcast one leaves -0, and
+    # nothing may read that sign: a pivot that flips the sign of every exact
+    # zero it leaves in the work array moves no outcome of either loop
+    channels = _reference_channels(motivating_a, motivating_b, higher_a, higher_b, counter_b)
+    programs, siblings = _loop_programs(monkeypatch, channels)
+    honest_pivot = lpkernel._pivot
+    flipped = []
+
+    def flipping_pivot(work, product, basis, row, col):
+        honest_pivot(work, product, basis, row, col)
+        zeros = work == 0.0
+        flipped.append(int(zeros.sum()))
+        np.negative(work, out=work, where=zeros)
+
+    def solve():
+        return [_outcome_key(solve_lp(p)) for p in programs] + [
+            _outcome_key(solve_lp(p, restart)) for p, restart in siblings
+        ]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lpkernel, "_phase_one", lpkernel._phase_one.__wrapped__)
+        honest = solve()
+        patch.setattr(lpkernel, "_pivot", flipping_pivot)
+        assert solve() == honest
+    assert sum(flipped) > 0 and len(flipped) >= 5000
+
+
+def test_pivot_matches_the_outer_product_form_but_for_the_sign_of_zeros():
+    # one rank-1 BLAS product rounds each entry once, as np.outer does: on
+    # random work arrays with exact zeros of both signs, _pivot's result
+    # equals the plain form's under ==, bits differing only at zeros, in
+    # the pivot row, the unit column and the objective row as well
+    rng = np.random.default_rng(20261020)
+    for _ in range(300):
+        m, n = int(rng.integers(1, 40)), int(rng.integers(2, 120))
+        work = rng.standard_normal((m + 1, n + 1))
+        work[rng.random(work.shape) < 0.3] = 0.0
+        work[rng.random(work.shape) < 0.15] = -0.0
+        row, col = int(rng.integers(m)), int(rng.integers(n))
+        work[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        fast, plain = work.copy(), work.copy()
+        fast_basis, plain_basis = np.arange(m), np.arange(m)
+        lpkernel._pivot(fast, np.empty_like(fast), fast_basis, row, col)
+        _plain_pivot(plain, None, plain_basis, row, col)
+        assert (fast == plain).all()
+        differ = fast.view(np.uint64) != plain.view(np.uint64)
+        assert (fast[differ] == 0.0).all()
+        assert fast_basis[row] == plain_basis[row] == col
+        prow = work[row] / work[row, col]
+        assert (fast[row] == prow).all()
+        unit = np.zeros(m + 1)
+        unit[row] = 1.0
+        assert (fast[:, col] == unit).all()
+        assert (fast[-1] == work[-1] - work[-1, col] * prow).all()
+
+
+def test_a_degenerate_dual_stall_ends_on_the_dual_path():
+    # an 8 x 8 adder (|U| = 15) under the uniform attack: the restart's dual
+    # pivots leave the objective unchanged for hundreds of pivots, and by
+    # the largest violation alone they spent n_real + m of them, after which
+    # the cold solve answered with D = 30.0 (to 4e-15). Bland's rule after
+    # _STALL_LIMIT of them, with a cold phase's budget, ends on the dual
+    # path at that optimum
+    scenario = Scenario(
+        p1=np.full(8, 1 / 8), p2=np.full(8, 1 / 8), mac=MacModel.adder(8, 8), b=np.eye(15),
+        attack=AttackSpec(np.full((15, 15), 1 / 15)), n=10_000, mu=0.05, delta=0.07,
+        trials=1, master_seed=20240501,
+    )
+    config = scenario.detector_config
+    counts, _ = trial_counts(scenario, *trial_traces(scenario, 0))
+    report = detector.run_detection_on_counts(config, counts)
+    restart, _ = detector._compiled(config.a, config.b, config.mu)
+    assert report.lp_path == "dual" and report.feasible
+    assert report.lp_pivots > restart.ext.shape[1]  # n_real + m
+    assert abs(report.statistic - 30.0) <= 1e-9
 
 
 def test_every_pivot_goes_through_pivot(monkeypatch, higher_a, higher_b):
