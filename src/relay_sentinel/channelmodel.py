@@ -21,19 +21,21 @@ columns, such as the uplink's (x1, x2) keys from `stochcore.flat_key`, are
 one array per trace. The downlink checks its B and relay outputs by the
 `stochcore` rules, as the uplink checks its sources; a validator hands back
 an array it issued (a Scenario's sources and B) without checking it again,
-so a trial makes no full probability check.
+so a trial makes no full probability check. A matrix's cumulative table and
+point masses are one `stochcore.content_memo` entry, `frozen`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .stochcore import (
     AlphabetReductionError,
+    content_memo,
     flat_key,
+    frozen,
     point_masses,
     symbol_dtype,
     trace_blocks,
@@ -128,28 +130,17 @@ def stationary_u_pmf(mac: MacModel, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
 _CDF_MEMO = 64
 
 
-def _cdf_table(matrix) -> tuple[tuple, np.dtype, np.ndarray | None, bool]:
+@content_memo(_CDF_MEMO)
+def _cdf_table(matrix: np.ndarray) -> tuple[tuple, np.dtype, np.ndarray | None, bool]:
     """The running-maximum cumulative sum of ``matrix``'s columns, last row
-    left out, as a tuple of read-only rows, the symbol dtype of its rows, a
+    left out, as a tuple of frozen rows, the symbol dtype of its rows, a
     matrix's `point_masses` (None for a pmf), and whether those point
-    masses map every column to its own row.
-
-    Memoized by content, so it is built once per matrix, not per trial.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    return _cdf_table_of(matrix.shape, matrix.tobytes())
-
-
-@lru_cache(maxsize=_CDF_MEMO)
-def _cdf_table_of(shape: tuple, data: bytes) -> tuple[tuple, np.dtype, np.ndarray | None, bool]:
-    matrix = np.frombuffer(data).reshape(shape)
-    rows = np.maximum.accumulate(np.cumsum(matrix, axis=0), axis=0)[:-1]
-    rows.setflags(write=False)
+    masses map every column to its own row; built once per matrix, not per
+    trial."""
+    rows = frozen(np.maximum.accumulate(np.cumsum(matrix, axis=0), axis=0)[:-1])
     points = point_masses(matrix) if matrix.ndim == 2 else None
-    if points is not None:
-        points.setflags(write=False)
     identity = points is not None and np.array_equal(points, np.arange(points.size))
-    return tuple(rows), symbol_dtype(shape[0]), points, identity
+    return tuple(rows), symbol_dtype(matrix.shape[0]), points, identity
 
 
 def _inverse_cdf(rows: tuple, columns, draws: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -185,7 +176,7 @@ def sample_trace(matrix: np.ndarray, n: int, rng: np.random.Generator, columns=N
     """
     if columns is not None and np.shape(columns) != (n,):
         raise ValueError(f"columns has shape {np.shape(columns)} for a trace of {n} symbols")
-    rows, dtype, _, _ = _cdf_table(matrix)
+    rows, dtype, _, _ = _cdf_table(np.asarray(matrix))
     trace = np.empty(n, dtype)
     for block in trace_blocks(n):
         draws = rng.random(block.stop - block.start)

@@ -62,6 +62,7 @@ from .harness import (
 from .lpkernel import LpFailure
 from .manipulability import CertificationFailure, ConsistencyFailure, certify
 from .stochcore import (
+    frozen,
     trace_blocks,
     validate_column_stochastic,
     validate_count,
@@ -412,7 +413,7 @@ def _first_row(width):
 
 @functools.lru_cache(maxsize=32)
 def _row_skeleton(width, first_width, second_width):
-    """The read-only byte table of the rows ``n,a,b\\n`` whose index n has ``width`` digits.
+    """The frozen byte table of the rows ``n,a,b\\n`` whose index n has ``width`` digits.
 
     Up to four digits it holds one row per such index; from five on, one
     per last four digits 0, ..., 9 999, its leading digits zero for a run
@@ -425,8 +426,7 @@ def _row_skeleton(width, first_width, second_width):
     table[:, width - low : width] = numbers[:, None] // 10 ** np.arange(low - 1, -1, -1) % 10 + _ZERO
     table[:, width] = table[:, width + first_width + 1] = _COMMA
     table[:, -1] = _NEWLINE
-    # a view of bytes, which NumPy refuses to make writable
-    return np.frombuffer(table.tobytes(), np.uint8).reshape(table.shape)
+    return frozen(table)
 
 
 def _runs(start, stop, first_width, second_width):

@@ -30,7 +30,6 @@ on its traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from . import lpkernel, numlinalg
 from .lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
 from .numlinalg import column_space_projector, row_space_projector, vec_operator
 from .stochcore import (
+    content_memo,
     joint_counts,
     l1_norm,
     validate_channel,
@@ -144,20 +144,11 @@ def _with_target(program: LpProblem, target: np.ndarray) -> LpProblem:
     return program.with_rhs(b_ub=b_ub)
 
 
-def _compiled(a: np.ndarray, b: np.ndarray, mu: float) -> tuple[lpkernel.Restart, float]:
-    """The compiled estimator of (A, B, mu), memoized by content."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return _compile(a.shape, a.tobytes(), b.shape, b.tobytes(), float(mu))
-
-
-@lru_cache(maxsize=_COMPILED_MEMO)
-def _compile(a_shape, a_data, b_shape, b_data, mu) -> tuple[lpkernel.Restart, float]:
+@content_memo(_COMPILED_MEMO)
+def _compile(a: np.ndarray, b: np.ndarray, mu: float) -> tuple[lpkernel.Restart, float]:
     """(restart, D0): the noiseless problem's Restart and its optimum's statistic."""
     # numlinalg and lpkernel are called through their own modules here, so
     # the one-off compilation never counts as a per-trial projector or LP
-    a = np.frombuffer(a_data).reshape(a_shape)
-    b = np.frombuffer(b_data).reshape(b_shape)
     u = a.shape[0]
     n_phi, n_g = u * u, b.shape[0] * a.shape[1]
 
@@ -206,12 +197,12 @@ def estimate_attack(
     a, b = validate_channel(a, b)
     mu = validate_positive(mu, "mu", zero_allowed=True)
     gamma_hat = _validate_histogram(gamma_hat, a, b)
-    phi_hat, feasible, _ = _estimate(_compiled(a, b, mu)[0], gamma_hat, a, b)
+    phi_hat, feasible, _ = _estimate(_compile(a, b, mu)[0], gamma_hat, a, b)
     return phi_hat, feasible
 
 
 def _validate_histogram(gamma_hat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """gamma_hat as a |Y1| x |X1| column-stochastic read-only copy, or ValueError."""
+    """gamma_hat as a |Y1| x |X1| column-stochastic frozen copy, or ValueError."""
     gamma_hat = validate_column_stochastic(gamma_hat, "gamma_hat")
     if gamma_hat.shape != (b.shape[0], a.shape[1]):
         raise ValueError(
@@ -277,7 +268,7 @@ def run_detection_on_counts(config: DetectorConfig, counts: np.ndarray) -> Detec
     counts = validate_count_table(counts, (config.b.shape[0], config.a.shape[1]))
     gamma_hat, unseen = _histogram(counts)
     a, b = config.a, config.b
-    restart, noiseless_floor = _compiled(a, b, config.mu)
+    restart, noiseless_floor = _compile(a, b, config.mu)
     phi_hat, feasible, outcome = _estimate(restart, gamma_hat, a, b)
     if feasible:
         pi_b = column_space_projector(b)

@@ -106,7 +106,7 @@ class Scenario:
         object.__setattr__(self, "detector_config", config)
 
     def uplink_matrix(self) -> np.ndarray:
-        """Observation matrix A seen from source 1 (u given x1), read-only."""
+        """Observation matrix A seen from source 1 (u given x1), frozen."""
         return self.detector_config.a
 
 

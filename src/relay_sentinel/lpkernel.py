@@ -7,33 +7,35 @@ Bland's rule (anti-cycling) after a run of degenerate pivots; the tableau
 is refactorized from pristine data periodically and before any stop
 decision, so accumulated roundoff cannot manufacture a verdict. Free
 variables are split into positive/negative parts at the solver boundary.
-Results are deterministic: identical inputs produce bitwise-identical
-outcomes. The pivot loops call ndarray methods and ufunc reductions, not
-NumPy's Python-level wrappers: at this size dispatch, not arithmetic, is
-the cost. Each loop pivots one work array, the tableau [B^-1 A | B^-1 b]
-over its objective row (reduced costs, minus the objective value), by one
-BLAS rank-1 product into a reused buffer and one subtraction.
+For one BLAS build and thread count, identical inputs produce bitwise-
+identical outcomes (threaded LAPACK solves round differently). The pivot
+loops call ndarray methods and ufunc reductions, not NumPy's Python-level
+wrappers: at this size dispatch, not arithmetic, is the cost. Each loop
+pivots one work array, the tableau [B^-1 A | B^-1 b] over its objective row
+(reduced costs, minus the objective value), by one BLAS rank-1 product
+into a reused buffer and one subtraction.
 
 A program has two kinds of sibling, each sharing everything else with it:
 p.with_objective(c) has a new objective, p.with_rhs(...) new right-hand
 sides, each checked as the constructor checks it. The constructor builds
 the standard form, checking each bound in the one pass that classifies it;
 the form depends only on the constraints and bounds, so every sibling
-shares it, and each solve computes its own cost row from it.
+shares it, and each solve computes its own cost row from it. Every array
+a program, its form, a Restart or the phase-1 memo holds is `frozen`.
 
 Phase 1 reads only the constraints and the right-hand side, never the
-objective (Chvatal, Linear Programming, 1983, ch. 8), so its result is
-memoized by that data: objective siblings, such as the per-symbol witness
-LPs of one channel, run it once. A phase 1 taken from the memo still
-counts its pivots, so every outcome is the one a fresh solve gives. A
-cold solve factors each basis once. Phase 1 flips the rows whose
-right-hand side is negative and starts at the artificial identity basis,
-where the tableau is that sign-normalized [A | I | b] itself, so it
-starts without a solve. The memo holds [A | I] and b, phase 1's
-feasibility, its final basis, its pivots and the work array it ends on,
-which was refactorized from pristine data to confirm that stop. Phase 2
-runs on the same [A | I] and b, from a copy of that tableau at the same
-basis (ch. 8 again), under its own objective row.
+objective (Chvatal, Linear Programming, 1983, ch. 8), so its result is a
+`content_memo` of the form's matrix and the right-hand side: objective
+siblings, such as the per-symbol witness LPs of one channel, run it once. A
+phase 1 taken from the memo still counts its pivots, so every outcome is
+the one a fresh solve gives. A cold solve factors each basis once. Phase 1
+flips the rows whose right-hand side is negative and starts at the
+artificial identity basis, where the tableau is that sign-normalized
+[A | I | b] itself, so it starts without a solve. The memo holds [A | I]
+and b, phase 1's feasibility, its final basis, its pivots and the work
+array it ends on, which was refactorized from pristine data to confirm that
+stop. Phase 2 runs on the same [A | I] and b, from a copy of that tableau
+at the same basis (ch. 8 again), under its own objective row.
 
 An optimal outcome carries its basis. A Restart solves a program once,
 cold, and factors it at its own optimal basis; solve_lp then answers each
@@ -60,11 +62,10 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .stochcore import value_eq
+from .stochcore import content_memo, frozen, value_eq
 
 __all__ = ["LpProblem", "LpOutcome", "LpStatus", "LpFailure", "Restart", "solve_lp"]
 
@@ -92,7 +93,7 @@ class LpProblem:
 
     bounds is one (lower, upper) pair per variable, each a finite real or
     None, which means unbounded on that side. Default bounds are (0, None)
-    for every variable. The program holds read-only copies of the arrays it
+    for every variable. The program holds frozen copies of the arrays it
     is given, so writing to the caller's arrays afterwards does not change it.
     It and its with_rhs and with_objective siblings share one standard
     form, which the constructor builds, checking the bounds as it goes.
@@ -117,15 +118,14 @@ class LpProblem:
                 raise ValueError(f"{name} and its rhs must be given together")
             if mat is None:
                 continue
-            mat = np.array(mat, dtype=float)
+            mat = np.asarray(mat, dtype=float)
             if mat.size == 0:
                 mat = mat.reshape(0, n)
             if mat.ndim != 2 or mat.shape[1] != n:
                 raise ValueError(f"{name} must be 2-D with {n} columns")
             if not np.isfinite(mat).all():
                 raise ValueError(f"{name} must be finite")
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+            object.__setattr__(self, name, frozen(mat))
             object.__setattr__(self, rhs, _vector(rhs, vec, mat.shape[0], "rows"))
         bounds = ((0.0, None),) * n if self.bounds is None else tuple(map(tuple, self.bounds))
         if len(bounds) != n:
@@ -139,7 +139,7 @@ class LpProblem:
 
         The sibling shares this program's matrices, objective, bounds and
         standard form, which are not validated again; only the new vectors
-        are checked, and stored as read-only copies.
+        are checked, and stored as frozen copies.
         """
         changes = {}
         for name, vec in (("b_eq", b_eq), ("b_ub", b_ub)):
@@ -156,7 +156,7 @@ class LpProblem:
 
         The sibling shares this program's constraints, bounds and standard
         form, which are not validated again; only the new objective is
-        checked, and stored as a read-only copy.
+        checked, and stored as a frozen copy.
         """
         c = _vector("objective", objective, self.objective.size, "variables")
         return self._sibling({"objective": c})
@@ -169,22 +169,21 @@ class LpProblem:
 
 
 def _vector(name: str, vec, size: int, unit: str) -> np.ndarray:
-    """vec as a read-only float copy of `size` finite entries, or ValueError."""
-    vec = np.array(vec, dtype=float).ravel()
+    """vec as a frozen float copy of `size` finite entries, or ValueError."""
+    vec = np.asarray(vec, dtype=float).ravel()
     if vec.size != size:
         raise ValueError(f"{name} has {vec.size} entries for {size} {unit}")
     if not np.isfinite(vec).all():
         raise ValueError(f"{name} must be finite")
-    vec.setflags(write=False)
-    return vec
+    return frozen(vec)
 
 
 @dataclass(frozen=True)
 class LpOutcome:
     """Status, and for an optimum the solution, its value and its basis.
 
-    ``basis`` (read-only) lists the standard-form columns basic at the
-    optimum; a Restart factors its program at the basis of its own optimum.
+    ``solution`` and ``basis`` (the standard-form columns basic at the optimum)
+    are frozen: a Restart, factored at its own optimum, shares that outcome.
     ``path`` says what answered: ``"start"`` (optimal at a restart's basis),
     ``"dual"`` (dual-simplex pivots from it), ``"farkas"`` (a verified ray
     from it) or ``"cold"`` (the two-phase solve); ``pivots`` counts every
@@ -215,7 +214,7 @@ class _StandardForm:
     ``full`` does not depend on the right-hand side, which ``rhs`` maps
     into the same rows, so no row is sign-flipped here, nor on the
     objective, which ``cost`` maps onto the columns. The arrays are
-    read-only: the form is shared by a program's siblings. Its one pass
+    frozen: the form is shared by a program's siblings. Its one pass
     over the bounds checks each pair as it classifies it.
     """
 
@@ -253,27 +252,24 @@ class _StandardForm:
         box = np.zeros((len(caps), n_std))
         for r, j in enumerate(box_cols):
             box[r, j] = 1.0
-        self.caps = np.array(caps, dtype=float)
         mat = np.vstack([std for std, _ in blocks] + [box])
-        self.shift = np.concatenate([shift for _, shift in blocks] + [np.zeros(len(caps))])
+        shift = np.concatenate([shift for _, shift in blocks] + [np.zeros(len(caps))])
 
         # equilibrate structural rows to unit max-abs (before slacks join, so a
         # unit slack cannot mask a badly scaled row): pivot tolerances then act
         # uniformly regardless of the magnitudes the caller happened to use
         scale = np.abs(mat).max(axis=1, initial=0.0)
-        self.divisor = np.where(scale > 0.0, scale, 1.0)
-        mat /= self.divisor[:, None]  # x / 1.0 is x to the bit, signed zeros included
+        divisor = np.where(scale > 0.0, scale, 1.0)
+        mat /= divisor[:, None]  # x / 1.0 is x to the bit, signed zeros included
 
         # append one slack per inequality row
         m = mat.shape[0]
         m_ub = m - (p.a_eq.shape[0] if p.a_eq is not None else 0)
-        self.full = np.zeros((m, n_std + m_ub))
-        self.full[:, :n_std] = mat
-        self.full[m - m_ub :, n_std:] = np.eye(m_ub)
-        self.key = (self.full.shape, self.full.tobytes())  # phase 1's; bytes cache their hash
-        self.s, self.t = s, t
-        for arr in (self.full, self.shift, self.divisor, self.caps, s, t):
-            arr.setflags(write=False)
+        full = np.zeros((m, n_std + m_ub))
+        full[:, :n_std] = mat
+        full[m - m_ub :, n_std:] = np.eye(m_ub)
+        arrays = full, shift, divisor, np.array(caps, dtype=float), s, t
+        self.full, self.shift, self.divisor, self.caps, self.s, self.t = map(frozen, arrays)
 
     def rhs(self, p: LpProblem) -> np.ndarray:
         """The scaled standard-form right-hand side of p (or of a sibling)."""
@@ -557,12 +553,11 @@ def _optimal(p, basis, values, path, pivots):
     real_rows = basis < n_real
     x_std[basis[real_rows]] = np.maximum(values[real_rows], 0.0)
     x = form.s @ x_std[: form.s.shape[1]] + form.t
-    basis.setflags(write=False)
     return LpOutcome(
         status=LpStatus.OPTIMAL,
-        solution=x,
+        solution=frozen(x),
         value=float(p.objective @ x),
-        basis=basis,
+        basis=frozen(basis),
         path=path,
         pivots=pivots,
     )
@@ -594,8 +589,8 @@ class Restart:
         self.optimum = _solve_cold(p, 0)
         self.basis = self.optimum.basis
         m, n_real = form.full.shape
-        self.ext = np.hstack([form.full, np.eye(m)])
-        self.cost = form.cost(p)
+        self.ext = frozen(np.hstack([form.full, np.eye(m)]))
+        self.cost = frozen(form.cost(p))
         self.inverse = self.work = None
         if self.basis is None:
             return
@@ -607,7 +602,7 @@ class Restart:
         work = _work_array(inverse @ self.ext, np.zeros(m), self.cost, self.basis)
         if (work[-1, :n_real] < -_FEAS_TOL).any():
             return
-        self.inverse, self.work = inverse, work
+        self.inverse, self.work = frozen(inverse), frozen(work)
 
     def answer(self, p: LpProblem):
         """(outcome, pivots) for sibling p; outcome None means solve cold."""
@@ -649,7 +644,7 @@ def solve_lp(p: LpProblem, restart: Restart | None = None) -> LpOutcome:
 def _solve_cold(p: LpProblem, spent: int) -> LpOutcome:
     """The two-phase solve of p in its standard form; ``spent`` pivots came before."""
     form = p._form
-    ext, rhs, feasible, basis, pivots1, work = _phase_one(*form.key, form.rhs(p).tobytes())
+    ext, rhs, feasible, basis, pivots1, work = _phase_one(form.full, form.rhs(p))
     if not feasible:
         return LpOutcome(status=LpStatus.INFEASIBLE, pivots=spent + pivots1)
 
@@ -683,10 +678,8 @@ def _max_iter(shape) -> int:
 _PHASE_ONE_MEMO = 8
 
 
-@lru_cache(maxsize=_PHASE_ONE_MEMO)
-def _phase_one(
-    shape: tuple, full_data: bytes, rhs_data: bytes
-) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray, int, np.ndarray]:
+@content_memo(_PHASE_ONE_MEMO)
+def _phase_one(full: np.ndarray, rhs: np.ndarray) -> tuple:
     """(ext, rhs, feasible, basis, pivots, work) of phase 1 on {x >= 0 : full x = rhs}.
 
     Rows with a negative right-hand side are flipped, so ext = [full | I] and
@@ -696,24 +689,21 @@ def _phase_one(
     content, it runs once per constraint set, not once per objective. The
     work array is the final basis's, refactorized from pristine data, and
     phase 2 starts from its tableau on the same ext and rhs. Every array is
-    read-only; phase 2 pivots on copies.
+    frozen; phase 2 pivots on copies.
     """
-    m, n_real = shape
-    rhs = np.frombuffer(rhs_data)
-    ext = np.hstack([np.frombuffer(full_data).reshape(shape), np.eye(m)])
+    m, n_real = full.shape
+    ext = np.hstack([full, np.eye(m)])
     ext[rhs < 0, :n_real] *= -1.0
     rhs = np.abs(rhs)
     c1 = np.zeros(n_real + m)
     c1[n_real:] = 1.0
     basis = np.arange(n_real, n_real + m)
     status, work, basis, pivots = _simplex(
-        ext, rhs, c1, basis, _work_array(ext, rhs, c1, basis), _max_iter(shape),
+        ext, rhs, c1, basis, _work_array(ext, rhs, c1, basis), _max_iter(full.shape),
         pin_start=n_real + m,
     )
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
         raise LpFailure("phase 1 reported unbounded")
     phase1 = float(c1[basis] @ np.maximum(work[:-1, -1], 0.0))
     infeasible = phase1 > _FEAS_TOL * max(1.0, float(rhs.max(initial=0.0)))
-    for arr in (ext, rhs, basis, work):
-        arr.setflags(write=False)
-    return ext, rhs, not infeasible, basis, pivots, work
+    return frozen(ext), frozen(rhs), not infeasible, frozen(basis), pivots, frozen(work)

@@ -3,19 +3,17 @@ vec_operator, the one row-major vectorization every LP here is built from.
 
 One rank cutoff, DEFAULT_RANK_TOL, serves every function here. Null-space bases are L1-normalized (with a
 positive leading entry) so the extremal-element bounds used elsewhere in the
-package apply to them directly. Projectors are memoized by the content of
-their matrix and returned read-only, so repeated calls on one channel cost
-a lookup instead of an SVD.
+package apply to them directly. Projectors are memoized by content
+(`stochcore.content_memo`) and `frozen`, so a channel costs one SVD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .stochcore import value_eq
+from .stochcore import content_memo, frozen, value_eq
 
 __all__ = [
     "RrefResult",
@@ -110,21 +108,13 @@ def left_nullspace_basis(a: np.ndarray) -> np.ndarray:
 
 
 def row_space_projector(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the row space of a (square, cols(a)-sized).
-
-    The result is memoized by content and read-only.
-    """
-    a = np.asarray(a, dtype=float)
-    return _projector("row", a.shape, a.tobytes())
+    """Orthogonal projector onto the row space of a (square, cols(a)-sized), frozen."""
+    return _projector("row", np.asarray(a))
 
 
 def column_space_projector(b: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column space of b (square, rows(b)-sized).
-
-    The result is memoized by content and read-only.
-    """
-    b = np.asarray(b, dtype=float)
-    return _projector("column", b.shape, b.tobytes())
+    """Orthogonal projector onto the column space of b (square, rows(b)-sized), frozen."""
+    return _projector("column", np.asarray(b))
 
 
 def vec_operator(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -144,13 +134,10 @@ def _svd_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > DEFAULT_RANK_TOL * max(1.0, float(s[0]))))
 
 
-@lru_cache(maxsize=_PROJECTOR_MEMO)
-def _projector(space: str, shape: tuple, data: bytes) -> np.ndarray:
-    m = np.frombuffer(data).reshape(shape)
+@content_memo(_PROJECTOR_MEMO)
+def _projector(space: str, m: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(m)
     r = _svd_rank(s)
     basis = vt[:r].T if space == "row" else u[:, :r]
     p = basis @ basis.T
-    p = (p + p.T) / 2.0
-    p.setflags(write=False)
-    return p
+    return frozen((p + p.T) / 2.0)

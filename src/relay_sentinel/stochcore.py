@@ -34,12 +34,15 @@ Conventions used throughout the package:
   `bincount`'s copy) lives one `trace_blocks` block at a time, so none
   grows with the trace length;
 - `point_masses` alone decides whether a matrix is deterministic: every
-  entry within ``DEFAULT_TOL`` of 0 or 1.
+  entry within ``DEFAULT_TOL`` of 0 or 1;
+- every array the package keeps or shares is `frozen`, which no holder can
+  make writable again, and every memo by array content is a `content_memo`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import weakref
@@ -68,6 +71,8 @@ __all__ = [
     "joint_counts",
     "channel_constants",
     "value_eq",
+    "frozen",
+    "content_memo",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -79,6 +84,43 @@ DEFAULT_TOL = 1e-9
 # peaks at 892 KiB, near the 1 MiB test bound, and faults at glibc's default
 # trim threshold in every heap layout tried; 4 096 and 8 192 fault in some
 BLOCK_SIZE = 8192
+
+
+def frozen(arr) -> np.ndarray:
+    """arr as an immutable, aligned C-order copy: an array over bytes, which
+    NumPy refuses to make writable."""
+    arr = np.asarray(arr)
+    return np.ndarray(arr.shape, arr.dtype, arr.tobytes())
+
+
+_MEMOS: list = []  # every content_memo, for reports of their traffic
+
+
+def content_memo(maxsize: int):
+    """An ``lru_cache`` keyed by content: each ndarray argument by its shape and
+    float bytes (a copy, a Fortran-order or int array of equal values meet one
+    entry), which the function receives `frozen`. No other argument is a tuple."""
+    def decorate(func):
+        ndarray, f64 = np.ndarray, np.dtype(float)  # cells read faster than globals
+
+        @functools.lru_cache(maxsize)
+        def cached(*key):
+            return func(*(np.ndarray(k[0], float, k[1]) if type(k) is tuple else k for k in key))
+
+        @functools.wraps(func)
+        def memo(*args):
+            key = []
+            for arg in args:  # a plain loop: a comprehension's frame costs more
+                if isinstance(arg, ndarray):  # any dtype object but f64 itself converts
+                    arg = (arg.shape, (arg if arg.dtype is f64 else arg.astype(f64)).tobytes())
+                key.append(arg)
+            return cached(*key)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        _MEMOS.append(memo)
+        return memo
+
+    return decorate
 
 
 class AlphabetReductionError(ValueError):
@@ -148,8 +190,7 @@ def _probabilities(value, name: str, ndim: int, expected: str) -> np.ndarray:
     """value as a float array of the given rank, every entry a non-negative number.
 
     Non-numeric, NaN and infinite entries are rejected before any sum is taken.
-    The array is an immutable copy, a view of a bytes buffer that cannot be
-    made writable, so no write by the caller or the callee changes it.
+    The array is a `frozen` copy, which no write by caller or callee changes.
     """
     try:
         arr = np.asarray(value)
@@ -159,7 +200,7 @@ def _probabilities(value, name: str, ndim: int, expected: str) -> np.ndarray:
         raise ValueError(f"{name}: expected {expected}")
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name}: entries must be numbers")
-    arr = np.frombuffer(np.asarray(arr, dtype=float).tobytes()).reshape(arr.shape)
+    arr = frozen(arr.astype(float, copy=False))
     if not np.isfinite(arr).all():
         _reject(name, arr, ~np.isfinite(arr), "is not finite")
     if arr.min() < -DEFAULT_TOL:
@@ -294,7 +335,7 @@ def symbol_dtype(size: int) -> np.dtype:
 
 
 def point_masses(matrix) -> np.ndarray | None:
-    """The row of each column's point mass, in `symbol_dtype`, or None.
+    """The row of each column's point mass, `frozen` in `symbol_dtype`, or None.
 
     A matrix is deterministic when every entry is within ``DEFAULT_TOL`` of
     0 or 1; a tolerated stray mass beside a column's unit entry is dropped.
@@ -302,7 +343,7 @@ def point_masses(matrix) -> np.ndarray | None:
     matrix = np.asarray(matrix, dtype=float)
     if np.abs(matrix - np.round(matrix)).max() > DEFAULT_TOL:
         return None
-    return matrix.argmax(axis=0).astype(symbol_dtype(matrix.shape[0]))
+    return frozen(matrix.argmax(axis=0).astype(symbol_dtype(matrix.shape[0])))
 
 
 def trace_blocks(n: int) -> list[slice]:

@@ -181,6 +181,14 @@ def full_checks(monkeypatch):
     return names
 
 
+def assert_frozen(arr):
+    """arr rejects a write, and rejects being made writable again."""
+    with pytest.raises(ValueError, match="read-only"):
+        arr[...] = 0
+    with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+        arr.setflags(write=True)
+
+
 def is_column_stochastic(m, tol: float = DEFAULT_TOL) -> bool:
     """Entries within [0, 1] and every column summing to 1, all within tol."""
     m = np.asarray(m, dtype=float)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import is_column_stochastic
+from conftest import assert_frozen, is_column_stochastic
 from relay_sentinel import attackmodel, channelmodel, stochcore
 from relay_sentinel.attackmodel import AttackSpec
 from relay_sentinel.channelmodel import AlphabetReductionError, MacModel
@@ -355,6 +355,18 @@ def test_an_identity_downlink_is_a_copy_that_draws_nothing(b, v):
     assert y1 is not v and not np.shares_memory(y1, v)
     assert y1.dtype == stochcore.symbol_dtype(b.shape[0])
     assert channelmodel._cdf_table(b)[3]
+
+
+def test_cumulative_tables_and_point_masses_are_frozen():
+    # the tables are memoized process-wide, one per matrix, for every
+    # trial (a pmf's rows are scalars)
+    sampled = np.array([[0.5, 0.25], [0.25, 0.5], [0.25, 0.25]])
+    for matrix in (sampled, MacModel.adder(2, 2).table, np.eye(3)[:, [2, 0, 1]]):
+        rows, _, points, _ = channelmodel._cdf_table(matrix)
+        assert rows
+        for arr in rows + ((points,) if points is not None else ()):
+            assert_frozen(arr)
+    assert channelmodel._cdf_table(np.eye(3)[:, [2, 0, 1]])[2] is not None
 
 
 def test_a_permuted_point_mass_downlink_is_still_a_lookup():

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import is_column_stochastic
+from conftest import assert_frozen, is_column_stochastic
 from relay_sentinel import channelmodel, detector, lpkernel, numlinalg, stochcore
 from relay_sentinel.channelmodel import MacModel
 from relay_sentinel.detector import DetectorConfig
@@ -473,7 +473,7 @@ def test_compiled_estimator_rows_match_kron():
             a, b = scenario.uplink_matrix(), scenario.b
             u, n_g = a.shape[0], b.shape[0] * a.shape[1]
             n_phi = u * u
-            program = detector._compiled(a, b, scenario.mu)[0].problem
+            program = detector._compile(a, b, scenario.mu)[0].problem
             a_eq = np.zeros((u, n_phi + n_g))
             a_eq[:, :n_phi] = np.kron(np.ones((1, u)), np.eye(u))
             a_ub = np.zeros((2 * n_g + 1, n_phi + n_g))
@@ -556,8 +556,8 @@ def test_one_trial_looks_the_estimator_up_once_and_solves_over_phi_and_t(monkeyp
     a, b = scenario.uplink_matrix(), scenario.b
     (u, x1_size), y1_size = a.shape, b.shape[0]
     lookups, problems = [], []
-    compiled, solve = detector._compiled, detector.solve_lp
-    monkeypatch.setattr(detector, "_compiled", lambda *args: lookups.append(args) or compiled(*args))
+    compiled, solve = detector._compile, detector.solve_lp
+    monkeypatch.setattr(detector, "_compile", lambda *args: lookups.append(args) or compiled(*args))
     monkeypatch.setattr(detector, "solve_lp", lambda p, r: problems.append(p) or solve(p, r))
     run_trial(scenario, 0)
     assert len(lookups) == 1 and len(problems) == 1
@@ -619,3 +619,15 @@ def test_estimator_matches_the_original_lp_on_random_channels():
         feasible += report.feasible
     assert projected >= 200 / 3
     assert 0 < feasible < 200
+
+
+def test_no_caller_can_poison_the_projectors_every_detection_shares():
+    # the projector memo is process-wide: were a projector writable, one
+    # caller's write would change every later detection on that channel
+    config = preset("fig3a").detector_config
+    counts = np.array([[300, 0], [200, 250], [0, 250]])
+    before = detector.run_detection_on_counts(config, counts).statistic
+    assert before == pytest.approx(0.8, abs=1e-12)
+    for projector in (numlinalg.column_space_projector(config.b), numlinalg.row_space_projector(config.a)):
+        assert_frozen(projector)
+    assert detector.run_detection_on_counts(config, counts).statistic == before

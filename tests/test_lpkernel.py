@@ -19,7 +19,9 @@ from relay_sentinel.channelmodel import MacModel
 from relay_sentinel.detector import DetectorConfig
 from relay_sentinel.harness import Scenario, preset_curves, trial_counts, trial_traces
 from relay_sentinel.lpkernel import LpFailure, LpProblem, LpStatus, solve_lp
+from relay_sentinel.stochcore import frozen
 
+from conftest import assert_frozen
 from test_manipulability import _sweep_channels, _witness_programs
 
 
@@ -722,13 +724,12 @@ def _hand_written_with_rhs(p, b_eq=None, b_ub=None):
         if vec is None:
             continue
         rows = getattr(p, "a" + name[1:])
-        vec = np.array(vec, dtype=float).ravel()
+        vec = np.asarray(vec, dtype=float).ravel()
         if rows is None or vec.size != rows.shape[0]:
             raise ValueError(f"{name} does not match the program's rows")
         if not np.isfinite(vec).all():
             raise ValueError(f"{name} must be finite")
-        vec.setflags(write=False)
-        object.__setattr__(sibling, name, vec)
+        object.__setattr__(sibling, name, frozen(vec))
     return sibling
 
 
@@ -738,7 +739,7 @@ def test_with_rhs_costs_at_most_a_microsecond_more_than_written_out():
     # timed in process CPU time so that time the process spends descheduled
     # (other work on the machine) is not counted against either
     scenario = preset_curves("fig5a")["phi1"]
-    program = detector._compiled(scenario.uplink_matrix(), scenario.b, scenario.mu)[0].problem
+    program = detector._compile(scenario.uplink_matrix(), scenario.b, scenario.mu)[0].problem
     b_ub = program.b_ub.copy()
     assert _hand_written_with_rhs(program, b_ub=b_ub) == program.with_rhs(b_ub=b_ub)
     calls = 1000
@@ -830,9 +831,55 @@ def test_remembered_phase_one_basis_is_read_only(monkeypatch):
     assert first == again and results[0] is results[1]
     ext, rhs, _, basis, _, tableau = results[0]
     for arr in (ext, rhs, basis, tableau):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr.flat[0] = 0
+        assert_frozen(arr)
+
+
+# ---------- frozen arrays ----------
+
+
+def test_a_program_its_siblings_and_its_form_hold_frozen_arrays():
+    p = LpProblem([-1.0, 0.5], a_eq=[[1.0, 1.0]], b_eq=[1.5], a_ub=[[1.0, 0.0]], b_ub=[1.0],
+                  bounds=[(0.0, 2.0), (None, None)])
+    rhs_sibling, objective_sibling = p.with_rhs(b_eq=[1.0], b_ub=[0.5]), p.with_objective([1.0, 1.0])
+    form = p._form
+    arrays = [p.objective, p.a_eq, p.b_eq, p.a_ub, p.b_ub, rhs_sibling.b_eq, rhs_sibling.b_ub,
+              rhs_sibling.a_ub, objective_sibling.objective, objective_sibling.a_eq]
+    arrays += [form.full, form.shift, form.divisor, form.caps, form.s, form.t]
+    for arr in arrays:
+        assert_frozen(arr)
+
+
+def test_no_caller_can_make_a_program_drift_from_its_standard_form():
+    # a program's arrays were once read-only by flag alone: a caller could set
+    # it back and write A, which the with_rhs sibling then read, while the
+    # shared standard form still solved the old program
+    p = LpProblem([-1.0], a_ub=[[1.0]], b_ub=[1.0])
+    with pytest.raises(ValueError):
+        p.a_ub.setflags(write=True)
+    assert p.with_rhs(b_ub=[1.0]).a_ub[0, 0] == 1.0
+    np.testing.assert_array_equal(solve_lp(p).solution, [1.0])
+
+
+def test_an_empty_constraint_block_freezes():
+    p = LpProblem([1, 1], a_eq=[], b_eq=[])
+    assert p.a_eq.shape == (0, 2) and p.b_eq.shape == (0,)
+    for arr in (p.a_eq, p.b_eq, p._form.full):
+        assert_frozen(arr)
+    outcome = solve_lp(p)
+    assert outcome.status is LpStatus.OPTIMAL and outcome.value == 0.0
+
+
+def test_an_outcome_and_a_restart_are_frozen():
+    # the compiled estimator's Restart is shared by every trial of its channel
+    scenario = preset_curves("fig3a")["phi2"]
+    restart, _ = detector._compile(scenario.uplink_matrix(), scenario.b, scenario.mu)
+    for arr in (restart.ext, restart.cost, restart.inverse, restart.work, restart.basis):
+        assert_frozen(arr)
+    trial = detector._with_target(restart.problem, restart.problem.b_ub[: restart.problem.b_ub.size // 2])
+    for outcome in (restart.optimum, solve_lp(trial, restart), solve_lp(trial)):
+        assert outcome.status is LpStatus.OPTIMAL
+        assert_frozen(outcome.basis)
+        assert_frozen(outcome.solution)
 
 
 # ---------- one factorization per basis ----------
@@ -1186,7 +1233,7 @@ def test_a_degenerate_dual_stall_ends_on_the_dual_path():
     config = scenario.detector_config
     counts, _ = trial_counts(scenario, *trial_traces(scenario, 0))
     report = detector.run_detection_on_counts(config, counts)
-    restart, _ = detector._compiled(config.a, config.b, config.mu)
+    restart, _ = detector._compile(config.a, config.b, config.mu)
     assert report.lp_path == "dual" and report.feasible
     assert report.lp_pivots > restart.ext.shape[1]  # n_real + m
     assert abs(report.statistic - 30.0) <= 1e-9
@@ -1210,7 +1257,7 @@ def test_every_pivot_goes_through_pivot(monkeypatch, higher_a, higher_b):
     config = DetectorConfig(
         a=scenario.uplink_matrix(), b=scenario.b, mu=scenario.mu, delta=scenario.delta
     )
-    detector._compiled(config.a, config.b, config.mu)  # the restart's own cold solve
+    detector._compile(config.a, config.b, config.mu)  # the restart's own cold solve
     paths = collections.Counter()
     for trial in range(10):
         calls.clear()

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import is_column_stochastic
+from conftest import assert_frozen, is_column_stochastic
 import relay_sentinel
 from relay_sentinel import (
     AttackSpec,
@@ -614,3 +614,62 @@ def test_joint_counts_names_the_trace_that_breaks_a_rule(index, trace, message):
         stochcore.joint_counts(traces, (3, 2, 5, 5), _JOINT_NAMES)
     with pytest.raises(ValueError, match="^empty traces$"):
         stochcore.joint_counts([np.zeros(0, int)] * 4, (3, 2, 5, 5), _JOINT_NAMES)
+
+
+# ---------- frozen arrays and content memos ----------
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.arange(12.0).reshape(3, 4),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(24.0).reshape(4, 6)[::2, 1::2],  # a strided view
+        np.arange(5, dtype=np.intp),
+        np.zeros((0, 3)),
+        [[1, 2], [3, 4]],
+    ],
+    ids=["C order", "Fortran order", "strided", "intp", "empty", "list"],
+)
+def test_a_frozen_array_is_an_immutable_contiguous_aligned_copy(value):
+    # the BLAS path, and so the rounding, depends on the layout: a frozen
+    # array must read as a fresh C-ordered copy would
+    arr = stochcore.frozen(value)
+    expected = np.array(value)
+    np.testing.assert_array_equal(arr, expected)
+    assert arr.dtype == expected.dtype and arr.shape == expected.shape
+    assert arr.flags.c_contiguous and arr.flags.aligned
+    if isinstance(value, np.ndarray):
+        assert not np.shares_memory(arr, value)
+    assert_frozen(arr)
+    if arr.ndim == 2 and arr.size:
+        assert_frozen(arr[0])  # a view of a frozen array is frozen too
+
+
+def test_a_content_memo_meets_equal_content_in_one_entry_and_hands_it_frozen():
+    received = []
+
+    @stochcore.content_memo(4)
+    def total(label, matrix, scale):
+        received.append(matrix)
+        return label, float(matrix.sum()) * scale
+
+    matrix = np.array([[1.0, 2.0], [3.0, 4.0]])
+    first = total("m", matrix, 2.0)
+    for equal in (matrix.copy(), np.asfortranarray(matrix), matrix.astype(np.int64)):
+        assert total("m", equal, 2.0) is first
+    assert total.cache_info()[:2] == (3, 1)  # hits, misses
+    (seen,) = received
+    assert seen.dtype == float and seen.flags.c_contiguous
+    np.testing.assert_array_equal(seen, matrix)
+    assert_frozen(seen)
+    # the shape is part of the key, and so is every other argument
+    total("m", matrix.reshape(1, 4), 2.0)
+    total("m", matrix, 3.0)
+    total("n", matrix, 2.0)
+    assert total.cache_info()[:2] == (3, 4)
+    assert total in stochcore._MEMOS
+    assert total.__name__ == "total" and total.__wrapped__("x", matrix, 1.0) == ("x", 10.0)
+    total.cache_clear()
+    assert total.cache_info()[:2] == (0, 0)
+    stochcore._MEMOS.remove(total)
